@@ -1,24 +1,36 @@
 // bench_ablation_scoring — the design-choice ablation DESIGN.md calls out:
-// Algorithm 1's three interchangeable engines measured against each other —
-// the batched difference-array engine (default), the lazy segment tree
-// (§V.D.2), and the naive O(interval-length) vote array. google-benchmark
-// measures real wall time on synthetic incident data of growing size; the
-// tree's advantage over naive grows with Δ (wider vote intervals), and the
-// batched engine's flat passes beat the tree's per-pair O(log n) updates at
-// every size. Every benchmark first asserts the engines agree score-for-score
-// on its workload.
-#include <benchmark/benchmark.h>
-
+// Algorithm 1's two interchangeable engines measured against each other —
+// the batched difference-array engine (default) and the naive
+// O(interval-length) vote array that serves as its oracle. Synthetic
+// incident data of growing size; the naive engine's cost grows with Δ
+// (wider vote intervals), the batched engine's flat passes do not.
+//
+// Every workload is first scored by both engines (jobs-wide via the shared
+// harness); they must agree score-for-score and counter-for-counter, or the
+// bench exits 1. Those scores and work counters are the BENCH_*.json
+// payload, byte-identical for any --jobs. Wall-clock cost per engine is
+// then timed serially with std::chrono::steady_clock and printed to the
+// console only.
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "defense/scoring.h"
+#include "harness/bench_report.h"
+#include "harness/experiment_runner.h"
+#include "harness/json.h"
 
 using namespace jgre;
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// Each engine is timed for at least this long (and at least kMinRuns runs).
+constexpr double kMinTimedSeconds = 0.2;
+constexpr int kMinRuns = 3;
 
 struct Workload {
   std::vector<defense::IpcEvent> calls;
@@ -41,68 +53,119 @@ Workload MakeWorkload(int n, std::uint64_t seed) {
   return w;
 }
 
-const char* EngineName(defense::ScoreEngine engine) {
-  switch (engine) {
-    case defense::ScoreEngine::kBatched:
-      return "batched";
-    case defense::ScoreEngine::kSegmentTree:
-      return "segment-tree";
-    case defense::ScoreEngine::kNaive:
-      return "naive";
-  }
-  return "?";
+struct Case {
+  int ipc_calls;
+  DurationUs delta_us;
+};
+
+struct Check {
+  std::int64_t score = 0;
+  defense::ScoringCost cost;
+  bool agree = false;
+};
+
+defense::ScoringParams ParamsFor(const Case& c, defense::ScoreEngine engine) {
+  defense::ScoringParams params;
+  params.delta_us = c.delta_us;
+  params.engine = engine;
+  return params;
 }
 
-void BM_Algorithm1(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto engine = static_cast<defense::ScoreEngine>(state.range(1));
-  const Workload w = MakeWorkload(n, 99);
-  defense::ScoringParams params;
-  params.engine = engine;
-  params.delta_us = static_cast<DurationUs>(state.range(2));
-  // Cross-check: all engines must agree on this workload before timing one.
-  {
-    auto check = params;
-    check.engine = defense::ScoreEngine::kBatched;
-    const auto batched = defense::JgreScoreForApp(w.calls, w.adds, check);
-    check.engine = defense::ScoreEngine::kSegmentTree;
-    const auto tree = defense::JgreScoreForApp(w.calls, w.adds, check);
-    check.engine = defense::ScoreEngine::kNaive;
-    const auto naive = defense::JgreScoreForApp(w.calls, w.adds, check);
-    if (batched != tree || tree != naive) {
-      std::fprintf(stderr,
-                   "scoring engines disagree: batched=%lld tree=%lld "
-                   "naive=%lld (n=%d delta=%lld)\n",
-                   static_cast<long long>(batched),
-                   static_cast<long long>(tree),
-                   static_cast<long long>(naive), n,
-                   static_cast<long long>(params.delta_us));
-      std::abort();
-    }
+bool SameCost(const defense::ScoringCost& a, const defense::ScoringCost& b) {
+  return a.ipc_events == b.ipc_events && a.jgr_events == b.jgr_events &&
+         a.pairs == b.pairs && a.range_ops == b.range_ops;
+}
+
+// Mean wall-clock milliseconds per JgreScoreForApp call.
+double TimeEngineMs(const Workload& w, const defense::ScoringParams& params) {
+  int runs = 0;
+  const Clock::time_point start = Clock::now();
+  double elapsed = 0;
+  while (runs < kMinRuns || elapsed < kMinTimedSeconds) {
+    (void)defense::JgreScoreForApp(w.calls, w.adds, params);
+    ++runs;
+    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        defense::JgreScoreForApp(w.calls, w.adds, params));
-  }
-  state.SetLabel(EngineName(engine));
+  return 1e3 * elapsed / runs;
 }
 
 }  // namespace
 
-// Args: {ipc_calls, engine (0=batched 1=segment-tree 2=naive), delta_us}.
-BENCHMARK(BM_Algorithm1)
-    ->Args({500, 0, 1800})
-    ->Args({500, 1, 1800})
-    ->Args({500, 2, 1800})
-    ->Args({2000, 0, 1800})
-    ->Args({2000, 1, 1800})
-    ->Args({2000, 2, 1800})
-    ->Args({8000, 0, 1800})
-    ->Args({8000, 1, 1800})
-    ->Args({8000, 2, 1800})
-    ->Args({2000, 0, 10000})
-    ->Args({2000, 1, 10000})
-    ->Args({2000, 2, 10000})
-    ->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) {
+  harness::HarnessSpec spec;
+  spec.name = "ablation_scoring";
+  spec.default_seed = 99;
+  const harness::HarnessOptions opts =
+      harness::ParseHarnessOptions(spec, argc, argv);
+  if (opts.help) return 0;
+  if (!opts.error.empty()) return 2;
 
-BENCHMARK_MAIN();
+  bench::PrintBanner("ABLATION: ALGORITHM 1 ENGINES",
+                     "Batched difference array vs the naive vote array");
+  const std::vector<Case> cases = {
+      {500, 1800}, {2000, 1800}, {8000, 1800}, {2000, 10000}};
+  std::vector<Workload> workloads;
+  for (const Case& c : cases) {
+    workloads.push_back(MakeWorkload(c.ipc_calls, opts.seed));
+  }
+
+  const std::vector<Check> checks = harness::RunOrdered<Check>(
+      cases.size(), opts.jobs, [&](std::size_t i) {
+        const Workload& w = workloads[i];
+        Check batched;
+        batched.score = defense::JgreScoreForApp(
+            w.calls, w.adds,
+            ParamsFor(cases[i], defense::ScoreEngine::kBatched),
+            &batched.cost);
+        Check naive;
+        naive.score = defense::JgreScoreForApp(
+            w.calls, w.adds, ParamsFor(cases[i], defense::ScoreEngine::kNaive),
+            &naive.cost);
+        batched.agree =
+            batched.score == naive.score && SameCost(batched.cost, naive.cost);
+        return batched;
+      });
+
+  harness::Json rows = harness::Json::Array();
+  bool all_agree = true;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Check& check = checks[i];
+    all_agree = all_agree && check.agree;
+    rows.Push(harness::Json::Object()
+                  .Set("ipc_calls", cases[i].ipc_calls)
+                  .Set("delta_us", cases[i].delta_us)
+                  .Set("score", check.score)
+                  .Set("pairs", check.cost.pairs)
+                  .Set("range_ops", check.cost.range_ops)
+                  .Set("engines_agree", check.agree));
+    if (!check.agree) {
+      std::fprintf(stderr,
+                   "scoring engines disagree at n=%d delta=%llu us\n",
+                   cases[i].ipc_calls,
+                   static_cast<unsigned long long>(cases[i].delta_us));
+    }
+  }
+  if (!all_agree) return 1;
+
+  std::printf("\n%9s %9s %8s %12s %12s %9s\n", "ipc_calls", "delta_us",
+              "score", "batched_ms", "naive_ms", "speedup");
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const double batched_ms = TimeEngineMs(
+        workloads[i], ParamsFor(cases[i], defense::ScoreEngine::kBatched));
+    const double naive_ms = TimeEngineMs(
+        workloads[i], ParamsFor(cases[i], defense::ScoreEngine::kNaive));
+    std::printf("%9d %9llu %8lld %12.3f %12.3f %8.1fx\n", cases[i].ipc_calls,
+                static_cast<unsigned long long>(cases[i].delta_us),
+                static_cast<long long>(checks[i].score), batched_ms, naive_ms,
+                naive_ms / batched_ms);
+  }
+  std::printf("\n(wall-clock ms per scoring pass; console only, never in "
+              "the JSON report)\n");
+
+  if (opts.emit_json) {
+    harness::BenchReport report(spec.name, opts);
+    report.Set("cases", std::move(rows));
+    if (!report.Write()) return 1;
+  }
+  return 0;
+}

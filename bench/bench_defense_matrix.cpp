@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     // out-runs the defender's report threshold, and stock 51,200 where it
     // cannot.
     matrix.points = {{6'400, 2}, {51'200, 2}};
-    for (const arms::AttackPlan& plan : arms::DefaultAttacks()) {
+    for (const attack::AttackPlan& plan : arms::DefaultAttacks()) {
       if (plan.name != "uid_rotation_colluders") {
         matrix.attacks.push_back(plan);
       }

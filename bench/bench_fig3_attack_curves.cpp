@@ -55,13 +55,17 @@ int main(int argc, char** argv) {
   const auto results = harness::RunOrdered<TaskResult>(
       vulns.size(), opts.jobs, [&](std::size_t i) {
         sim::DeviceSpec device_spec;
-        device_spec.WithSeed(opts.seed).WithAttack(vulns[i]);
+        device_spec.WithSeed(opts.seed);
         if (opts.emit_metrics) device_spec.WithMetrics();
         auto device = sim::DeviceFactory(device_spec).CreateDevice();
+        core::AndroidSystem& system = device->system();
+        services::AppProcess* evil = attack::InstallAttackApp(
+            &system, device_spec.attack_package(), vulns[i]);
+        attack::MaliciousApp attacker(&system, evil, vulns[i]);
         attack::MaliciousApp::RunOptions options;
         options.sample_every_calls = 500;
         TaskResult out;
-        out.result = device->attacker()->Run(options);
+        out.result = attacker.Run(options);
         if (device->metrics() != nullptr) out.metrics = *device->metrics();
         return out;
       });

@@ -4,9 +4,9 @@
 // grows roughly linearly with the invocation index (paper: ~50 ms by the end
 // of the attack) while staying stable early on (Observation 2).
 //
-// Factory-driven: the booted device, attack app install, and MaliciousApp
-// all come from sim::DeviceFactory (shared CLI: --seed/--json); the bench
-// then drives the undefended attack to overflow with per-call execution
+// Factory-driven: the booted device comes from sim::DeviceFactory (shared
+// CLI: --seed/--json); the bench then installs the attack app and drives
+// MaliciousApp's measurement loop to overflow with per-call execution
 // timing enabled.
 #include <algorithm>
 #include <cstdio>
@@ -39,12 +39,16 @@ int main(int argc, char** argv) {
   const attack::VulnSpec* vuln =
       attack::FindVulnerability("telephony.registry", "listenForSubscriber");
   sim::DeviceSpec device_spec;
-  device_spec.WithSeed(opts.seed).WithAttack(*vuln);
+  device_spec.WithSeed(opts.seed);
   auto device = sim::DeviceFactory(device_spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  services::AppProcess* evil = attack::InstallAttackApp(
+      &system, device_spec.attack_package(), *vuln);
+  attack::MaliciousApp attacker(&system, evil, *vuln);
   attack::MaliciousApp::RunOptions options;
   options.record_exec_times = true;
   options.sample_every_calls = 0;
-  auto result = device->attacker()->Run(options);
+  auto result = attacker.Run(options);
 
   const auto& times = result.exec_times_us.samples();
   std::printf("\nattack issued %d calls before overflow (paper: 50,236 — "

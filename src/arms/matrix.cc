@@ -14,25 +14,16 @@ namespace jgre::arms {
 
 namespace {
 
-// Mirrors the fleet scenario driver's hunt-window size so matrix cells and
-// census devices feed the hunt battery identically shaped evidence.
-constexpr std::size_t kHuntWindowCapacity = 2048;
-
-// Idle stride once the strategy has finished (denied out, killed, or budget
-// spent) but the horizon hasn't been reached: keep the benign workload and
-// the defender's pump moving so recovery/hunt evidence settles.
-constexpr DurationUs kIdleStrideUs = 10'000;
-
 // Per-cell extras the ScenarioDriver computes beyond the DeviceOutcome.
 // Indexed by cell; each slot is written by exactly one worker task.
 struct CellExtra {
   CellOutcome outcome = CellOutcome::kSurvived;
-  StrategyStats attacker;
+  attack::StrategyStats attacker;
   std::map<std::string, std::int64_t> denied_by_policy;
 };
 
 struct CellDesc {
-  AttackPlan plan;
+  attack::AttackPlan plan;
   DefenseConfig defense;
   OperatingPoint point;
 };
@@ -64,21 +55,13 @@ fleet::DeviceOutcome RunCell(const CellDesc& cell,
                              sim::DeviceSim& device,
                              const detect::InterfaceCatalog* catalog,
                              CellExtra* extra) {
-  fleet::DeviceOutcome out;
-  out.index = spec.index;
-  out.scenario_class = spec.scenario_class;
-
   core::AndroidSystem& system = device.system();
-  fleet::DeviceProbe probe(system.system_server_pid().value(),
-                           kHuntWindowCapacity);
-  device.bus().Subscribe(&probe,
-                         obs::MaskOf(obs::Category::kJgr) |
-                             obs::MaskOf(obs::Category::kIpc),
-                         /*pid_filter=*/-1, obs::Delivery::kBuffered);
-
+  // The probe subscribes before the mitigations and the strategy install.
+  fleet::DeviceRun run(spec, device);
   std::unique_ptr<MitigationStack> stack =
       BuildStack(system, cell.defense.mitigations, cell.point.jgr_cap);
-  std::unique_ptr<AttackStrategy> strategy = MakeStrategy(cell.plan);
+  std::unique_ptr<attack::AttackStrategy> strategy =
+      attack::MakeStrategy(cell.plan);
   if (strategy == nullptr) {
     throw std::runtime_error(
         StrCat("MatrixRunner (cell ", spec.index, "): unknown strategy '",
@@ -89,74 +72,24 @@ fleet::DeviceOutcome RunCell(const CellDesc& cell,
                                     cell.plan.name, "): setup failed: ",
                                     setup.ToString()));
   }
-  const std::vector<Uid> attacker_uids = strategy->attacker_uids();
-  const std::vector<std::string> attacker_packages =
-      strategy->attacker_packages();
 
-  defense::JgreDefender* defender = device.defender();
-  attack::BenignWorkload* benign = device.benign();
-  std::vector<TimeUs>& next_benign = device.benign_schedule();
-  Rng& rng = device.rng();
-
-  const auto pump_benign = [&] {
-    const TimeUs now = system.clock().NowUs();
-    for (std::size_t i = 0; i < next_benign.size(); ++i) {
-      if (now >= next_benign[i]) {
-        benign->InteractOnce(i);
-        next_benign[i] =
-            system.clock().NowUs() + 20'000 + rng.UniformU64(130'000);
-      }
-    }
-  };
-
-  const TimeUs start = system.clock().NowUs();
-  const TimeUs deadline = start + spec.horizon_us;
-  TimeUs exhausted_at = 0;
-  bool strategy_done = false;
-
-  // Unlike the census loop, an incident does NOT end the cell: the defender's
+  // Unlike the census, an incident does NOT end the cell: the defender's
   // recovery (killing issuers) is exactly the defense-vs-attack interaction
   // the matrix measures, and the strategy reports itself done when every
   // issuer is dead or its denial budget is spent.
-  while (system.clock().NowUs() < deadline) {
-    if (!strategy_done) {
-      strategy_done = !strategy->Step(system);
-    } else {
-      system.clock().AdvanceUs(kIdleStrideUs);
-    }
-    pump_benign();
-    if (system.soft_reboots() > 0) {
-      exhausted_at = system.clock().NowUs();
-      break;
-    }
-  }
-
-  out.exhausted = system.soft_reboots() > 0;
-  if (out.exhausted) {
-    if (exhausted_at == 0) exhausted_at = system.clock().NowUs();
-    out.time_to_exhaustion_us = exhausted_at - start;
-    out.exhausted_within_horizon = out.time_to_exhaustion_us <= spec.horizon_us;
-  }
-  out.incident = defender != nullptr && !defender->incidents().empty();
-  out.virtual_duration_us = system.clock().NowUs() - start;
-  out.stopped_by_denial = strategy->stats().stopped_by_denial;
-
-  int live_attackers = 0;
-  for (const std::string& package : attacker_packages) {
-    services::AppProcess* app = system.FindApp(package);
-    if (app != nullptr && app->alive()) ++live_attackers;
-  }
-  out.attacker_killed = live_attackers == 0;
+  fleet::DeviceOutcome& out =
+      run.Drive(strategy.get(), experiment::StopRule::kHorizon);
 
   if (stack != nullptr) {
-    for (const Uid uid : attacker_uids) {
+    for (const Uid uid : strategy->attacker_uids()) {
       out.denied_attacker_calls += stack->DeniedForUid(uid);
     }
     out.denied_benign_calls = stack->total_denied() - out.denied_attacker_calls;
   }
-  if (defender != nullptr) {
-    const std::set<std::string> attacker_set(attacker_packages.begin(),
-                                             attacker_packages.end());
+  if (const defense::JgreDefender* defender = device.defender();
+      defender != nullptr) {
+    const std::vector<std::string> packages = strategy->attacker_packages();
+    const std::set<std::string> attacker_set(packages.begin(), packages.end());
     for (const auto& incident : defender->incidents()) {
       for (const std::string& package : incident.killed_packages) {
         if (attacker_set.count(package) == 0) ++out.benign_kills;
@@ -171,17 +104,15 @@ fleet::DeviceOutcome RunCell(const CellDesc& cell,
                        ? CellOutcome::kKilled
                        : out.stopped_by_denial ? CellOutcome::kDenied
                                                : CellOutcome::kSurvived;
-
-  fleet::FinishDeviceOutcome(device, probe, catalog, &out);
-  return out;
+  return run.Finish(catalog);
 }
 
 }  // namespace
 
-std::vector<AttackPlan> DefaultAttacks() {
-  std::vector<AttackPlan> attacks;
-  for (const std::string& name : KnownStrategies()) {
-    AttackPlan plan;
+std::vector<attack::AttackPlan> DefaultAttacks() {
+  std::vector<attack::AttackPlan> attacks;
+  for (const std::string& name : attack::KnownStrategies()) {
+    attack::AttackPlan plan;
     plan.name = name;
     attacks.push_back(std::move(plan));
   }
@@ -250,11 +181,11 @@ MatrixResult MatrixRunner::Run() {
   cells.reserve(cell_count());
   specs.reserve(cell_count());
   for (const OperatingPoint& point : matrix_.points) {
-    for (const AttackPlan& attack : matrix_.attacks) {
+    for (const attack::AttackPlan& plan : matrix_.attacks) {
       for (const DefenseConfig& defense : matrix_.defenses) {
         const std::size_t index = cells.size();
         CellDesc cell;
-        cell.plan = attack;
+        cell.plan = plan;
         cell.plan.seed = fleet::MixFleetSeed(matrix_.seed, index);
         cell.plan.max_calls = std::min(cell.plan.max_calls, matrix_.max_calls);
         cell.defense = defense;
@@ -264,8 +195,8 @@ MatrixResult MatrixRunner::Run() {
         sys.system_server_max_jgr = point.jgr_cap;
         fleet::FleetDeviceSpec spec;
         spec.index = index;
-        spec.scenario_class = attack.name;
-        spec.scenario_detail = attack.name + "|" + defense.name;
+        spec.scenario_class = plan.name;
+        spec.scenario_detail = plan.name + "|" + defense.name;
         spec.horizon_us = matrix_.horizon_us;
         spec.device.WithSeed(matrix_.seed)
             .WithScenarioSeed(cell.plan.seed)

@@ -5,12 +5,13 @@
 // warmed-boot-image infrastructure (FleetRunner + ScenarioDriver). A cell
 // restores a device at its JGR-cap operating point, installs the defense
 // config (the paper's kill-based JgreDefender, a MitigationStack of modern
-// admission policies, both, or neither), lets the AttackStrategy drive, and
-// reduces to one MatrixCell:
+// admission policies, both, or neither), drives its attack::AttackStrategy
+// through experiment::Drive to the horizon (fleet::DeviceRun), and reduces
+// to one MatrixCell:
 //
 //   outcome    — exhausted | killed | denied | survived (in that precedence)
 //   detection  — the defender's incidents plus the follow-up hunt battery
-//                (FinishDeviceOutcome), so "evaded the defender" can be
+//                (fleet::DeviceRun::Finish), so "evaded the defender" can be
 //                cross-checked against "but a hunt saw it"
 //   collateral — benign calls denied by mitigations, benign apps killed by
 //                the defender's recovery pass
@@ -30,7 +31,7 @@
 #include <vector>
 
 #include "arms/mitigation.h"
-#include "arms/strategy.h"
+#include "attack/strategy.h"
 #include "common/types.h"
 #include "detect/catalog.h"
 #include "fleet/aggregator.h"
@@ -78,7 +79,7 @@ struct ArmsMatrix {
   int warmup_apps = 3;
   DurationUs warmup_foreground_us = 1'000'000;
   // Axes; an empty vector means the corresponding Default*() set.
-  std::vector<AttackPlan> attacks;
+  std::vector<attack::AttackPlan> attacks;
   std::vector<DefenseConfig> defenses;
   std::vector<OperatingPoint> points;
   int max_calls = 40'000;
@@ -86,7 +87,7 @@ struct ArmsMatrix {
 };
 
 // The five KnownStrategies() with their standard tunings.
-std::vector<AttackPlan> DefaultAttacks();
+std::vector<attack::AttackPlan> DefaultAttacks();
 // none, defender(4000,12000), and defender stacked with each mitigation.
 std::vector<DefenseConfig> DefaultDefenses();
 // Five JGR caps (4.8k..51.2k, stock last) at 2 benign apps — five prefix
@@ -109,7 +110,7 @@ struct MatrixCell {
   std::size_t jgr_cap = 0;
   int benign_apps = 0;
   CellOutcome outcome = CellOutcome::kSurvived;
-  StrategyStats attacker;
+  attack::StrategyStats attacker;
   std::map<std::string, std::int64_t> denied_by_policy;
   fleet::DeviceOutcome device;  // stream counters, collateral, hunt pass
 };

@@ -45,7 +45,7 @@ class JgreDefender {
     int max_kills_per_incident = 8;
     // Analysis cost model (virtual time): reading and parsing the procfs
     // log, transferring the runtime's JGR records, and the per-pair
-    // segment-tree work of Algorithm 1.
+    // vote work of Algorithm 1.
     DurationUs ipc_record_parse_us = 2;
     DurationUs jgr_event_transfer_ns = 500;
     DurationUs pair_cost_ns = 400;
@@ -173,7 +173,7 @@ class JgreDefender {
   std::unique_ptr<JgrMonitorHub> hub_;
   std::unique_ptr<IpcTap> tap_;
   std::vector<IncidentReport> incidents_;
-  // Reusable scoring buffers (segment tree, grouping scratch) shared across
+  // Reusable scoring buffers (vote column, grouping scratch) shared across
   // apps and incidents.
   ScoringWorkspace workspace_;
 };

@@ -40,12 +40,46 @@ std::size_t BucketCount(const ScoringParams& params) {
          2;
 }
 
-// Scores a single IPC type: interval votes over delay buckets, then the max.
-// `delay_votes` must arrive zeroed; call_times must be sorted ascending.
-template <typename Tree>
-std::int64_t ScoreType(Tree& delay_votes, const std::vector<TimeUs>& call_times,
-                       const std::vector<TimeUs>& jgr_add_times,
-                       const ScoringParams& params, ScoringCost* cost) {
+// The reference vote array: O(interval length) per range add, O(n) per
+// peak. Simple enough to be obviously right, which is its whole job.
+class NaiveRangeMax {
+ public:
+  explicit NaiveRangeMax(std::size_t size) : values_(size, 0) {}
+
+  // Adds `delta` to every bucket in [lo, hi] (inclusive, clamped to range).
+  void AddRange(std::int64_t lo, std::int64_t hi, std::int64_t delta) {
+    lo = std::max<std::int64_t>(lo, 0);
+    hi = std::min<std::int64_t>(hi,
+                                static_cast<std::int64_t>(values_.size()) - 1);
+    for (std::int64_t i = lo; i <= hi; ++i) {
+      values_[static_cast<std::size_t>(i)] += delta;
+    }
+  }
+
+  std::int64_t GlobalMax() const {
+    return values_.empty() ? 0 : values_[ArgGlobalMax()];
+  }
+
+  // Smallest index attaining GlobalMax.
+  std::size_t ArgGlobalMax() const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < values_.size(); ++i) {
+      if (values_[i] > values_[best]) best = i;
+    }
+    return best;
+  }
+
+ private:
+  std::vector<std::int64_t> values_;
+};
+
+// The naive engine: interval votes over delay buckets, then the max.
+// call_times must be sorted ascending.
+std::int64_t ScoreTypeNaive(std::size_t buckets,
+                            const std::vector<TimeUs>& call_times,
+                            const std::vector<TimeUs>& jgr_add_times,
+                            const ScoringParams& params, ScoringCost* cost) {
+  NaiveRangeMax delay_votes(buckets);
   bool any = false;
   for (TimeUs ipc_time : call_times) {
     // JGR adds that could have been caused by this call: those within
@@ -71,13 +105,13 @@ std::int64_t ScoreType(Tree& delay_votes, const std::vector<TimeUs>& call_times,
   // Peak peeling (§VI, multiple attack paths): take the best-supported delay
   // hypothesis, suppress its ±Δ neighbourhood, and repeat up to max_paths
   // times. With max_paths == 1 this is exactly Algorithm 1.
-  constexpr typename Tree::Value kSuppress = std::int64_t{1} << 40;
+  constexpr std::int64_t kSuppress = std::int64_t{1} << 40;
   const std::int64_t peak_halo =
       static_cast<std::int64_t>(params.delta_us / params.bucket_us) + 1;
   std::int64_t total = 0;
   const int paths = std::max(1, params.max_paths);
   for (int path = 0; path < paths; ++path) {
-    const auto peak = delay_votes.GlobalMax();
+    const std::int64_t peak = delay_votes.GlobalMax();
     if (peak <= 0) break;
     total += peak;
     if (path + 1 < paths) {
@@ -88,21 +122,20 @@ std::int64_t ScoreType(Tree& delay_votes, const std::vector<TimeUs>& call_times,
   return total;
 }
 
-// The batched engine. Semantically identical to ScoreType on a segment
-// tree, but restructured for flat column passes:
+// The batched engine. Semantically identical to ScoreTypeNaive, but
+// restructured for flat column passes:
 //
 //   1. Pairing: call_times and jgr_add_times are both sorted, so the
 //      causal window [ipc_time, ipc_time + max_delay] is tracked with two
 //      monotone cursors — O(calls + adds + pairs) total instead of a binary
 //      search per call.
 //   2. Voting: each pair votes +1 on its delay-bucket interval via a
-//      difference array (two additions), replacing an O(log buckets) lazy
-//      tree update.
+//      difference array (two additions), replacing an O(interval) walk.
 //   3. Peak: one prefix scan materializes the per-bucket vote counts; a
-//      linear max with strict `>` keeps the *first* maximal bucket, which
-//      is exactly MaxSegmentTree::ArgGlobalMax's left-biased descent.
+//      linear max with strict `>` keeps the *first* maximal bucket, exactly
+//      as NaiveRangeMax::ArgGlobalMax does.
 //   4. Peeling (max_paths > 1): suppression subtracts the same kSuppress
-//      constant over the same clamped halo the tree version applies, then
+//      constant over the same clamped halo the naive engine applies, then
 //      rescans — identical path sums, identical work counters.
 std::int64_t ScoreTypeBatched(std::vector<std::int64_t>& votes,
                               std::size_t buckets,
@@ -174,15 +207,6 @@ std::int64_t ScoreTypeBatched(std::vector<std::int64_t>& votes,
 
 }  // namespace
 
-MaxSegmentTree& ScoringWorkspace::AcquireTree(std::size_t buckets) {
-  if (tree_ == nullptr || tree_->size() != buckets) {
-    tree_ = std::make_unique<MaxSegmentTree>(buckets);
-  } else {
-    tree_->Reset();
-  }
-  return *tree_;
-}
-
 std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
                              const std::vector<TimeUs>& jgr_add_times,
                              const ScoringParams& params, ScoringCost* cost,
@@ -229,15 +253,9 @@ std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
         score += ScoreTypeBatched(ws.votes_buffer(), buckets, times,
                                   jgr_add_times, params, cost);
         break;
-      case ScoreEngine::kSegmentTree:
-        score += ScoreType(ws.AcquireTree(buckets), times, jgr_add_times,
-                           params, cost);
+      case ScoreEngine::kNaive:
+        score += ScoreTypeNaive(buckets, times, jgr_add_times, params, cost);
         break;
-      case ScoreEngine::kNaive: {
-        NaiveRangeMax naive(buckets);
-        score += ScoreType(naive, times, jgr_add_times, params, cost);
-        break;
-      }
     }
     run_start = run_end;
   }

@@ -14,40 +14,36 @@
 // lot (the counts only grow when calls actually produce JGRs at a consistent
 // lag).
 //
-// The interval-vote/max structure has three interchangeable engines (see
+// The interval-vote/max structure has two interchangeable engines (see
 // ScoreEngine): the default batched engine walks each IPC type's calls and
 // the JGR adds with two monotone cursors and accumulates votes in a flat
-// difference array (one prefix scan replaces per-pair O(log n) tree
-// updates); the lazy segment tree of §V.D.2 is kept as the golden
-// cross-check; and a naive O(interval) reference backs property tests and
-// the ablation bench. All three produce identical scores and identical
-// work counters.
+// difference array, and a naive O(interval) vote array is its reference
+// oracle in property tests and the ablation bench. Both produce identical
+// scores and identical work counters. §V.D.2 implements the votes on a lazy
+// segment tree instead; the simulator does not (EXPERIMENTS.md records why).
 #ifndef JGRE_DEFENSE_SCORING_H_
 #define JGRE_DEFENSE_SCORING_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/segment_tree.h"
 #include "common/types.h"
 
 namespace jgre::defense {
 
-// Which interval-vote/max implementation scores each IPC type. All engines
+// Which interval-vote/max implementation scores each IPC type. Both engines
 // are score-for-score identical; they differ only in how the votes are
 // accumulated and the peak located.
 enum class ScoreEngine {
-  kBatched = 0,   // difference-array votes + prefix scan (default, fastest)
-  kSegmentTree,   // §V.D.2 lazy segment tree (golden cross-check)
-  kNaive,         // O(interval) reference (property tests, ablation)
+  kBatched = 0,  // difference-array votes + prefix scan (default, fastest)
+  kNaive,        // O(interval) reference (property tests, ablation)
 };
 
 struct ScoringParams {
   // Δ: the deviation bound. The paper's single-attacker experiment uses the
   // services' average of 1.8 ms; Fig 9 sweeps {79, 1900, 3583} µs.
   DurationUs delta_us = 1800;
-  // Segment-tree bucket granularity over the delay axis.
+  // Vote bucket granularity over the delay axis.
   DurationUs bucket_us = 100;
   // Maximum plausible Delay (TimeLen): pairs farther apart than this cannot
   // be cause and effect for any interface (the slowest handler finishes well
@@ -96,19 +92,16 @@ struct ScoringCost {
   std::int64_t range_ops = 0;   // interval votes applied
 };
 
-// Reusable scratch buffers for the scoring pass. The segment tree over the
-// delay axis and the per-type grouping buffer are allocated once and reused
-// across apps and incidents instead of rebuilt per IPC type (the seed
-// allocated a fresh 4n-node tree for every (app, type) pair). Not
-// thread-safe: use one workspace per defender/thread.
+// Reusable scratch buffers for the scoring pass. The vote column and the
+// per-type grouping buffers are allocated once and reused across apps and
+// incidents instead of rebuilt per IPC type. Not thread-safe: use one
+// workspace per defender/thread.
 class ScoringWorkspace {
  public:
   ScoringWorkspace() = default;
   ScoringWorkspace(const ScoringWorkspace&) = delete;
   ScoringWorkspace& operator=(const ScoringWorkspace&) = delete;
 
-  // Returns the shared tree sized for `buckets`, reset to all-zero.
-  MaxSegmentTree& AcquireTree(std::size_t buckets);
   std::vector<IpcEvent>& grouping_buffer() { return grouping_; }
   std::vector<TimeUs>& times_buffer() { return times_; }
   // Flat vote column for the batched engine (difference array, then scanned
@@ -116,7 +109,6 @@ class ScoringWorkspace {
   std::vector<std::int64_t>& votes_buffer() { return votes_; }
 
  private:
-  std::unique_ptr<MaxSegmentTree> tree_;
   std::vector<IpcEvent> grouping_;
   std::vector<TimeUs> times_;
   std::vector<std::int64_t> votes_;
@@ -125,7 +117,7 @@ class ScoringWorkspace {
 // Computes one app's jgre_score against the victim's JGR-creation times.
 // `jgr_add_times` must be sorted ascending; `app_calls` may be in any order.
 // `cost`, when non-null, accumulates work counters (used to charge virtual
-// analysis time and for the segment-tree ablation). `workspace`, when
+// analysis time and by the scoring ablation). `workspace`, when
 // non-null, supplies reusable buffers (recommended on the defender's hot
 // path); when null a temporary workspace is created per call.
 std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,

@@ -1,44 +1,77 @@
 #include "experiment/experiment.h"
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
 namespace jgre::experiment {
+
+namespace {
+
+// kHorizon's idle step once the attacker has finished.
+constexpr DurationUs kIdleStrideUs = 10'000;
+
+bool AllIssuersDead(core::AndroidSystem& system,
+                    const attack::AttackStrategy& attacker) {
+  for (const std::string& package : attacker.attacker_packages()) {
+    services::AppProcess* app = system.FindApp(package);
+    if (app != nullptr && app->alive()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+DriveResult Drive(sim::DeviceSim& device, attack::AttackStrategy* attacker,
+                  StopRule rule, TimeUs deadline_us) {
+  core::AndroidSystem& system = device.system();
+  SimClock& clock = system.clock();
+  const defense::JgreDefender* defender = device.defender();
+  const bool first_incident = rule == StopRule::kFirstIncident;
+  const std::int64_t reboots_before = system.soft_reboots();
+  const TimeUs start = clock.NowUs();
+
+  bool attacking = attacker != nullptr;
+  while (clock.NowUs() < deadline_us) {
+    if (first_incident && defender != nullptr &&
+        !defender->incidents().empty()) {
+      break;
+    }
+    if (attacking) {
+      attacking = attacker->Step(system);
+      if (!attacking && first_incident) break;
+    } else if (first_incident) {
+      const TimeUs next = std::min(device.NextBenignDue(), deadline_us);
+      if (next > clock.NowUs()) clock.AdvanceUs(next - clock.NowUs());
+    } else {
+      clock.AdvanceUs(kIdleStrideUs);
+    }
+    device.PumpBenign();
+    if (system.soft_reboots() > reboots_before) break;
+  }
+
+  DriveResult result;
+  result.soft_rebooted = system.soft_reboots() > reboots_before;
+  result.incident = defender != nullptr && !defender->incidents().empty();
+  result.attacker_killed =
+      attacker != nullptr && AllIssuersDead(system, *attacker);
+  result.virtual_duration_us = clock.NowUs() - start;
+  return result;
+}
 
 DefendedAttackResult Experiment::RunDefendedAttack() {
   DefendedAttackResult result;
-  core::AndroidSystem& system = device_.system();
-  defense::JgreDefender* defender = device_.defender();
-  attack::MaliciousApp* attacker = device_.attacker();
-  services::AppProcess* attacker_process = device_.attacker_process();
-  attack::BenignWorkload* benign = device_.benign();
-  std::vector<TimeUs>& next_benign = device_.benign_schedule();
-  Rng& rng = device_.rng();
-  const int max_calls = device_.spec().max_attacker_calls();
-  const TimeUs start = system.clock().NowUs();
-
-  while ((defender == nullptr || defender->incidents().empty()) &&
-         result.attacker_calls < max_calls) {
-    if (attacker_process == nullptr || !attacker_process->alive()) break;
-    (void)attacker->Step();
-    ++result.attacker_calls;
-    // Benign apps interact on their own randomized schedules.
-    const TimeUs now = system.clock().NowUs();
-    for (std::size_t i = 0; i < next_benign.size(); ++i) {
-      if (now >= next_benign[i]) {
-        benign->InteractOnce(i);
-        next_benign[i] =
-            system.clock().NowUs() + 20'000 + rng.UniformU64(130'000);
-      }
-    }
-    if (system.soft_reboots() > 0) {
-      result.soft_rebooted = true;
-      break;
-    }
-  }
-  result.virtual_duration_us = system.clock().NowUs() - start;
-  result.attacker_killed =
-      attacker_process != nullptr && !attacker_process->alive();
-  if (defender != nullptr && !defender->incidents().empty()) {
+  attack::AttackStrategy* attacker = device_.attacker();
+  if (attacker == nullptr) return result;
+  const DriveResult drive = Drive(device_, attacker, StopRule::kFirstIncident,
+                                  std::numeric_limits<TimeUs>::max());
+  result.attacker_calls = attacker->stats().calls_issued;
+  result.attacker_killed = drive.attacker_killed;
+  result.soft_rebooted = drive.soft_rebooted;
+  result.virtual_duration_us = drive.virtual_duration_us;
+  if (drive.incident) {
     result.incident = true;
-    result.report = defender->incidents().front();
+    result.report = device_.defender()->incidents().front();
   }
   return result;
 }

@@ -1,6 +1,5 @@
 #include "fleet/runner.h"
 
-#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -20,96 +19,42 @@ constexpr std::size_t kHuntWindowCapacity = 2048;
 
 }  // namespace
 
-DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
-                                sim::DeviceSim& device,
-                                const detect::InterfaceCatalog* catalog) {
-  DeviceOutcome out;
-  out.index = spec.index;
-  out.scenario_class = spec.scenario_class;
-
-  core::AndroidSystem& system = device.system();
-  DeviceProbe probe(system.system_server_pid().value(), kHuntWindowCapacity);
-  device.bus().Subscribe(&probe,
+DeviceRun::DeviceRun(const FleetDeviceSpec& spec, sim::DeviceSim& device)
+    : spec_(spec),
+      device_(device),
+      probe_(device.system().system_server_pid().value(),
+             kHuntWindowCapacity) {
+  out_.index = spec.index;
+  out_.scenario_class = spec.scenario_class;
+  device.bus().Subscribe(&probe_,
                          obs::MaskOf(obs::Category::kJgr) |
                              obs::MaskOf(obs::Category::kIpc),
                          /*pid_filter=*/-1, obs::Delivery::kBuffered);
-
-  defense::JgreDefender* defender = device.defender();
-  attack::MaliciousApp* attacker = device.attacker();
-  services::AppProcess* attacker_process = device.attacker_process();
-  attack::BenignWorkload* benign = device.benign();
-  std::vector<TimeUs>& next_benign = device.benign_schedule();
-  Rng& rng = device.rng();
-  const int max_calls = device.spec().max_attacker_calls();
-
-  const TimeUs start = system.clock().NowUs();
-  const TimeUs deadline = start + spec.horizon_us;
-  TimeUs exhausted_at = 0;
-  int calls = 0;
-
-  const auto pump_benign = [&] {
-    const TimeUs now = system.clock().NowUs();
-    for (std::size_t i = 0; i < next_benign.size(); ++i) {
-      if (now >= next_benign[i]) {
-        benign->InteractOnce(i);
-        next_benign[i] =
-            system.clock().NowUs() + 20'000 + rng.UniformU64(130'000);
-      }
-    }
-  };
-
-  while (system.clock().NowUs() < deadline) {
-    if (defender != nullptr && !defender->incidents().empty()) break;
-    if (attacker != nullptr) {
-      if (!attacker_process->alive() || calls >= max_calls) break;
-      (void)attacker->Step();
-      ++calls;
-      // The slow-drip profile: idle between calls, letting periodic GC run
-      // and rate-based monitors cool down.
-      if (spec.think_time_us > 0) system.clock().AdvanceUs(spec.think_time_us);
-      pump_benign();
-    } else if (!next_benign.empty()) {
-      // Benign-only device: jump to the earliest scheduled interaction (or
-      // the horizon, whichever is sooner) and fire what is due.
-      const TimeUs earliest =
-          *std::min_element(next_benign.begin(), next_benign.end());
-      const TimeUs target = std::min(std::max(earliest, system.clock().NowUs()),
-                                     deadline);
-      if (target > system.clock().NowUs()) {
-        system.clock().AdvanceUs(target - system.clock().NowUs());
-      }
-      pump_benign();
-    } else {
-      // No attacker, no benign apps: nothing can happen before the horizon.
-      system.clock().AdvanceUs(deadline - system.clock().NowUs());
-      break;
-    }
-    if (system.soft_reboots() > 0) {
-      exhausted_at = system.clock().NowUs();
-      break;
-    }
-  }
-
-  out.exhausted = system.soft_reboots() > 0;
-  if (out.exhausted) {
-    if (exhausted_at == 0) exhausted_at = system.clock().NowUs();
-    out.time_to_exhaustion_us = exhausted_at - start;
-    out.exhausted_within_horizon = out.time_to_exhaustion_us <= spec.horizon_us;
-  }
-  out.incident = defender != nullptr && !defender->incidents().empty();
-  out.attacker_killed =
-      attacker_process != nullptr && !attacker_process->alive();
-  out.virtual_duration_us = system.clock().NowUs() - start;
-
-  FinishDeviceOutcome(device, probe, catalog, &out);
-  return out;
 }
 
-void FinishDeviceOutcome(sim::DeviceSim& device, DeviceProbe& probe,
-                         const detect::InterfaceCatalog* catalog,
-                         DeviceOutcome* out) {
-  core::AndroidSystem& system = device.system();
-  defense::JgreDefender* defender = device.defender();
+DeviceRun::~DeviceRun() { device_.bus().Unsubscribe(&probe_); }
+
+DeviceOutcome& DeviceRun::Drive(attack::AttackStrategy* attacker,
+                                experiment::StopRule rule) {
+  const experiment::DriveResult drive = experiment::Drive(
+      device_, attacker, rule,
+      device_.system().clock().NowUs() + spec_.horizon_us);
+  out_.exhausted = drive.soft_rebooted;
+  if (out_.exhausted) {
+    out_.time_to_exhaustion_us = drive.virtual_duration_us;
+    out_.exhausted_within_horizon =
+        out_.time_to_exhaustion_us <= spec_.horizon_us;
+  }
+  out_.incident = drive.incident;
+  out_.attacker_killed = drive.attacker_killed;
+  out_.stopped_by_denial =
+      attacker != nullptr && attacker->stats().stopped_by_denial;
+  out_.virtual_duration_us = drive.virtual_duration_us;
+  return out_;
+}
+
+DeviceOutcome DeviceRun::Finish(const detect::InterfaceCatalog* catalog) {
+  core::AndroidSystem& system = device_.system();
 
   // Settle the runtimes before reducing the probe: a final collection strips
   // in-flight transient references, so the hunts below see *retention* — the
@@ -118,11 +63,11 @@ void FinishDeviceOutcome(sim::DeviceSim& device, DeviceProbe& probe,
   system.CollectAllGarbage();
 
   // Unsubscribe drains the probe's staged events first — the read barrier.
-  device.bus().Unsubscribe(&probe);
-  out->ipc_calls = probe.ipc_calls();
-  out->jgr_adds = probe.jgr_adds();
-  out->peak_jgr = probe.peak_jgr();
-  out->peak_weak_jgr = probe.peak_weak_jgr();
+  device_.bus().Unsubscribe(&probe_);
+  out_.ipc_calls = probe_.ipc_calls();
+  out_.jgr_adds = probe_.jgr_adds();
+  out_.peak_jgr = probe_.peak_jgr();
+  out_.peak_weak_jgr = probe_.peak_weak_jgr();
 
   // The per-device hunt pass: every trace-driven hunt in the standard
   // battery over what the probe observed (the static and fuzz hunts skip
@@ -130,22 +75,31 @@ void FinishDeviceOutcome(sim::DeviceSim& device, DeviceProbe& probe,
   static const detect::HuntRegistry& registry = *[] {
     return new detect::HuntRegistry(detect::HuntRegistry::WithDefaultHunts());
   }();
-  const std::vector<obs::TraceEvent> window = probe.Window();
+  const std::vector<obs::TraceEvent> window = probe_.Window();
   detect::DataSources sources;
   sources.trace_events = window.data();
   sources.trace_event_count = window.size();
-  sources.jgr_activity = probe.jgr_activity();
-  sources.victim_pid = probe.victim_pid();
+  sources.jgr_activity = probe_.jgr_activity();
+  sources.victim_pid = probe_.victim_pid();
   sources.victim_name = "system_server";
-  sources.defender = defender;
+  sources.defender = device_.defender();
   sources.descriptor_name = [&system](std::uint32_t id) {
     return system.driver().DescriptorName(id);
   };
   sources.catalog = catalog;
-  out->detections = registry.RunAll(sources, detect::Scope{});
-  for (const detect::Detection& detection : out->detections) {
-    ++out->hunt_hits[detection.hunt];
+  out_.detections = registry.RunAll(sources, detect::Scope{});
+  for (const detect::Detection& detection : out_.detections) {
+    ++out_.hunt_hits[detection.hunt];
   }
+  return std::move(out_);
+}
+
+DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
+                                sim::DeviceSim& device,
+                                const detect::InterfaceCatalog* catalog) {
+  DeviceRun run(spec, device);
+  run.Drive(device.attacker(), experiment::StopRule::kFirstIncident);
+  return run.Finish(catalog);
 }
 
 FleetRunner::FleetRunner(std::vector<FleetDeviceSpec> fleet,

@@ -13,22 +13,24 @@
 //      (deterministically: BootPrefix reproduces the same bytes).
 //   2. Run(): harness::RunOrdered over the devices. Each task restores a
 //      fresh AndroidSystem from its group's image, completes the device with
-//      DeviceFactory::CreateDeviceOn, runs its scenario (flood, drip, or
-//      benign-only) to its horizon, and reduces to a DeviceOutcome. Results
-//      land in submission order and the aggregator folds them in that order,
-//      so the census is byte-identical for any --jobs.
+//      DeviceFactory::CreateDeviceOn, drives its scenario (flood, drip, or
+//      benign-only) through experiment::Drive, and reduces to a
+//      DeviceOutcome. Results land in submission order and the aggregator
+//      folds them in that order, so the census is byte-identical for any
+//      --jobs.
 #ifndef JGRE_FLEET_RUNNER_H_
 #define JGRE_FLEET_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <functional>
-
+#include "attack/strategy.h"
 #include "common/status.h"
 #include "detect/catalog.h"
+#include "experiment/experiment.h"
 #include "fleet/aggregator.h"
 #include "fleet/image_cache.h"
 #include "fleet/spec.h"
@@ -36,10 +38,10 @@
 
 namespace jgre::fleet {
 
-// Replaces the built-in scenario loop for a device: given the resolved spec
-// and a freshly restored device, run whatever drive loop the campaign wants
-// and reduce it to a DeviceOutcome. The arms-race MatrixRunner uses this to
-// run AttackStrategy/MitigationPolicy cells on fleet infrastructure.
+// Replaces RunDeviceScenario for a device: given the resolved spec and a
+// freshly restored device, run the scenario and reduce it to a
+// DeviceOutcome. The arms-race MatrixRunner uses this to run
+// AttackStrategy/MitigationPolicy cells on fleet infrastructure.
 using ScenarioDriver = std::function<DeviceOutcome(
     const FleetDeviceSpec&, sim::DeviceSim&, const detect::InterfaceCatalog*)>;
 
@@ -68,22 +70,44 @@ struct FleetResult {
   std::uint64_t image_evictions = 0;
 };
 
-// Runs one device's scenario to completion and reduces it, including the
-// trace-driven hunt pass over the probe's retained window. Exposed so tests
-// can drive a single device without a runner.
+// One device's run, shared by every scenario driver: construction
+// subscribes the census probe, Drive runs experiment::Drive to the spec's
+// horizon, and Finish reduces to a DeviceOutcome. A driver installs its
+// mitigations and strategy before Drive and tallies its own fields into the
+// outcome before Finish.
+class DeviceRun {
+ public:
+  DeviceRun(const FleetDeviceSpec& spec, sim::DeviceSim& device);
+  // Unsubscribes the probe if Finish never ran (a driver threw).
+  ~DeviceRun();
+  DeviceRun(const DeviceRun&) = delete;
+  DeviceRun& operator=(const DeviceRun&) = delete;
+
+  // Drives `attacker` (null: benign apps only) and fills the outcome's
+  // exhaustion, incident, kill, denial-stop and duration fields.
+  DeviceOutcome& Drive(attack::AttackStrategy* attacker,
+                       experiment::StopRule rule);
+
+  // Settle-GCs the runtimes, drains and unsubscribes the probe, fills the
+  // stream counters, and runs the trace-driven hunt battery over the
+  // probe's retained window.
+  DeviceOutcome Finish(const detect::InterfaceCatalog* catalog);
+
+ private:
+  const FleetDeviceSpec& spec_;
+  sim::DeviceSim& device_;
+  DeviceProbe probe_;
+  DeviceOutcome out_;
+};
+
+// One census device: its own attacker (flood or drip; none for benign-only
+// devices) driven until the first incident, the attacker finishing, a soft
+// reboot, or the horizon. Exposed so tests can drive a single device
+// without a runner.
 DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
                                 sim::DeviceSim& device,
                                 const detect::InterfaceCatalog* catalog =
                                     nullptr);
-
-// The reduction tail every scenario driver shares: settle-GC the runtimes,
-// drain and unsubscribe the probe, fill the outcome's stream counters, and
-// run the trace-driven hunt battery over the probe's retained window.
-// RunDeviceScenario ends with this; custom ScenarioDrivers (the arms matrix)
-// call it so their cells get the identical hunt pass.
-void FinishDeviceOutcome(sim::DeviceSim& device, DeviceProbe& probe,
-                         const detect::InterfaceCatalog* catalog,
-                         DeviceOutcome* out);
 
 class FleetRunner {
  public:

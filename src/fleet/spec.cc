@@ -81,7 +81,6 @@ std::vector<FleetDeviceSpec> ExpandMatrix(const FleetMatrix& matrix) {
           FleetDeviceSpec spec;
           spec.index = index;
           spec.scenario_class = scenario.scenario_class;
-          spec.think_time_us = scenario.think_time_us;
           spec.horizon_us = matrix.horizon_us;
 
           core::SystemConfig sys;
@@ -100,13 +99,13 @@ std::vector<FleetDeviceSpec> ExpandMatrix(const FleetMatrix& matrix) {
           spec.scenario_detail = scenario.scenario_class;
           if (scenario.vuln_id == kChurnVulnId) {
             const attack::VulnSpec& churn = ChurnAttackSpec();
-            spec.device.WithAttack(churn);
+            spec.device.WithAttack(churn, scenario.think_time_us);
             spec.scenario_detail += ":" + churn.service + "." +
                                     churn.interface;
           } else if (scenario.vuln_id != 0) {
             const attack::VulnSpec* vuln = FindVulnById(scenario.vuln_id);
             if (vuln != nullptr) {
-              spec.device.WithAttack(*vuln);
+              spec.device.WithAttack(*vuln, scenario.think_time_us);
               spec.scenario_detail += ":" + vuln->service + "." +
                                       vuln->interface;
             }

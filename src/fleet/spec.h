@@ -24,7 +24,8 @@ namespace jgre::fleet {
 
 // One attack scenario axis point. Class "benign" runs no attacker at all;
 // "flood" steps the attacker back-to-back; "drip" inserts think time between
-// calls (the slow-drip evasion profile from the paper's §VI discussion).
+// calls (the slow-drip evasion profile from the paper's §VI discussion). The
+// think time rides DeviceSpec::WithAttack into the device's flood strategy.
 struct AttackScenario {
   std::string scenario_class;  // "benign" | "flood" | "drip" | "churn"
   int vuln_id = 0;             // registry id (attack::VulnSpec::id); 0 = none
@@ -80,7 +81,6 @@ struct FleetDeviceSpec {
   std::string scenario_class;
   std::string scenario_detail;  // e.g. "flood:notification.enqueueToast"
   sim::DeviceSpec device;
-  DurationUs think_time_us = 0;
   DurationUs horizon_us = 0;
 };
 

@@ -1,5 +1,8 @@
 #include "sim/device.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "obs/chrome_trace.h"
 #include "snapshot/serializer.h"
 
@@ -99,11 +102,31 @@ DeviceSim::DeviceSim(const DeviceSpec& spec,
   }
 
   if (spec_.vuln().has_value()) {
-    attacker_process_ = attack::InstallAttackApp(
-        system_.get(), spec_.attack_package(), *spec_.vuln());
-    attacker_ = std::make_unique<attack::MaliciousApp>(
-        system_.get(), attacker_process_, *spec_.vuln());
+    attack::AttackPlan plan;
+    plan.max_calls = spec_.max_attacker_calls();
+    plan.stop_after_consecutive_denials = 0;
+    plan.think_time_us = spec_.attack_think_time_us();
+    attacker_ =
+        attack::MakeFlood(plan, *spec_.vuln(), spec_.attack_package());
+    if (!attacker_->Setup(*system_).ok()) attacker_.reset();
   }
+}
+
+void DeviceSim::PumpBenign() {
+  const TimeUs now = system_->clock().NowUs();
+  for (std::size_t i = 0; i < next_benign_.size(); ++i) {
+    if (now >= next_benign_[i]) {
+      benign_->InteractOnce(i);
+      next_benign_[i] =
+          system_->clock().NowUs() + 20'000 + rng_.UniformU64(130'000);
+    }
+  }
+}
+
+TimeUs DeviceSim::NextBenignDue() const {
+  return next_benign_.empty()
+             ? std::numeric_limits<TimeUs>::max()
+             : *std::min_element(next_benign_.begin(), next_benign_.end());
 }
 
 DeviceSim::~DeviceSim() {

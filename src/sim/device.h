@@ -43,7 +43,7 @@
 #include <vector>
 
 #include "attack/benign_workload.h"
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -79,12 +79,12 @@ class DeviceSpec {
     benign_apps_ = count;
     return *this;
   }
-  DeviceSpec& WithAttack(const attack::VulnSpec& vuln) {
+  // The device's own attacker: a flood of `vuln` from attack_package(),
+  // idling `think_time_us` after each call (the census's drip profile).
+  DeviceSpec& WithAttack(const attack::VulnSpec& vuln,
+                         DurationUs think_time_us = 0) {
     vuln_ = vuln;
-    return *this;
-  }
-  DeviceSpec& WithAttackPackage(std::string package) {
-    attack_package_ = std::move(package);
+    attack_think_time_us_ = think_time_us;
     return *this;
   }
   DeviceSpec& WithDefense(bool enabled = true) {
@@ -138,7 +138,8 @@ class DeviceSpec {
   const core::SystemConfig& system_config() const { return system_config_; }
   int benign_apps() const { return benign_apps_; }
   const std::optional<attack::VulnSpec>& vuln() const { return vuln_; }
-  const std::string& attack_package() const { return attack_package_; }
+  DurationUs attack_think_time_us() const { return attack_think_time_us_; }
+  std::string attack_package() const { return "com.evil.app"; }
   bool defense() const { return defense_; }
   const defense::JgreDefender::Config& defender_config() const {
     return defender_config_;
@@ -159,7 +160,7 @@ class DeviceSpec {
   core::SystemConfig system_config_;
   int benign_apps_ = 0;
   std::optional<attack::VulnSpec> vuln_;
-  std::string attack_package_ = "com.evil.app";
+  DurationUs attack_think_time_us_ = 0;
   bool defense_ = false;
   defense::JgreDefender::Config defender_config_;
   int max_attacker_calls_ = 60'000;
@@ -192,23 +193,22 @@ class DeviceSim {
   core::AndroidSystem& system() { return *system_; }
   obs::EventBus& bus() { return system_->kernel().bus(); }
   const DeviceSpec& spec() const { return spec_; }
-  // Null unless the corresponding With* was configured.
+  // Null unless the corresponding With* was configured. The attacker is a
+  // flood strategy, already set up (its app installed).
   defense::JgreDefender* defender() { return defender_.get(); }
-  attack::MaliciousApp* attacker() { return attacker_.get(); }
-  services::AppProcess* attacker_process() { return attacker_process_; }
+  attack::AttackStrategy* attacker() { return attacker_.get(); }
   attack::BenignWorkload* benign() { return benign_.get(); }
   // Trace/metrics sinks ride the bus's buffered (batched) delivery; these
   // accessors flush staged events first so reads always see a complete view.
   obs::TraceBuffer* trace();
   obs::MetricsRegistry* metrics();
-  // The scenario RNG stream (scenario_seed + 2). The benign interaction
-  // schedule below was drawn from this stream at build time; scenario
-  // drivers keep drawing from it so the combined stream matches the
-  // historical single-owner behavior exactly.
-  Rng& rng() { return rng_; }
-  // Next interaction due-time per benign app (index-aligned with
-  // benign()->packages()). Scenario drivers advance these as they fire.
-  std::vector<TimeUs>& benign_schedule() { return next_benign_; }
+  // Fires every benign interaction that is due and re-arms it 20-150 ms
+  // out, drawing from the same scenario stream (scenario_seed + 2) as the
+  // initial schedule.
+  void PumpBenign();
+  // The earliest scheduled benign interaction; the largest TimeUs when the
+  // device has no benign apps.
+  TimeUs NextBenignDue() const;
 
   // Serializes the trace buffer as Chrome-trace JSON (process names resolved
   // against the kernel's process table). False if tracing is off or the
@@ -228,9 +228,8 @@ class DeviceSim {
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::MetricsSink> metrics_sink_;
   std::unique_ptr<attack::BenignWorkload> benign_;
-  std::vector<TimeUs> next_benign_;
-  services::AppProcess* attacker_process_ = nullptr;
-  std::unique_ptr<attack::MaliciousApp> attacker_;
+  std::vector<TimeUs> next_benign_;  // index-aligned with benign_->packages()
+  std::unique_ptr<attack::AttackStrategy> attacker_;
 };
 
 // THE construction path. Fixes the setup order once (boot → warmup →

@@ -109,7 +109,7 @@ class Deserializer {
   std::vector<std::uint64_t> U64Vec() {
     const std::uint64_t n = U64();
     std::vector<std::uint64_t> v;
-    if (!Need(n * 8)) return v;
+    if (!NeedWords(n)) return v;
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(U64());
     return v;
@@ -117,7 +117,7 @@ class Deserializer {
   std::vector<std::int64_t> I64Vec() {
     const std::uint64_t n = U64();
     std::vector<std::int64_t> v;
-    if (!Need(n * 8)) return v;
+    if (!NeedWords(n)) return v;
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(I64());
     return v;
@@ -138,6 +138,16 @@ class Deserializer {
   bool Need(std::uint64_t n) {
     if (!ok_) return false;
     if (size_ - pos_ < n) {
+      Fail("truncated stream");
+      return false;
+    }
+    return true;
+  }
+  // Need(n * 8) without the multiply: a corrupt count of 2^61 or more would
+  // wrap it to a small number and let reserve(n) throw.
+  bool NeedWords(std::uint64_t n) {
+    if (!ok_) return false;
+    if ((size_ - pos_) / 8 < n) {
       Fail("truncated stream");
       return false;
     }

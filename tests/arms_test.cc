@@ -6,18 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arms/matrix.h"
 #include "arms/mitigation.h"
-#include "arms/strategy.h"
 #include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "common/clock.h"
 #include "core/android_system.h"
 #include "runtime/runtime.h"
 #include "sim/device.h"
+#include "snapshot/serializer.h"
 
 namespace jgre::arms {
 namespace {
@@ -217,26 +219,28 @@ TEST(MitigationStackTest, MaliciousAppStopsOnConsecutiveDenials) {
 // --- Strategies --------------------------------------------------------------
 
 TEST(StrategyTest, MakeStrategyCoversTheKnownCatalog) {
-  EXPECT_GE(KnownStrategies().size(), 5u);
-  for (const std::string& name : KnownStrategies()) {
-    AttackPlan plan;
+  EXPECT_GE(attack::KnownStrategies().size(), 5u);
+  for (const std::string& name : attack::KnownStrategies()) {
+    attack::AttackPlan plan;
     plan.name = name;
-    std::unique_ptr<AttackStrategy> strategy = MakeStrategy(plan);
+    std::unique_ptr<attack::AttackStrategy> strategy =
+        attack::MakeStrategy(plan);
     ASSERT_NE(strategy, nullptr) << name;
     EXPECT_EQ(strategy->id(), name);
   }
-  AttackPlan bogus;
+  attack::AttackPlan bogus;
   bogus.name = "no_such_strategy";
-  EXPECT_EQ(MakeStrategy(bogus), nullptr);
+  EXPECT_EQ(attack::MakeStrategy(bogus), nullptr);
 }
 
 TEST(StrategyTest, UidRotationColludersGetDistinctUids) {
   core::AndroidSystem system;
   system.Boot();
-  AttackPlan plan;
+  attack::AttackPlan plan;
   plan.name = "uid_rotation_colluders";
   plan.colluders = 4;
-  std::unique_ptr<AttackStrategy> strategy = MakeStrategy(plan);
+  std::unique_ptr<attack::AttackStrategy> strategy =
+      attack::MakeStrategy(plan);
   ASSERT_TRUE(strategy->Setup(system).ok());
   std::vector<Uid> uids = strategy->attacker_uids();
   ASSERT_EQ(uids.size(), 4u);
@@ -251,12 +255,13 @@ TEST(StrategyTest, UidRotationColludersGetDistinctUids) {
 TEST(StrategyTest, WeakrefChurnLeaksTheWeakTableNotTheStrongTable) {
   core::AndroidSystem system;
   system.Boot();
-  AttackPlan plan;
+  attack::AttackPlan plan;
   plan.name = "weakref_churn";
   plan.max_calls = 400;
   plan.leak_fraction = 0.5;
   plan.churn_think_us = 500;
-  std::unique_ptr<AttackStrategy> strategy = MakeStrategy(plan);
+  std::unique_ptr<attack::AttackStrategy> strategy =
+      attack::MakeStrategy(plan);
   ASSERT_TRUE(strategy->Setup(system).ok());
 
   rt::Runtime* victim = system.system_runtime();
@@ -284,9 +289,9 @@ ArmsMatrix TinyMatrix() {
   ArmsMatrix matrix;
   matrix.warmup_apps = 1;
   matrix.warmup_foreground_us = 200'000;
-  AttackPlan flood;
+  attack::AttackPlan flood;
   flood.name = "flood";
-  AttackPlan drip;
+  attack::AttackPlan drip;
   drip.name = "sub_alarm_drip";
   drip.assumed_alarm_threshold = 1'000;
   matrix.attacks = {flood, drip};
@@ -321,6 +326,10 @@ TEST(MatrixRunnerTest, GridIsByteIdenticalAcrossJobsAndImageBudgets) {
   ASSERT_EQ(ra.cells.size(), 8u);
   EXPECT_EQ(ra.boot_images, 2u);
   EXPECT_EQ(ra.GridJson().Dump(), rb.GridJson().Dump());
+  // Absolute pin over the strategies, running to the horizon, and the quota.
+  snapshot::Serializer grid;
+  grid.Str(ra.GridJson().Dump());
+  EXPECT_EQ(grid.Hash(), 0xb460349d4dd30d83ULL);
 
   // The headline mechanics hold even in the tiny grid: the unprotected
   // flood exhausts the small table, and the quota stack denies it.
@@ -337,6 +346,25 @@ TEST(MatrixRunnerTest, GridIsByteIdenticalAcrossJobsAndImageBudgets) {
   }
   EXPECT_TRUE(flood_exhausts);
   EXPECT_TRUE(quota_denies);
+}
+
+TEST(MatrixRunnerTest, UnknownStrategyThrowsNamingTheCell) {
+  // The throw leaves the cell's device mid-run: its census probe is still
+  // subscribed and must be released before the device goes away.
+  ArmsMatrix matrix = TinyMatrix();
+  attack::AttackPlan bogus;
+  bogus.name = "no_such_strategy";
+  matrix.attacks = {bogus};
+  matrix.points = {{3'200, 1}};
+  MatrixRunner runner(std::move(matrix), MatrixRunner::Options{});
+  try {
+    (void)runner.Run();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown strategy"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

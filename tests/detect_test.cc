@@ -28,6 +28,7 @@
 #include "fuzz/oracle.h"
 #include "model/corpus.h"
 #include "obs/event.h"
+#include "snapshot/serializer.h"
 
 namespace jgre {
 namespace {
@@ -585,6 +586,10 @@ TEST(DetectFleetTest, FleetDevicesRunTheHuntBatteryAndReportHits) {
   const std::string census = result.aggregator.ToJson().Dump();
   EXPECT_NE(census.find("hunt_hits"), std::string::npos);
   EXPECT_NE(census.find("followup.death-churn"), std::string::npos);
+  // Absolute pin over drip think time, churn and the hunt pass.
+  snapshot::Serializer pinned;
+  pinned.Str(census);
+  EXPECT_EQ(pinned.Hash(), 0xb305e2db644b3d83ULL);
 }
 
 TEST(DetectFleetTest, CatalogResolvesFleetDetectionsToCensusIdentity) {

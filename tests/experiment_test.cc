@@ -100,10 +100,9 @@ TEST(IpcTapTest, RankingReadsTheTapAndRequiresInstall) {
   defense::JgreDefender& installed = *device->defender();
   // Drive the monitor past its alarm but not its report threshold: the tap
   // keeps its recording (no incident clears it).
-  attack::MaliciousApp::RunOptions options;
-  options.max_calls = 4000;
-  options.sample_every_calls = 0;
-  (void)device->attacker()->Run(options);
+  for (int call = 0; call < 4000; ++call) {
+    ASSERT_TRUE(device->attacker()->Step(system));
+  }
   ASSERT_TRUE(installed.incidents().empty());
   defense::JgrMonitor* monitor = installed.MonitorFor("system_server");
   ASSERT_NE(monitor, nullptr);

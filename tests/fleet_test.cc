@@ -16,6 +16,7 @@
 #include "fleet/sketch.h"
 #include "fleet/spec.h"
 #include "sim/device.h"
+#include "snapshot/serializer.h"
 
 namespace jgre {
 namespace {
@@ -327,6 +328,12 @@ TEST(FleetRunnerTest, CensusIsByteIdenticalAcrossJobs) {
               b.outcomes[i].virtual_duration_us);
   }
   EXPECT_EQ(a.aggregator.ToJson().Dump(), b.aggregator.ToJson().Dump());
+  // Absolute pin, not just jobs-invariance: a change that shifted every
+  // device the same way (benign fast-forward, flood, defender) would still
+  // agree with itself across --jobs.
+  snapshot::Serializer census;
+  census.Str(a.aggregator.ToJson().Dump());
+  EXPECT_EQ(census.Hash(), 0xfd52e19e0efe67d9ULL);
 
   // The flood devices actually did something: some exhausted or were caught.
   bool any_activity = false;

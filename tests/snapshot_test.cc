@@ -134,6 +134,35 @@ TEST(SnapshotPropertyTest, RingBufferRoundTripKeepsIndicesAndTail) {
             restored.At(restored.end_index() - 1));
 }
 
+// --- Hostile length prefixes -------------------------------------------------
+
+// A corrupt checkpoint can claim any element count. Counts of 2^61 and
+// 2^61 + 1 make `n * 8` wrap to 0 and 8, which the 8 trailing bytes would
+// satisfy; the reader must fail the stream instead of reserving n elements.
+TEST(SnapshotPropertyTest, VectorCountsPastTheStreamFailWithoutThrowing) {
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 1}) {
+    snapshot::Serializer out;
+    out.U64(count);
+    out.U64(0);  // 8 bytes of payload
+    snapshot::Deserializer u64s(out.buffer());
+    std::vector<std::uint64_t> words;
+    EXPECT_NO_THROW(words = u64s.U64Vec()) << count;
+    EXPECT_TRUE(words.empty());
+    EXPECT_FALSE(u64s.ok());
+    EXPECT_NE(u64s.error().find("truncated"), std::string::npos)
+        << u64s.error();
+
+    snapshot::Deserializer i64s(out.buffer());
+    std::vector<std::int64_t> signed_words;
+    EXPECT_NO_THROW(signed_words = i64s.I64Vec()) << count;
+    EXPECT_TRUE(signed_words.empty());
+    EXPECT_FALSE(i64s.ok());
+    EXPECT_NE(i64s.error().find("truncated"), std::string::npos)
+        << i64s.error();
+  }
+}
+
 // --- Heap arena -------------------------------------------------------------
 
 // The SoA arena serializes live slots only (holes compress away), and a
