@@ -498,14 +498,27 @@ void BinderDriver::SaveState(snapshot::Serializer& out) const {
 }
 
 void BinderDriver::RestoreState(snapshot::Deserializer& in) {
+  // Bytes a node record takes at least: id, owner, descriptor, three flags,
+  // the sender object and an empty holder list.
+  constexpr std::size_t kMinNodeRecordBytes = 8 + 8 + 4 + 3 + 8 + 8;
   in.Marker(0x42445232);
   descriptors_.RestoreState(in);
   descriptor_labels_.clear();  // refilled lazily; interning is idempotent
-  const std::size_t boot_nodes = nodes_.size();
-  next_node_ = in.I64();
-  const std::int64_t node_count = next_node_ - 1;
-  if (node_count < static_cast<std::int64_t>(boot_nodes)) {
-    in.Fail("checkpoint has fewer binder nodes than the fresh boot");
+  // Nodes minted since boot belong to whatever ran since; the image brings
+  // back its own. next_node_ tracks nodes_, so FindNode stays in bounds even
+  // if the stream fails part-way.
+  nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(boot_node_count_),
+               nodes_.end());
+  next_node_ = static_cast<std::int64_t>(nodes_.size()) + 1;
+  const std::int64_t next_node = in.I64();
+  if (in.ok() && (next_node < 1 || static_cast<std::uint64_t>(next_node - 1) <
+                                       boot_node_count_)) {
+    in.Fail("checkpoint has fewer binder nodes than the boot");
+    return;
+  }
+  const std::int64_t node_count = next_node - 1;
+  if (!in.NeedRecords(static_cast<std::uint64_t>(node_count),
+                      kMinNodeRecordBytes)) {
     return;
   }
   for (std::int64_t i = 0; i < node_count && in.ok(); ++i) {
@@ -521,13 +534,22 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
     const bool pinned = in.Bool();
     const bool dead = in.Bool();
     if (!in.ok()) return;
-    if (i < static_cast<std::int64_t>(boot_nodes)) {
-      // Boot-created node: the fresh boot recreated the same object. Validate
-      // the identity, then overwrite the mutable state.
+    if (id.value() != i + 1 || descriptor_id >= descriptors_.size()) {
+      in.Fail("binder node id or descriptor out of range");
+      return;
+    }
+    if (i < static_cast<std::int64_t>(boot_node_count_)) {
+      // Boot-created node: the boot created the same object. Validate the
+      // identity, then overwrite the mutable state.
       Node& node = nodes_[static_cast<std::size_t>(i)];
       if (node.id != id || node.owner != owner ||
           node.descriptor_id != descriptor_id) {
         in.Fail("boot-time binder node mismatch on restore");
+        return;
+      }
+      if (has_strong && !dead && node.strong == nullptr) {
+        in.Fail(StrCat("boot-time binder ", descriptors_.Name(descriptor_id),
+                       " died since boot: restore into a fresh boot"));
         return;
       }
       if (!has_strong || dead) node.strong.reset();
@@ -551,6 +573,7 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
         node.strong->AttachNode(this, id, owner);
       }
       nodes_.push_back(std::move(node));
+      ++next_node_;
     }
   }
   next_link_ = in.I64();
@@ -568,17 +591,23 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
     }
     links_.emplace(link.id, std::move(link));
   }
-  ipc_log_.RestoreState(in);
+  ipc_log_.RestoreState(in, descriptors_.size());
   total_transactions_ = in.I64();
   defense_logging_ = in.Bool();
   hooked_runtimes_.clear();
-  for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
+  const std::uint64_t hooked = in.U64();
+  if (!in.NeedRecords(hooked, 8)) return;
+  for (std::uint64_t i = 0; i < hooked && in.ok(); ++i) {
     const Pid pid{static_cast<std::int32_t>(in.I64())};
+    os::Process* proc = kernel_->FindProcess(pid);
+    if (proc == nullptr) {
+      in.Fail("hooked runtime names no process");
+      return;
+    }
     const std::size_t slot = static_cast<std::size_t>(pid.value() - 1);
     if (slot >= hooked_runtimes_.size()) hooked_runtimes_.resize(slot + 1, 0);
     hooked_runtimes_[slot] = 1;
-    os::Process* proc = kernel_->FindProcess(pid);
-    if (proc != nullptr && proc->alive && proc->HasRuntime()) {
+    if (proc->alive && proc->HasRuntime()) {
       proc->runtime->SetProxyCollectHandler(
           [this, pid](NodeId node) { OnProxyCollected(pid, node); });
     }

@@ -192,15 +192,21 @@ class BinderDriver {
   std::size_t ipc_log_size() const { return ipc_log_.size(); }
   std::int64_t total_transactions() const { return total_transactions_; }
 
+  // Marks every node registered so far as a boot node. The core facade calls
+  // this once, when Boot() finishes; RestoreState keeps exactly these nodes.
+  void RecordBootNodes() { boot_node_count_ = nodes_.size(); }
+
   // Checkpointing. SaveState writes the node table, death links (sans
   // recipients — live wiring re-attached by their owners), descriptor
-  // interner, IPC ring log and counters. RestoreState runs against a freshly
-  // booted driver: boot-created nodes keep their real BBinder objects (a
-  // deterministic boot recreates them bit-for-bit), while live post-boot
-  // nodes get placeholder objects that refuse transactions — the checkpoint
-  // contract requires that no such node receives a transaction after restore
-  // (the harness checkpoints at a quiescent boundary where all dynamic
-  // clients have been stopped).
+  // interner, IPC ring log and counters. RestoreState runs against a booted
+  // driver, whatever it ran since boot: it first drops every node minted
+  // after RecordBootNodes(). Boot-created nodes keep their real BBinder
+  // objects (a deterministic boot recreates them bit-for-bit); one whose
+  // object died since boot while the image has it live fails the stream.
+  // Live post-boot nodes get placeholder objects that refuse transactions —
+  // the checkpoint contract requires that no such node receives a
+  // transaction after restore (the harness checkpoints at a quiescent
+  // boundary where all dynamic clients have been stopped).
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
@@ -249,6 +255,9 @@ class BinderDriver {
   // routing a transaction is a bounds check + array index, not a hash lookup.
   std::int64_t next_node_ = 1;
   std::vector<Node> nodes_;
+  // Nodes the boot registered (RecordBootNodes); the prefix of nodes_ a
+  // restore keeps.
+  std::size_t boot_node_count_ = 0;
 
   // Interface descriptors, interned once per distinct string.
   StringInterner descriptors_;

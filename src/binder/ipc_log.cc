@@ -1,5 +1,7 @@
 #include "binder/ipc_log.h"
 
+#include <algorithm>
+
 namespace jgre::binder {
 
 void IpcLog::Push(TimeUs timestamp_us, Pid from_pid, Uid from_uid, Pid to_pid,
@@ -55,14 +57,23 @@ void IpcLog::SaveState(snapshot::Serializer& out) const {
   for (std::uint64_t i = 0; i < count; ++i) out.U32(descriptor_[SlotOf(first + i)]);
 }
 
-void IpcLog::RestoreState(snapshot::Deserializer& in) {
+void IpcLog::RestoreState(snapshot::Deserializer& in,
+                          std::size_t descriptor_count) {
+  // Bytes one record takes: five 8-byte and two 4-byte columns.
+  constexpr std::size_t kRecordBytes = 5 * 8 + 2 * 4;
   in.Marker(0x49504C32);
-  capacity_ = static_cast<std::size_t>(in.U64());
-  total_pushed_ = in.U64();
+  const std::uint64_t capacity = in.U64();
+  const std::uint64_t total = in.U64();
   slot_ = 0;
-  const std::size_t count =
-      total_pushed_ < capacity_ ? static_cast<std::size_t>(total_pushed_)
-                                : capacity_;
+  total_pushed_ = 0;  // size() stays within the columns if the stream fails
+  // The capacity is the booted driver's configuration, not state.
+  if (in.ok() && capacity != capacity_) {
+    in.Fail("IPC log capacity differs from the booted driver's");
+    return;
+  }
+  const std::size_t count = static_cast<std::size_t>(
+      std::min<std::uint64_t>(total, capacity_));
+  if (!in.NeedRecords(count, kRecordBytes)) return;
   timestamp_.assign(count, 0);
   from_pid_.assign(count, 0);
   from_uid_.assign(count, 0);
@@ -70,19 +81,25 @@ void IpcLog::RestoreState(snapshot::Deserializer& in) {
   node_.assign(count, 0);
   code_.assign(count, 0);
   descriptor_.assign(count, 0);
-  for (std::size_t i = 0; i < count && in.ok(); ++i) timestamp_[i] = in.U64();
-  for (std::size_t i = 0; i < count && in.ok(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) timestamp_[i] = in.U64();
+  for (std::size_t i = 0; i < count; ++i) {
     from_pid_[i] = static_cast<std::int32_t>(in.I64());
   }
-  for (std::size_t i = 0; i < count && in.ok(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     from_uid_[i] = static_cast<std::int32_t>(in.I64());
   }
-  for (std::size_t i = 0; i < count && in.ok(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     to_pid_[i] = static_cast<std::int32_t>(in.I64());
   }
-  for (std::size_t i = 0; i < count && in.ok(); ++i) node_[i] = in.I64();
-  for (std::size_t i = 0; i < count && in.ok(); ++i) code_[i] = in.U32();
-  for (std::size_t i = 0; i < count && in.ok(); ++i) descriptor_[i] = in.U32();
+  for (std::size_t i = 0; i < count; ++i) node_[i] = in.I64();
+  for (std::size_t i = 0; i < count; ++i) code_[i] = in.U32();
+  for (std::size_t i = 0; i < count && in.ok(); ++i) {
+    descriptor_[i] = in.U32();
+    if (descriptor_[i] >= descriptor_count) {
+      in.Fail("IPC log record names an unknown descriptor");
+    }
+  }
+  if (in.ok()) total_pushed_ = total;
 }
 
 }  // namespace jgre::binder

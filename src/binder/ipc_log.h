@@ -83,9 +83,11 @@ class IpcLog {
   }
 
   // Checkpointing: the retained columns as flat spans in logical order,
-  // oldest record first; restore re-linearizes the ring (slot_ = 0).
+  // oldest record first; restore re-linearizes the ring (slot_ = 0). The
+  // image must carry this log's capacity, and every record a descriptor id
+  // below `descriptor_count`; otherwise the stream fails.
   void SaveState(snapshot::Serializer& out) const;
-  void RestoreState(snapshot::Deserializer& in);
+  void RestoreState(snapshot::Deserializer& in, std::size_t descriptor_count);
 
  private:
   std::size_t SlotOf(std::uint64_t logical) const {

@@ -52,13 +52,27 @@ class ServiceManager {
     for (NodeId node : nodes_by_name_) out.I64(node.value());
     out.U64(service_count_);
   }
+  // Restore fails the stream unless the routing table has one entry per
+  // interned name and the service count matches its registered entries.
   void RestoreState(snapshot::Deserializer& in) {
     names_.RestoreState(in);
     nodes_by_name_.clear();
+    service_count_ = 0;
+    std::size_t registered = 0;
     for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
       nodes_by_name_.push_back(NodeId{in.I64()});
+      registered += nodes_by_name_.back().valid() ? 1 : 0;
     }
-    service_count_ = static_cast<std::size_t>(in.U64());
+    const std::uint64_t count = in.U64();
+    if (in.ok() &&
+        (nodes_by_name_.size() != names_.size() || count != registered)) {
+      in.Fail("service routing table disagrees with its names");
+    }
+    if (!in.ok()) {
+      nodes_by_name_.assign(names_.size(), NodeId{});  // lookups stay in range
+      return;
+    }
+    service_count_ = registered;
   }
 
  private:

@@ -141,7 +141,8 @@ class RingBuffer {
   // Checkpointing. Retained values are written oldest-to-newest through
   // `save_value(out, v)`; restore linearizes the storage (head_ = 0) but
   // preserves every logical index, so readers' watermarks stay valid and a
-  // re-saved buffer produces identical bytes.
+  // re-saved buffer produces identical bytes. The capacity is the
+  // constructor's configuration: an image with another one fails the stream.
   template <typename SaveValueFn>
   void SaveState(snapshot::Serializer& out, SaveValueFn save_value) const {
     out.U64(capacity_);
@@ -153,18 +154,22 @@ class RingBuffer {
   }
   template <typename LoadValueFn>
   void RestoreState(snapshot::Deserializer& in, LoadValueFn load_value) {
-    capacity_ = static_cast<std::size_t>(in.U64());
+    const std::uint64_t capacity = in.U64();
     const std::uint64_t total = in.U64();
     const std::uint64_t retained = in.U64();
     storage_.clear();
     head_ = 0;
-    if (capacity_ == 0 || retained > capacity_ || retained > total) {
+    total_pushed_ = 0;
+    if (capacity != capacity_ || retained > capacity_ || retained > total) {
       in.Fail("corrupt ring buffer header");
       return;
     }
-    storage_.reserve(static_cast<std::size_t>(retained));
     for (std::uint64_t i = 0; i < retained && in.ok(); ++i) {
       storage_.push_back(load_value(in));
+    }
+    if (!in.ok()) {
+      storage_.clear();
+      return;
     }
     total_pushed_ = total;
   }

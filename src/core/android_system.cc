@@ -42,6 +42,7 @@ void AndroidSystem::Boot() {
   }
   BootSystemServer();
   BootPrebuiltApps();
+  driver_->RecordBootNodes();
 }
 
 void AndroidSystem::BootSystemServer() {
@@ -310,7 +311,12 @@ void AndroidSystem::SaveState(snapshot::Serializer& out) const {
 }
 
 void AndroidSystem::RestoreState(snapshot::Deserializer& in) {
-  assert(booted_ && "restore requires a freshly booted system");
+  assert(booted_ && "restore requires a booted system");
+  if (soft_reboots_seen_ != 0 || kernel_.HasPendingSoftReboot()) {
+    in.Fail("cannot restore over a soft-rebooted system: its services sit "
+            "at post-boot node ids");
+    return;
+  }
   in.Marker(0x53595331);
   kernel_.RestoreState(in);
   driver_->RestoreState(in);

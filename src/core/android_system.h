@@ -149,12 +149,16 @@ class AndroidSystem {
 
   // Checkpointing. SaveState captures the full simulated-device state in
   // module order (kernel → driver → service manager → package manager →
-  // services → facade bookkeeping → apps). RestoreState must run on a
-  // freshly constructed AndroidSystem with the SAME SystemConfig that has
-  // been Boot()ed: the boot deterministically recreates all structural
-  // wiring (service objects, boot binder nodes, death listeners, procfs,
-  // LMK), and restore then patches every module's mutable state wholesale.
-  // The pump extension and post-reboot hook are wiring and survive restore.
+  // services → facade bookkeeping → apps). RestoreState runs on a Boot()ed
+  // AndroidSystem with the SAME SystemConfig, whatever it ran since, as long
+  // as it never soft-rebooted (that fails the stream): the boot
+  // deterministically recreated all structural wiring (service objects, boot
+  // binder nodes, death listeners, procfs, LMK), and restore drops what ran
+  // since (post-boot binder nodes, processes and runtimes) and patches every
+  // module's mutable state wholesale. The pump extension, post-reboot hook,
+  // transact gate and bus subscriptions are wiring: they survive restore, so
+  // whoever installed them (a defender, a mitigation stack, a probe) must
+  // have removed them before the system is restored for someone else.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 

@@ -147,10 +147,9 @@ Status CampaignRunner::Prepare() {
   return Status::Ok();
 }
 
-std::unique_ptr<core::AndroidSystem> CampaignRunner::ResetSystem(
-    std::size_t shard) const {
-  if (options_.cold_boot) return sim::DeviceFactory(prefix_).BootPrefix();
-  return branch_->RestoreBranchSystem(shard);
+harness::BranchRunner::PooledSystem CampaignRunner::ResetSystem(
+    std::size_t shard) {
+  return branch_->AcquireSystem(shard);
 }
 
 Sequence CampaignRunner::PickSequence(
@@ -190,8 +189,7 @@ CampaignResult CampaignRunner::Run() {
           Rng rng(MixSeed(options_.seed, 0x5052'4F54ull /* "PROT" */, i));
           Sequence seq = mutator_->GenerateChain(
               i, std::max(2, options_.seed_sequence_calls), rng);
-          std::unique_ptr<core::AndroidSystem> system =
-              ResetSystem(400'000 + i);
+          auto system = ResetSystem(400'000 + i);
           ExecOutcome outcome = executor_->Execute(*system, seq);
           return ShardExec{std::move(seq), std::move(outcome.elements),
                            oracle_.Screen(outcome.obs)};
@@ -232,8 +230,7 @@ CampaignResult CampaignRunner::Run() {
           for (int c = 0; c < std::max(1, options_.seed_sequence_calls); ++c) {
             seq.calls.push_back(mutator_->MakeCall(*method, rng));
           }
-          std::unique_ptr<core::AndroidSystem> system =
-              ResetSystem(300'000 + i);
+          auto system = ResetSystem(300'000 + i);
           ExecOutcome outcome = executor_->Execute(*system, seq);
           return ShardExec{std::move(seq), std::move(outcome.elements),
                            oracle_.Screen(outcome.obs)};
@@ -280,7 +277,7 @@ CampaignResult CampaignRunner::Run() {
               out.reserve(static_cast<std::size_t>(execs));
               for (int e = 0; e < execs; ++e) {
                 Sequence seq = PickSequence(rng, entries);
-                std::unique_ptr<core::AndroidSystem> system =
+                auto system =
                     ResetSystem(static_cast<std::size_t>(round) * 1000 + shard);
                 ExecOutcome outcome = executor_->Execute(*system, seq);
                 out.push_back({std::move(seq), std::move(outcome.elements),
@@ -352,8 +349,7 @@ CampaignResult CampaignRunner::Run() {
   }
   std::vector<OracleVerdict> verdicts = harness::RunOrdered<OracleVerdict>(
       targets.size(), options_.jobs, [&](std::size_t i) {
-        std::unique_ptr<core::AndroidSystem> system =
-            ResetSystem(100'000 + i);
+        auto system = ResetSystem(100'000 + i);
         ExecOutcome outcome = executor_->ExecuteRepeated(
             *system, targets[i].call, options_.confirm_calls,
             targets[i].setup);
@@ -402,8 +398,7 @@ CampaignResult CampaignRunner::Run() {
               }
               if (!has_method) return false;  // free reject, no execution
               ++mr.execs;
-              std::unique_ptr<core::AndroidSystem> system =
-                  ResetSystem(200'000 + i);
+              auto system = ResetSystem(200'000 + i);
               ExecOutcome outcome = executor_->Execute(*system, cand);
               return oracle_.Screen(outcome.obs).suspicious();
             };
@@ -452,7 +447,7 @@ double CampaignRunner::MeasureResetThroughput(int execs) {
   const auto start = std::chrono::steady_clock::now();
   harness::RunOrdered<int>(
       static_cast<std::size_t>(execs), options_.jobs, [&](std::size_t i) {
-        std::unique_ptr<core::AndroidSystem> system = ResetSystem(i);
+        auto system = ResetSystem(i);
         return executor_->Execute(*system, sequences[i]).obs.calls;
       });
   const double seconds = SecondsSince(start);

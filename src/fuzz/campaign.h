@@ -175,9 +175,11 @@ class CampaignRunner {
     return protocol_graph_ ? &*protocol_graph_ : nullptr;
   }
 
-  // A freshly reset system (snapshot restore, or a cold prefix rebuild under
-  // cold_boot). `shard` labels restore failures with the failing shard.
-  std::unique_ptr<core::AndroidSystem> ResetSystem(std::size_t shard) const;
+  // A system reset to the prefix state: a pooled system restored in place
+  // (or a fresh restore on a pool miss), or a cold prefix rebuild under
+  // cold_boot. Dropping the handle returns the system to the pool. `shard`
+  // labels restore failures with the failing shard.
+  harness::BranchRunner::PooledSystem ResetSystem(std::size_t shard);
 
  private:
   struct Suspect {

@@ -78,4 +78,35 @@ std::unique_ptr<core::AndroidSystem> BranchRunner::RestoreBranchSystem(
   return system;
 }
 
+void BranchRunner::ReturnToPool::operator()(
+    core::AndroidSystem* system) const {
+  if (runner == nullptr) {
+    delete system;
+    return;
+  }
+  std::unique_ptr<core::AndroidSystem> owned(system);
+  std::lock_guard<std::mutex> lock(runner->pool_mutex_);
+  runner->pool_.push_back(std::move(owned));
+}
+
+BranchRunner::PooledSystem BranchRunner::AcquireSystem(
+    std::optional<std::size_t> branch_index) {
+  if (options_.cold) {
+    return PooledSystem(sim::DeviceFactory(prefix_).BootPrefix().release());
+  }
+  std::unique_ptr<core::AndroidSystem> system;
+  {
+    std::lock_guard<std::mutex> lock(pool_mutex_);
+    if (!pool_.empty()) {
+      system = std::move(pool_.back());
+      pool_.pop_back();
+    }
+  }
+  // A pooled system exists only once RestoreBranchSystem found an image.
+  if (system == nullptr || !snapshot_->RestoreInto(system.get()).ok()) {
+    system = RestoreBranchSystem(branch_index);
+  }
+  return PooledSystem(system.release(), ReturnToPool{this});
+}
+
 }  // namespace jgre::harness

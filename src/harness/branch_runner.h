@@ -9,6 +9,12 @@
 // determinism, so a sweep's output is byte-identical for --jobs 1 and
 // --jobs N, and (by the divergence audit) byte-identical to the cold sweep.
 //
+// AcquireSystem adds a pool for callers that only borrow a system (the fuzz
+// campaign's snapshot-reset loop): a system handed back is restored in place
+// for the next caller instead of being destroyed, so a reset skips Boot()
+// and teardown. An in-place restore is exact, so which pooled system a task
+// draws never shows in any output.
+//
 // CLI integration: benches declare BranchFlags() in their HarnessSpec and
 // feed the parsed options through BranchOptionsFromHarness to get
 //   --cold               re-simulate the prefix per branch (baseline mode)
@@ -20,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -53,6 +60,10 @@ class BranchRunner {
   // prefix's sim::PrefixKey (same boot seed/system config/warmup) so that a
   // cold branch rebuilds the exact prefix the snapshot captured.
   BranchRunner(sim::DeviceSpec prefix, BranchOptions options);
+
+  // Borrowed systems hold the runner's address to find their way back.
+  BranchRunner(const BranchRunner&) = delete;
+  BranchRunner& operator=(const BranchRunner&) = delete;
 
   // Builds the shared prefix and captures it (or loads --resume). No-op in
   // cold mode and on repeated calls. Separate from Run so callers can time
@@ -91,17 +102,37 @@ class BranchRunner {
   const BranchOptions& options() const { return options_; }
 
   // A fresh system restored from the shared checkpoint image. Exposed for
-  // the divergence audit, the snapshot bench, and the fuzz campaign's
-  // snapshot-reset loop; Run uses it per branch. A restore failure throws
-  // with the failing shard/branch index (when given) and the checkpoint's
-  // manifest path, so a corrupt image is attributable mid-campaign.
+  // the divergence audit and the snapshot bench; Run uses it per branch, and
+  // AcquireSystem on a pool miss. A restore failure throws with the failing
+  // shard/branch index (when given) and the checkpoint's manifest path, so a
+  // corrupt image is attributable mid-campaign.
   std::unique_ptr<core::AndroidSystem> RestoreBranchSystem(
       std::optional<std::size_t> branch_index = std::nullopt) const;
+
+  // Puts a borrowed system back in its runner's pool; with no runner (a
+  // --cold prefix) it deletes the system.
+  struct ReturnToPool {
+    BranchRunner* runner = nullptr;
+    void operator()(core::AndroidSystem* system) const;
+  };
+  using PooledSystem = std::unique_ptr<core::AndroidSystem, ReturnToPool>;
+
+  // A system in the shared prefix state, for one borrower. Restores in place
+  // over a system an earlier borrower handed back; on a pool miss, or if
+  // that restore fails (the failed system is destroyed, never reused),
+  // RestoreBranchSystem(branch_index). Under --cold, a freshly built prefix
+  // that is never pooled. Dropping the handle hands the system back, so no
+  // handle may outlive this runner. The pool holds at most as many systems
+  // as were ever borrowed at once. Thread-safe.
+  PooledSystem AcquireSystem(
+      std::optional<std::size_t> branch_index = std::nullopt);
 
  private:
   sim::DeviceSpec prefix_;
   BranchOptions options_;
   std::optional<snapshot::SystemSnapshot> snapshot_;
+  std::mutex pool_mutex_;
+  std::vector<std::unique_ptr<core::AndroidSystem>> pool_;  // handed back
 };
 
 }  // namespace jgre::harness

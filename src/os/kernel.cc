@@ -47,7 +47,6 @@ Pid Kernel::CreateProcess(const std::string& name, Uid uid,
   ++live_count_;
   assert(static_cast<std::size_t>(pid.value()) == processes_.size() + 1);
   processes_.push_back(std::make_unique<Process>(std::move(proc)));
-  LogEvent(StrCat("start pid=", pid.value(), " uid=", uid.value(), " ", name));
   CheckMemoryPressure();
   return pid;
 }
@@ -59,7 +58,6 @@ void Kernel::KillProcess(Pid pid, const std::string& reason) {
   proc.alive = false;
   used_memory_kb_ -= proc.memory_kb;
   --live_count_;
-  LogEvent(StrCat("kill pid=", pid.value(), " (", proc.name, "): ", reason));
   JGRE_LOG(kInfo, "kernel") << "killed " << proc.name << " pid="
                             << pid.value() << ": " << reason;
   JGRE_TRACE(&bus_, obs::Category::kLmk,
@@ -73,7 +71,6 @@ void Kernel::KillProcess(Pid pid, const std::string& reason) {
   if (proc.critical) {
     ++soft_reboot_count_;
     pending_soft_reboot_ = reason;
-    LogEvent(StrCat("soft reboot pending: ", reason));
     JGRE_TRACE(&bus_, obs::Category::kLmk,
                obs::MakeEvent(obs::Category::kLmk, obs::Label::kSoftReboot,
                               clock_.NowUs(), pid.value(), proc.uid.value()));
@@ -134,7 +131,6 @@ Status Kernel::AllocFds(Pid pid, int count) {
     return FailedPrecondition("process is dead");
   }
   if (p->open_fds + count > p->fd_limit) {
-    LogEvent(StrCat("EMFILE pid=", pid.value(), " (", p->name, ")"));
     if (p->critical) {
       // system_server cannot survive fd starvation: binder, input and
       // storage paths all abort on EMFILE.
@@ -215,14 +211,26 @@ void Kernel::SaveState(snapshot::Serializer& out) const {
 }
 
 void Kernel::RestoreState(snapshot::Deserializer& in) {
+  // Bytes a process record takes at least: pid, uid, an empty name, two
+  // flags, five integers and the runtime flag.
+  constexpr std::size_t kMinProcessRecordBytes = 8 + 8 + 8 + 2 + 5 * 8 + 1;
   in.Marker(0x4B524E31);
   clock_.RestoreState(in);
   rng_.RestoreState(in);
   bus_.RestoreState(in);
-  next_pid_ = static_cast<std::int32_t>(in.I64());
-  processes_.clear();
+  const std::int64_t next_pid = in.I64();
   const std::uint64_t count = in.U64();
+  // The table empties first and next_pid_ tracks what it holds, so
+  // FindProcess stays in bounds even if the stream fails part-way.
+  processes_.clear();
+  next_pid_ = 1;
+  if (!in.NeedRecords(count, kMinProcessRecordBytes)) return;
+  if (next_pid < 1 || static_cast<std::uint64_t>(next_pid) != count + 1) {
+    in.Fail("process table size disagrees with the pid cursor");
+    return;
+  }
   processes_.reserve(count);
+  std::size_t alive = 0;
   for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
     Process proc;
     proc.pid = Pid{static_cast<std::int32_t>(in.I64())};
@@ -254,10 +262,15 @@ void Kernel::RestoreState(snapshot::Deserializer& in) {
       });
     }
     if (in.ok()) {
+      alive += proc.alive ? 1 : 0;
       processes_.push_back(std::make_unique<Process>(std::move(proc)));
+      ++next_pid_;
     }
   }
   live_count_ = static_cast<std::size_t>(in.U64());
+  if (in.ok() && live_count_ != alive) {
+    in.Fail("live process count disagrees with the process table");
+  }
   used_memory_kb_ = in.I64();
   if (in.Bool()) {
     pending_soft_reboot_ = in.Str();
@@ -271,10 +284,6 @@ void Kernel::RestoreState(snapshot::Deserializer& in) {
   } else if (has_lmk) {
     in.Fail("checkpoint has LMK state but no LMK is installed");
   }
-}
-
-void Kernel::LogEvent(const std::string& what) {
-  events_.push_back(Event{clock_.NowUs(), what});
 }
 
 void Kernel::CheckMemoryPressure() {

@@ -71,8 +71,9 @@ class Kernel {
   Pid CreateProcess(const std::string& name, Uid uid,
                     const ProcessConfig& config);
 
-  // Kills a process: fires death listeners, drops memory, destroys the
-  // runtime (all its JGR entries with it). Idempotent.
+  // Kills a process: fires death listeners and drops its memory. The runtime
+  // (all its JGR entries with it) stays until ReapDeadProcesses frees it.
+  // Idempotent.
   void KillProcess(Pid pid, const std::string& reason);
 
   Process* FindProcess(Pid pid);
@@ -130,23 +131,15 @@ class Kernel {
   void SetLowMemoryKiller(std::unique_ptr<LowMemoryKiller> lmk);
   LowMemoryKiller* lmk() { return lmk_.get(); }
 
-  // Kernel event log (process starts/kills/reboots) for test assertions.
-  struct Event {
-    TimeUs time_us;
-    std::string what;
-  };
-  const std::vector<Event>& events() const { return events_; }
-
   // Checkpointing: clock, RNG, bus interner, and the whole process table
   // (including each process's runtime state) round-trip; restore replaces
-  // the table wholesale and re-attaches abort handlers. Death listeners,
-  // procfs providers, and the LMK instance are wiring owned by the facade
-  // and survive untouched. The diagnostic `events()` log is not serialized.
+  // the table wholesale, whatever processes the kernel ran since, and
+  // re-attaches abort handlers. Death listeners, procfs providers, and the
+  // LMK instance are wiring owned by the facade and survive untouched.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
  private:
-  void LogEvent(const std::string& what);
   void CheckMemoryPressure();
 
   Config config_;
@@ -170,7 +163,6 @@ class Kernel {
   std::optional<std::string> pending_soft_reboot_;
   std::int64_t soft_reboot_count_ = 0;
   std::unique_ptr<LowMemoryKiller> lmk_;
-  std::vector<Event> events_;
 };
 
 }  // namespace jgre::os

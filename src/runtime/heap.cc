@@ -1,6 +1,7 @@
 #include "runtime/heap.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace jgre::rt {
 
@@ -69,27 +70,39 @@ void Heap::TakeUnheldCandidates(std::vector<ObjectId>* out) {
 }
 
 void Heap::SaveState(snapshot::Serializer& out) const {
-  out.Marker(0x48454132);  // "HEA2": SoA arena layout
+  out.Marker(0x48454133);  // "HEA3": live-slot bitmap, live columns
   out.I64(next_id_);
   labels_.SaveState(out);
-  out.U64(live_count_);
-  for (std::int64_t id = 1; id < next_id_; ++id) {
-    const std::size_t slot = static_cast<std::size_t>(id - 1);
-    if (holds_[slot] == kDeadSlot) continue;
-    out.I64(id);
-    out.U8(kind_[slot]);
-    out.I64(holds_[slot]);
-    out.U32(label_[slot]);
-    out.U64(managed_ref_[slot]);
-    out.U64(weak_ref_[slot]);
-    out.I64(node_[slot]);
+  // Per 64 slots: a bitmap word marking the live ones, then each live
+  // slot's columns. Dead slots cost one bit, so a restore that sizes the
+  // arena from the cursor never allocates more than the stream pays for.
+  const std::size_t slots = holds_.size();
+  for (std::size_t base = 0; base < slots; base += 64) {
+    const std::size_t end = std::min(slots, base + 64);
+    std::uint64_t live = 0;
+    for (std::size_t slot = base; slot < end; ++slot) {
+      if (holds_[slot] != kDeadSlot) live |= std::uint64_t{1} << (slot - base);
+    }
+    out.U64(live);
+    for (std::size_t slot = base; slot < end; ++slot) {
+      if (holds_[slot] == kDeadSlot) continue;
+      out.U8(kind_[slot]);
+      out.I64(holds_[slot]);
+      out.U32(label_[slot]);
+      out.U64(managed_ref_[slot]);
+      out.U64(weak_ref_[slot]);
+      out.I64(node_[slot]);
+    }
   }
 }
 
 void Heap::RestoreState(snapshot::Deserializer& in) {
-  in.Marker(0x48454132);
-  next_id_ = in.I64();
+  in.Marker(0x48454133);
+  const std::int64_t next_id = in.I64();
   labels_.RestoreState(in);
+  // The arena empties first and next_id_ tracks the columns, so IsAlive
+  // stays in bounds even if the stream fails part-way.
+  next_id_ = 1;
   kind_.clear();
   holds_.clear();
   label_.clear();
@@ -98,33 +111,49 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
   node_.clear();
   unheld_candidates_.clear();
   live_count_ = 0;
-  if (next_id_ < 1) {
+  if (in.ok() && next_id < 1) {
     in.Fail("corrupt heap allocation cursor");
     return;
   }
-  const std::size_t slots = static_cast<std::size_t>(next_id_ - 1);
+  const std::uint64_t slots = static_cast<std::uint64_t>(next_id - 1);
+  if (!in.NeedRecords((slots + 63) / 64, 8)) return;
   kind_.assign(slots, 0);
   holds_.assign(slots, kDeadSlot);
   label_.assign(slots, 0);
   managed_ref_.assign(slots, kHeapNullRef);
   weak_ref_.assign(slots, kHeapNullRef);
   node_.assign(slots, NodeId{}.value());
-  const std::uint64_t live = in.U64();
-  for (std::uint64_t i = 0; i < live && in.ok(); ++i) {
-    const std::int64_t id = in.I64();
-    if (id < 1 || id >= next_id_) {
-      in.Fail("heap object id out of range");
+  next_id_ = next_id;
+  for (std::size_t base = 0; base < slots && in.ok(); base += 64) {
+    const std::uint64_t live = in.U64();
+    const std::size_t end = std::min<std::size_t>(slots, base + 64);
+    if (end - base < 64 && (live >> (end - base)) != 0) {
+      in.Fail("heap bitmap marks slots past the allocation cursor");
       return;
     }
-    const std::size_t slot = static_cast<std::size_t>(id - 1);
-    kind_[slot] = in.U8();
-    holds_[slot] = static_cast<std::int32_t>(in.I64());
-    label_[slot] = in.U32();
-    managed_ref_[slot] = in.U64();
-    weak_ref_[slot] = in.U64();
-    node_[slot] = in.I64();
-    ++live_count_;
-    if (holds_[slot] == 0) unheld_candidates_.push_back(ObjectId{id});
+    for (std::size_t slot = base; slot < end && in.ok(); ++slot) {
+      if (((live >> (slot - base)) & 1) == 0) continue;
+      const std::uint8_t kind = in.U8();
+      const std::int64_t holds = in.I64();
+      const std::uint32_t label = in.U32();
+      if (kind > static_cast<std::uint8_t>(ObjectKind::kClassRoot) ||
+          holds < 0 || holds > std::numeric_limits<std::int32_t>::max() ||
+          label >= labels_.size()) {
+        in.Fail("heap object kind, hold count or label out of range");
+        return;
+      }
+      kind_[slot] = kind;
+      holds_[slot] = static_cast<std::int32_t>(holds);
+      label_[slot] = label;
+      managed_ref_[slot] = in.U64();
+      weak_ref_[slot] = in.U64();
+      node_[slot] = in.I64();
+      ++live_count_;
+      if (holds == 0) {
+        unheld_candidates_.push_back(
+            ObjectId{static_cast<std::int64_t>(slot) + 1});
+      }
+    }
   }
 }
 

@@ -155,10 +155,10 @@ class Heap {
   std::size_t LiveCount() const { return live_count_; }
   std::int64_t total_allocated() const { return next_id_ - 1; }
 
-  // Checkpointing: the label interner plus the live objects' columns in
-  // ascending id order; restore replaces the heap contents wholesale
-  // (including the allocation cursor) and rebuilds the candidate list from
-  // the live unheld set.
+  // Checkpointing: the label interner, a one-bit-per-slot live bitmap, and
+  // the live objects' columns in ascending id order; restore replaces the
+  // heap contents wholesale (including the allocation cursor) and rebuilds
+  // the candidate list from the live unheld set.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 

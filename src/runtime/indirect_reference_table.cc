@@ -177,6 +177,7 @@ void IndirectReferenceTable::SaveState(snapshot::Serializer& out) const {
 }
 
 void IndirectReferenceTable::RestoreState(snapshot::Deserializer& in) {
+  constexpr std::size_t kSlotBytes = 8 + 4 + 4 + 1;
   in.Marker(0x49525431);
   const std::uint64_t max_entries = in.U64();
   const auto kind = static_cast<IndirectRefKind>(in.U8());
@@ -184,29 +185,64 @@ void IndirectReferenceTable::RestoreState(snapshot::Deserializer& in) {
     in.Fail(StrCat(name_, ": IRT capacity/kind mismatch on restore"));
     return;
   }
-  top_index_ = static_cast<std::size_t>(in.U64());
-  slots_.assign(top_index_, Slot{});
-  for (std::size_t i = 0; i < top_index_ && in.ok(); ++i) {
-    Slot& slot = slots_[i];
+  // The table empties first, so a stream that fails below leaves it
+  // consistent; every index read back must name a slot below the top.
+  slots_.clear();
+  top_index_ = 0;
+  free_head_ = kNoFreeSlot;
+  hole_count_ = 0;
+  live_entries_ = 0;
+  segment_start_ = 0;
+  segment_stack_.clear();
+  const std::uint64_t top = in.U64();
+  if (in.ok() && top > max_entries_) {
+    in.Fail(StrCat(name_, ": IRT top index past its capacity"));
+    return;
+  }
+  if (!in.NeedRecords(top, kSlotBytes)) return;
+  const auto in_table = [top](std::uint32_t index) {
+    return index == kNoFreeSlot || index < top;
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(top));
+  for (Slot& slot : slots) {
     slot.obj = ObjectId{in.I64()};
     slot.serial = in.U32();
     slot.next_free = in.U32();
     slot.active = in.Bool();
+    if (!in_table(slot.next_free)) {
+      in.Fail(StrCat(name_, ": IRT free list leaves the table"));
+      return;
+    }
   }
-  free_head_ = in.U32();
-  hole_count_ = static_cast<std::size_t>(in.U64());
-  live_entries_ = static_cast<std::size_t>(in.U64());
-  segment_start_ = in.U32();
-  segment_stack_.clear();
+  const std::uint32_t free_head = in.U32();
+  const std::uint64_t hole_count = in.U64();
+  const std::uint64_t live_entries = in.U64();
+  const std::uint32_t segment_start = in.U32();
   const std::uint64_t frames = in.U64();
-  for (std::uint64_t i = 0; i < frames && in.ok(); ++i) {
-    FrameState frame;
+  if (in.ok() && (!in_table(free_head) || segment_start > top)) {
+    in.Fail(StrCat(name_, ": IRT segment state leaves the table"));
+    return;
+  }
+  if (!in.NeedRecords(frames, 8)) return;
+  std::vector<FrameState> stack(static_cast<std::size_t>(frames));
+  for (FrameState& frame : stack) {
     frame.segment_start = in.U32();
     frame.free_head = in.U32();
-    segment_stack_.push_back(frame);
+    if (frame.segment_start > top || !in_table(frame.free_head)) {
+      in.Fail(StrCat(name_, ": IRT frame state leaves the table"));
+      return;
+    }
   }
   total_adds_ = in.I64();
   total_removes_ = in.I64();
+  if (!in.ok()) return;
+  slots_ = std::move(slots);
+  top_index_ = static_cast<std::size_t>(top);
+  free_head_ = free_head;
+  hole_count_ = static_cast<std::size_t>(hole_count);
+  live_entries_ = static_cast<std::size_t>(live_entries);
+  segment_start_ = segment_start;
+  segment_stack_ = std::move(stack);
 }
 
 std::string IndirectReferenceTable::DumpSummary() const {

@@ -177,9 +177,13 @@ void Runtime::RestoreState(snapshot::Deserializer& in) {
   // The proxy cache is derived state: rebuild it from the heap's node
   // column (live BinderProxy objects attached to a node).
   proxy_by_node_.clear();
-  heap_.ForEachLive([this](ObjectId obj) {
+  heap_.ForEachLive([this, &in](ObjectId obj) {
     const NodeId node = heap_.ProxyNode(obj);
     if (!node.valid()) return;
+    // A node id names a record of the binder driver's node table, which
+    // follows the kernel section in the stream: an id past the bytes left
+    // cannot be real and must not size the cache.
+    if (!in.NeedRecords(static_cast<std::uint64_t>(node.value()), 1)) return;
     const std::size_t slot = static_cast<std::size_t>(node.value());
     if (slot >= proxy_by_node_.size()) proxy_by_node_.resize(slot + 1, 0);
     proxy_by_node_[slot] = obj.value();

@@ -50,11 +50,13 @@ std::unique_ptr<core::AndroidSystem> DeviceFactory::BootPrefix() const {
     warmup.InstallAll();
     warmup.RunMonkeySession();
     // Back to quiescent: stop every warmup app (releasing its service-side
-    // registrations via death notification) and reclaim the JGRs they
-    // pinned, so the checkpoint boundary is a near-baseline device.
+    // registrations via death notification), free the stopped apps'
+    // runtimes, and reclaim the JGRs they pinned, so the checkpoint boundary
+    // is a near-baseline device whose image holds live runtimes only.
     for (const std::string& package : warmup.packages()) {
       system->StopApp(package);
     }
+    system->kernel().ReapDeadProcesses();
     system->CollectAllGarbage();
   }
   return system;

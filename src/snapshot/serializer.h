@@ -109,7 +109,7 @@ class Deserializer {
   std::vector<std::uint64_t> U64Vec() {
     const std::uint64_t n = U64();
     std::vector<std::uint64_t> v;
-    if (!NeedWords(n)) return v;
+    if (!NeedRecords(n, 8)) return v;
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(U64());
     return v;
@@ -117,10 +117,24 @@ class Deserializer {
   std::vector<std::int64_t> I64Vec() {
     const std::uint64_t n = U64();
     std::vector<std::int64_t> v;
-    if (!NeedWords(n)) return v;
+    if (!NeedRecords(n, 8)) return v;
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(I64());
     return v;
+  }
+
+  // Fails the stream unless `count` records of at least `min_bytes` each
+  // still fit in it. A reader calls this before it sizes a table from a
+  // count (or an id) it read: a corrupt image then fails the stream instead
+  // of allocating. Divides rather than multiplies, so a count of 2^61 cannot
+  // wrap `count * 8` to a small number.
+  bool NeedRecords(std::uint64_t count, std::size_t min_bytes) {
+    if (!ok_) return false;
+    if ((size_ - pos_) / min_bytes < count) {
+      Fail("truncated stream");
+      return false;
+    }
+    return true;
   }
 
   bool ok() const { return ok_; }
@@ -138,16 +152,6 @@ class Deserializer {
   bool Need(std::uint64_t n) {
     if (!ok_) return false;
     if (size_ - pos_ < n) {
-      Fail("truncated stream");
-      return false;
-    }
-    return true;
-  }
-  // Need(n * 8) without the multiply: a corrupt count of 2^61 or more would
-  // wrap it to a small number and let reserve(n) throw.
-  bool NeedWords(std::uint64_t n) {
-    if (!ok_) return false;
-    if ((size_ - pos_) / 8 < n) {
       Fail("truncated stream");
       return false;
     }

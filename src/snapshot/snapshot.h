@@ -5,9 +5,10 @@
 // IRT/JGR tables, kernel process table + LMK, binder node table + IPC log +
 // death links, service retention state, defender monitor tapes), produced by
 // the per-module SaveState hooks in a fixed module order. Restoring into a
-// freshly Boot()ed AndroidSystem built from the same SystemConfig yields a
-// simulation whose subsequent event stream is byte-identical to the original
-// — the property the divergence auditor (below) checks event by event.
+// Boot()ed AndroidSystem built from the same SystemConfig (fresh, or one
+// that ran anything since short of a soft reboot) yields a simulation whose
+// subsequent event stream is byte-identical to the original: the property
+// the divergence auditor (below) checks event by event.
 //
 // On-disk format: "JGRESNAP" magic, little-endian header (version, seed,
 // virtual time, payload size), the payload, and an FNV-1a trailer over the
@@ -62,10 +63,13 @@ class SystemSnapshot {
       core::AndroidSystem& system,
       const defense::JgreDefender* defender = nullptr);
 
-  // Restores into a freshly constructed AndroidSystem with the SAME
-  // SystemConfig that has been Boot()ed and not otherwise driven. When the
-  // checkpoint carries defender state, `defender` must be an Install()ed
-  // defender on that same system.
+  // Restores into a Boot()ed AndroidSystem with the SAME SystemConfig:
+  // freshly booted, or reused after anything short of a soft reboot (the
+  // restore is exact either way). Returns a non-OK Status, leaving the
+  // system half-restored and fit only for destruction, for a corrupt image,
+  // a soft-rebooted system, or one whose boot-time binder died since boot.
+  // When the checkpoint carries defender state, `defender` must be an
+  // Install()ed defender on that same system.
   Status RestoreInto(core::AndroidSystem* system,
                      defense::JgreDefender* defender = nullptr) const;
 

@@ -1,13 +1,17 @@
 // Fuzzer subsystem tests: mutator determinism (same seed => byte-identical
 // sequences), corpus gating and trim-based minimization against the live
 // simulator, oracle verdicts on known-vulnerable and known-benign
-// interfaces, and campaign determinism across --jobs.
+// interfaces, the in-place reset contract, and campaign determinism across
+// --jobs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "attack/vuln_registry.h"
 #include "core/android_system.h"
@@ -19,6 +23,8 @@
 #include "harness/branch_runner.h"
 #include "model/corpus.h"
 #include "services/registry_service.h"
+#include "sim/device.h"
+#include "snapshot/snapshot.h"
 
 namespace jgre {
 namespace {
@@ -257,6 +263,152 @@ TEST(FuzzBranchIntegrationTest, RestoreFailureNamesShard) {
     EXPECT_NE(std::string(e.what()).find("shard 3"), std::string::npos)
         << e.what();
   }
+}
+
+// --- Reset in place ---------------------------------------------------------
+
+// The campaign's reset image at test size: boot plus eight warm-up apps.
+sim::DeviceSpec SmallResetPrefix() {
+  sim::DeviceSpec prefix;
+  prefix.WithSeed(42).WithWarmup(8, 2'000'000);
+  return prefix;
+}
+
+// Capture, execute, restore in place, capture again: the restore leaves
+// nothing of the executions behind that the serializer can see.
+TEST_F(FuzzTest, RestoreInPlaceAfterExecutionsRecapturesTheImage) {
+  harness::BranchRunner runner(SmallResetPrefix(), harness::BranchOptions{});
+  ASSERT_TRUE(runner.Prepare().ok());
+  const snapshot::SystemSnapshot& image = *runner.snapshot();
+  std::unique_ptr<core::AndroidSystem> system = runner.RestoreBranchSystem();
+  const fuzz::SequenceExecutor executor = MakeExecutor();
+  fuzz::Mutator mutator(model_, *live_services_);
+  Rng rng(5);
+  for (int i = 0; i < 3; ++i) executor.Execute(*system, mutator.Generate(rng));
+  ASSERT_GT(system->driver().total_transactions(), 0);
+
+  Status restored = image.RestoreInto(system.get());
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  auto recaptured = snapshot::SystemSnapshot::Capture(*system);
+  ASSERT_TRUE(recaptured.ok()) << recaptured.status().ToString();
+  EXPECT_EQ(recaptured.value().payload(), image.payload());
+}
+
+// Run A, restore in place, run B: B's event tape equals its tape on a fresh
+// restore. A is drawn once from a 300-call confirm probe (hundreds of binder
+// nodes, proxies and callback registrations minted since the image) and once
+// from a protocol chain (a wired producer/consumer pair).
+TEST_F(FuzzTest, ExecutionAfterInPlaceRestoreMatchesAFreshRestore) {
+  const model::JavaMethodModel* clipboard =
+      FindMethod("clipboard", "addPrimaryClipChangedListener");
+  ASSERT_NE(clipboard, nullptr);
+  fuzz::Mutator mutator(model_, *live_services_);
+  Rng rng(11);
+  fuzz::IpcCall probe_call = mutator.MakeCall(*clipboard, rng);
+  for (fuzz::ArgValue& arg : probe_call.args) {
+    if (arg.kind == services::ArgKind::kBinder) arg.fresh_binder = true;
+  }
+  const fuzz::Sequence b = mutator.Generate(rng);
+
+  // A protocol chain, as a protocol-seeded campaign's corpus keeps it.
+  fuzz::CampaignOptions options;
+  options.seed = 42;
+  options.budget = 12;
+  options.confirm_calls = 100;
+  options.warmup_apps = 8;
+  options.warmup_foreground_us = 2'000'000;
+  options.seed_from_protocol = true;
+  fuzz::CampaignRunner campaign(options);
+  campaign.Run();
+  const fuzz::Sequence* chain = nullptr;
+  for (const fuzz::CorpusEntry& entry : campaign.corpus().entries()) {
+    for (const fuzz::IpcCall& call : entry.seq.calls) {
+      for (const fuzz::ArgValue& arg : call.args) {
+        if (arg.from_step >= 0) chain = &entry.seq;
+      }
+    }
+    if (chain != nullptr) break;
+  }
+  ASSERT_NE(chain, nullptr);
+
+  harness::BranchRunner runner(SmallResetPrefix(), harness::BranchOptions{});
+  ASSERT_TRUE(runner.Prepare().ok());
+  const fuzz::SequenceExecutor executor = MakeExecutor();
+  const auto tape_of_b = [&](core::AndroidSystem& system) {
+    snapshot::EventTape tape;
+    system.kernel().bus().Subscribe(&tape, obs::kAllCategories);
+    executor.Execute(system, b);
+    executor.ExecuteRepeated(system, probe_call, 20);
+    system.kernel().bus().Unsubscribe(&tape);
+    return tape.events();
+  };
+  std::unique_ptr<core::AndroidSystem> fresh = runner.RestoreBranchSystem();
+  const std::vector<obs::TraceEvent> expected = tape_of_b(*fresh);
+  ASSERT_FALSE(expected.empty());
+
+  using RunA = std::function<void(core::AndroidSystem&)>;
+  const std::vector<std::pair<const char*, RunA>> runs_a = {
+      {"confirm probe",
+       [&](core::AndroidSystem& system) {
+         executor.ExecuteRepeated(system, probe_call, 300);
+       }},
+      {"protocol chain",
+       [&](core::AndroidSystem& system) { executor.Execute(system, *chain); }},
+  };
+  for (const auto& [name, run_a] : runs_a) {
+    std::unique_ptr<core::AndroidSystem> used = runner.RestoreBranchSystem();
+    run_a(*used);
+    Status restored = runner.snapshot()->RestoreInto(used.get());
+    ASSERT_TRUE(restored.ok()) << name << ": " << restored.ToString();
+    const auto divergence =
+        snapshot::FirstDivergence(expected, tape_of_b(*used));
+    EXPECT_FALSE(divergence.has_value())
+        << name << ": " << (divergence ? divergence->description : "");
+  }
+}
+
+// Pooled systems a campaign cannot restore in place (one soft-rebooted, one
+// whose com.android.bluetooth was killed) fall back to a fresh boot: the
+// findings match a campaign that never saw them.
+TEST(FuzzCampaignTest, UnrestorablePooledSystemsFallBackToAFreshBoot) {
+  fuzz::CampaignOptions options;
+  options.seed = 42;
+  options.budget = 24;
+  options.rounds = 2;
+  options.shard_execs = 6;
+  options.confirm_calls = 200;
+  options.warmup_apps = 8;
+  options.warmup_foreground_us = 2'000'000;
+
+  fuzz::CampaignRunner clean(options);
+  const fuzz::CampaignResult expected = clean.Run();
+
+  fuzz::CampaignRunner poisoned(options);
+  ASSERT_TRUE(poisoned.Prepare().ok());
+  {
+    auto rebooted = poisoned.ResetSystem(0);
+    auto bluetooth_killed = poisoned.ResetSystem(1);
+    rebooted->kernel().KillProcess(rebooted->system_server_pid(), "test");
+    rebooted->Pump();
+    ASSERT_EQ(rebooted->soft_reboots(), 1);
+    bluetooth_killed->StopApp("com.android.bluetooth");
+  }  // both go back to the pool
+  const fuzz::CampaignResult got = poisoned.Run();
+
+  ASSERT_EQ(expected.findings.size(), got.findings.size());
+  for (std::size_t i = 0; i < got.findings.size(); ++i) {
+    EXPECT_EQ(expected.findings[i].id, got.findings[i].id);
+    EXPECT_EQ(expected.findings[i].kind, got.findings[i].kind);
+    EXPECT_DOUBLE_EQ(expected.findings[i].growth_per_call,
+                     got.findings[i].growth_per_call);
+    EXPECT_EQ(expected.findings[i].minimized_calls,
+              got.findings[i].minimized_calls);
+    EXPECT_TRUE(expected.findings[i].witness == got.findings[i].witness);
+  }
+  EXPECT_EQ(expected.stats.suspects, got.stats.suspects);
+  EXPECT_EQ(expected.stats.corpus_entries, got.stats.corpus_entries);
+  EXPECT_EQ(expected.stats.signature_elements, got.stats.signature_elements);
+  EXPECT_EQ(expected.stats.total_executions, got.stats.total_executions);
 }
 
 // A small end-to-end campaign: deterministic across --jobs, and the

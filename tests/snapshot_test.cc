@@ -6,11 +6,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
+#include "binder/binder_driver.h"
+#include "binder/ipc_log.h"
+#include "binder/service_manager.h"
 #include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "core/android_system.h"
@@ -19,6 +23,7 @@
 #include "obs/event.h"
 #include "runtime/heap.h"
 #include "runtime/indirect_reference_table.h"
+#include "runtime/runtime.h"
 #include "sim/device.h"
 #include "snapshot/serializer.h"
 #include "snapshot/snapshot.h"
@@ -163,11 +168,198 @@ TEST(SnapshotPropertyTest, VectorCountsPastTheStreamFailWithoutThrowing) {
   }
 }
 
+// Restore never sizes a table from a count or an id it has not bounded:
+// each count by the bytes left in the stream, each id by the table it
+// indexes. Every case is a module image with one field inflated (2^40 or an
+// id no table holds); the restore must fail the stream with a message
+// instead of throwing, allocating terabytes, or indexing out of bounds.
+// `expect` is the failure the bound reports, so a format change that trips
+// an earlier check (a marker mismatch) cannot pass the case by accident.
+struct HostileImage {
+  const char* name;
+  std::function<std::string()> restore;  // returns the stream's error
+  const char* expect;
+};
+
+class IdleBinder : public binder::BBinder {
+ public:
+  IdleBinder() : BBinder("test.IIdle") {}
+  Status OnTransact(std::uint32_t, const binder::Parcel&, binder::Parcel*,
+                    const binder::CallContext&) override {
+    return Status::Ok();
+  }
+};
+
+// Overwrites the little-endian u64 at `offset` of a saved image.
+void PatchU64(std::vector<std::uint8_t>* bytes, std::size_t offset,
+              std::uint64_t value) {
+  ASSERT_LE(offset + 8, bytes->size());
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(SnapshotPropertyTest, RestoreCountsAndIdsPastTheirTablesFailWithoutThrowing) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  const auto error_of = [](snapshot::Deserializer& in) {
+    return in.ok() ? std::string("restore succeeded") : in.error();
+  };
+  const std::vector<HostileImage> cases = {
+      {"kernel process count",
+       [&] {
+         // A kernel without processes or an LMK ends with the process count,
+         // the live count, used memory, the pending-reboot flag, the reboot
+         // count and the LMK flag.
+         os::Kernel saved;
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, bytes.size() - (8 + 8 + 8 + 1 + 8 + 1), kHuge);
+         os::Kernel target;
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in);
+         return error_of(in);
+       },
+       "truncated"},
+      {"driver hooked-runtime pid 0",
+       [&] {
+         // Registering a binder hooks its owner's runtime; the driver
+         // section ends with the hooked pids.
+         os::Kernel kernel;
+         binder::BinderDriver driver(&kernel);
+         const Pid owner = kernel.CreateProcess("owner", Uid{10001});
+         driver.RegisterBinder(std::make_shared<IdleBinder>(), owner);
+         snapshot::Serializer out;
+         driver.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, bytes.size() - 8, 0);
+         snapshot::Deserializer in(bytes);
+         driver.RestoreState(in);
+         return error_of(in);
+       },
+       "hooked runtime names no process"},
+      {"service manager count",
+       [&] {
+         // The service manager section ends with its registered count,
+         // which sizes ListServices' output.
+         os::Kernel kernel;
+         binder::BinderDriver driver(&kernel);
+         binder::ServiceManager manager(&driver);
+         const Pid owner = kernel.CreateProcess("owner", kSystemUid);
+         auto service = std::make_shared<IdleBinder>();
+         driver.RegisterBinder(service, owner);
+         EXPECT_TRUE(manager.AddService("idle", service, kSystemUid).ok());
+         snapshot::Serializer out;
+         manager.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, bytes.size() - 8, kHuge);
+         snapshot::Deserializer in(bytes);
+         manager.RestoreState(in);
+         EXPECT_TRUE(manager.ListServices().empty());
+         return error_of(in);
+       },
+       "service routing table disagrees"},
+      {"IPC log capacity and total",
+       [&] {
+         binder::IpcLog saved(kHuge);  // capacity is config: no allocation
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, bytes.size() - 8, kHuge);  // total pushed
+         binder::IpcLog target(kHuge);
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in, 1);
+         return error_of(in);
+       },
+       "truncated"},
+      {"IPC log capacity other than the booted driver's",
+       [&] {
+         binder::IpcLog saved(kHuge);
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         binder::IpcLog target(64);
+         snapshot::Deserializer in(out.buffer());
+         target.RestoreState(in, 1);
+         return error_of(in);
+       },
+       "capacity"},
+      {"heap allocation cursor",
+       [&] {
+         rt::Heap saved;
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, 4, kHuge);  // the cursor follows the marker
+         rt::Heap target;
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in);
+         return error_of(in);
+       },
+       "truncated"},
+      {"IRT top index",
+       [&] {
+         rt::IndirectReferenceTable saved(kHuge, rt::IndirectRefKind::kGlobal,
+                                          "g");
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, 4 + 8 + 1, kHuge);  // marker, capacity, kind, top
+         rt::IndirectReferenceTable target(kHuge, rt::IndirectRefKind::kGlobal,
+                                           "g");
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in);
+         return error_of(in);
+       },
+       "truncated"},
+      {"ring buffer capacity",
+       [&] {
+         RingBuffer<std::int64_t> saved(8);
+         snapshot::Serializer out;
+         saved.SaveState(out,
+                         [](snapshot::Serializer& o, const std::int64_t& v) {
+                           o.I64(v);
+                         });
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, 0, kHuge);   // capacity
+         PatchU64(&bytes, 8, kHuge);   // total pushed
+         PatchU64(&bytes, 16, kHuge);  // retained
+         RingBuffer<std::int64_t> target(8);
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in,
+                             [](snapshot::Deserializer& d) { return d.I64(); });
+         return error_of(in);
+       },
+       "corrupt ring buffer header"},
+      {"runtime proxy node id",
+       [&] {
+         SimClock clock;
+         rt::Runtime saved(&clock, rt::Runtime::Config{});
+         const ObjectId proxy =
+             saved.heap().Alloc(rt::ObjectKind::kBinderProxy, "BinderProxy");
+         saved.heap().SetProxyNode(proxy, NodeId{static_cast<std::int64_t>(kHuge)});
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         rt::Runtime target(&clock, rt::Runtime::Config{});
+         snapshot::Deserializer in(out.buffer());
+         target.RestoreState(in);
+         return error_of(in);
+       },
+       "truncated"},
+  };
+  for (const HostileImage& c : cases) {
+    std::string error;
+    EXPECT_NO_THROW(error = c.restore()) << c.name;
+    EXPECT_NE(error.find(c.expect), std::string::npos)
+        << c.name << ": " << error;
+  }
+}
+
 // --- Heap arena -------------------------------------------------------------
 
-// The SoA arena serializes live slots only (holes compress away), and a
-// restore must rebuild columns + candidate list so exactly that a re-save
-// produces the same bytes and the next GC collects the same objects.
+// The SoA arena serializes live slots' columns only (a hole costs one bitmap
+// bit), and a restore must rebuild columns + candidate list so exactly that
+// a re-save produces the same bytes and the next GC collects the same
+// objects.
 TEST(SnapshotPropertyTest, HeapArenaRoundTripIsByteStableWithHoles) {
   rt::Heap original;
   std::vector<ObjectId> ids;
@@ -362,6 +554,147 @@ TEST(BranchRunnerTest, BranchesMatchColdBuilds) {
   for (std::size_t i = 0; i < warm.size(); ++i) {
     EXPECT_EQ(warm[i], cold[i]) << "branch " << i;
     EXPECT_EQ(warm[i], warm[0]) << "same config must give same branch";
+  }
+}
+
+// The warm-up apps BootPrefix stops are reaped, so the image it captures
+// carries live runtimes only.
+TEST(SystemSnapshotTest, WarmPrefixHoldsNoDeadRuntime) {
+  std::unique_ptr<core::AndroidSystem> prefix =
+      sim::DeviceFactory(SmallScenario(42)).BootPrefix();
+  int dead = 0;
+  for (std::int32_t pid = 1;; ++pid) {
+    const os::Process* proc = prefix->kernel().FindProcess(Pid{pid});
+    if (proc == nullptr) break;
+    if (proc->alive) continue;
+    ++dead;
+    EXPECT_FALSE(proc->HasRuntime()) << proc->name;
+  }
+  EXPECT_GE(dead, 4);  // the four stopped warm-up apps
+}
+
+// The prefix system itself was driven (warm-up apps, then an app minting a
+// binder) before it was ever restored into: the boot nodes a restore keeps
+// are the ones Boot() registered, not whatever the system held at its first
+// restore.
+TEST(SystemSnapshotTest, RestoreIntoTheDrivenPrefixItselfIsExact) {
+  std::unique_ptr<core::AndroidSystem> prefix =
+      sim::DeviceFactory(SmallScenario(42)).BootPrefix();
+  auto captured = snapshot::SystemSnapshot::Capture(*prefix);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  prefix->InstallApp("com.example.after.capture")
+      ->NewBinder("test.IAfterCapture");
+  Status restored = captured.value().RestoreInto(prefix.get());
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  auto recaptured = snapshot::SystemSnapshot::Capture(*prefix);
+  ASSERT_TRUE(recaptured.ok()) << recaptured.status().ToString();
+  EXPECT_EQ(recaptured.value().payload(), captured.value().payload());
+}
+
+// An in-place restore refuses what it cannot undo, with a Status: a soft
+// reboot (pending or done) re-registers every service at post-boot node ids,
+// and a killed boot-time app takes its binder objects with it.
+TEST(SystemSnapshotTest, RestoreInPlaceRejectsSoftRebootAndDeadBootBinders) {
+  const sim::DeviceSpec config = SmallScenario(42);
+  std::unique_ptr<core::AndroidSystem> prefix =
+      sim::DeviceFactory(config).BootPrefix();
+  auto captured = snapshot::SystemSnapshot::Capture(*prefix);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& image = captured.value();
+
+  prefix->kernel().KillProcess(prefix->system_server_pid(), "test");
+  ASSERT_TRUE(prefix->kernel().HasPendingSoftReboot());
+  Status pending = image.RestoreInto(prefix.get());
+  EXPECT_FALSE(pending.ok());
+  EXPECT_NE(pending.ToString().find("soft-rebooted"), std::string::npos)
+      << pending.ToString();
+  prefix->Pump();  // zygote restarts system_server
+  ASSERT_EQ(prefix->soft_reboots(), 1);
+  Status rebooted = image.RestoreInto(prefix.get());
+  EXPECT_FALSE(rebooted.ok());
+  EXPECT_NE(rebooted.ToString().find("soft-rebooted"), std::string::npos)
+      << rebooted.ToString();
+
+  core::SystemConfig sys_config = config.system_config();
+  sys_config.seed = config.seed();
+  core::AndroidSystem used(sys_config);
+  used.Boot();
+  ASSERT_TRUE(image.RestoreInto(&used).ok());
+  used.StopApp("com.android.bluetooth");
+  Status dead_binder = image.RestoreInto(&used);
+  EXPECT_FALSE(dead_binder.ok());
+  EXPECT_NE(dead_binder.ToString().find("died since boot"), std::string::npos)
+      << dead_binder.ToString();
+}
+
+// A restore that fails part-way leaves a system fit only for destruction,
+// and destroying it must be safe: the pool destroys every system whose
+// in-place restore fails. Cut the image at points spread over its length
+// and restore each prefix over a used system.
+TEST(SystemSnapshotTest, TruncatedImagesFailAndLeaveADestroyableSystem) {
+  const sim::DeviceSpec config = SmallScenario(42);
+  std::unique_ptr<core::AndroidSystem> prefix =
+      sim::DeviceFactory(config).BootPrefix();
+  auto captured = snapshot::SystemSnapshot::Capture(*prefix);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const std::vector<std::uint8_t>& payload = captured.value().payload();
+  // The system state follows the payload marker and the defender flag.
+  constexpr std::size_t kSystemStart = 4 + 1;
+  core::SystemConfig sys_config = config.system_config();
+  sys_config.seed = config.seed();
+  for (int cut = 0; cut < 16; ++cut) {
+    const std::size_t size =
+        (payload.size() - kSystemStart) * static_cast<std::size_t>(cut) / 16;
+    auto system = std::make_unique<core::AndroidSystem>(sys_config);
+    system->Boot();
+    ASSERT_TRUE(captured.value().RestoreInto(system.get()).ok());
+    system->InstallApp("com.example.used")->NewBinder("test.IUsed");
+    snapshot::Deserializer in(payload.data() + kSystemStart, size);
+    EXPECT_NO_THROW(system->RestoreState(in)) << "cut at " << size;
+    EXPECT_FALSE(in.ok()) << "cut at " << size;
+    system.reset();
+  }
+}
+
+// The pool behind BranchRunner::AcquireSystem: a handed-back system is
+// restored in place for the next borrower, exactly to the image; a second
+// concurrent borrower gets its own; and a system whose in-place restore
+// fails is replaced by a fresh restore.
+TEST(BranchRunnerTest, PoolRestoresHandedBackSystemsInPlace) {
+  harness::BranchRunner runner(SmallScenario(11), harness::BranchOptions{});
+  ASSERT_TRUE(runner.Prepare().ok());
+  const snapshot::SystemSnapshot& image = *runner.snapshot();
+  const auto recaptures_image = [&image](core::AndroidSystem& system) {
+    auto recaptured = snapshot::SystemSnapshot::Capture(system);
+    return recaptured.ok() && recaptured.value().payload() == image.payload();
+  };
+
+  const core::AndroidSystem* first = nullptr;
+  {
+    harness::BranchRunner::PooledSystem system = runner.AcquireSystem(0);
+    first = system.get();
+    EXPECT_TRUE(recaptures_image(*system));
+    system->InstallApp("com.example.borrower");
+  }
+  {
+    harness::BranchRunner::PooledSystem reused = runner.AcquireSystem(1);
+    EXPECT_EQ(reused.get(), first);
+    EXPECT_TRUE(recaptures_image(*reused));
+    harness::BranchRunner::PooledSystem second = runner.AcquireSystem(2);
+    EXPECT_NE(second.get(), first);
+    EXPECT_TRUE(recaptures_image(*second));
+    // Soft-reboot both before handing them back.
+    for (core::AndroidSystem* system : {reused.get(), second.get()}) {
+      system->kernel().KillProcess(system->system_server_pid(), "test");
+      system->Pump();
+      ASSERT_EQ(system->soft_reboots(), 1);
+    }
+  }
+  harness::BranchRunner::PooledSystem a = runner.AcquireSystem(3);
+  harness::BranchRunner::PooledSystem b = runner.AcquireSystem(4);
+  for (core::AndroidSystem* fresh : {a.get(), b.get()}) {
+    EXPECT_EQ(fresh->soft_reboots(), 0);
+    EXPECT_TRUE(recaptures_image(*fresh));
   }
 }
 
