@@ -7,7 +7,8 @@
 // startWatchingRoutes) to ~1,800 s (notification enqueueToast).
 //
 // Harness-driven: each interface's attack is an independent simulation (its
-// own AndroidSystem + seed), run --jobs-wide via the work-stealing pool.
+// own device + seed, the flood stepped by experiment::Drive, whose per-step
+// observer samples the curve), run --jobs-wide via the work-stealing pool.
 // Results are collected in submission order, so stdout and the JSON file are
 // byte-identical for any --jobs value. --metrics folds each simulation's
 // event stream into one registry (merged in submission order — same bytes
@@ -19,9 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
 #include "bench_util.h"
+#include "common/stats.h"
+#include "experiment/experiment.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
@@ -49,40 +51,55 @@ int main(int argc, char** argv) {
                      "Misuse effectiveness of the 54 vulnerable interfaces");
   const auto vulns = attack::SystemServerVulnerabilities();
   struct TaskResult {
-    attack::MaliciousApp::AttackResult result;
+    int calls = 0;
+    DurationUs duration_us = 0;
+    std::size_t peak_jgr = 0;
+    bool overflowed = false;
+    TimeSeries jgr_curve{"victim_jgr"};
     obs::MetricsRegistry metrics;
   };
   const auto results = harness::RunOrdered<TaskResult>(
       vulns.size(), opts.jobs, [&](std::size_t i) {
         sim::DeviceSpec device_spec;
-        device_spec.WithSeed(opts.seed);
+        device_spec.WithSeed(opts.seed)
+            .WithAttack(vulns[i])
+            .WithMaxAttackerCalls(bench::kOverflowMaxCalls);
         if (opts.emit_metrics) device_spec.WithMetrics();
         auto device = sim::DeviceFactory(device_spec).CreateDevice();
         core::AndroidSystem& system = device->system();
-        services::AppProcess* evil = attack::InstallAttackApp(
-            &system, device_spec.attack_package(), vulns[i]);
-        attack::MaliciousApp attacker(&system, evil, vulns[i]);
-        attack::MaliciousApp::RunOptions options;
-        options.sample_every_calls = 500;
+        attack::AttackStrategy& attacker = *device->attacker();
         TaskResult out;
-        out.result = attacker.Run(options);
+        out.jgr_curve.Add(system.clock().NowUs(),
+                          static_cast<double>(system.SystemServerJgrCount()));
+        const experiment::DriveResult drive =
+            bench::DriveFlood(*device, [&](TimeUs) {
+              const std::size_t jgr = system.SystemServerJgrCount();
+              out.peak_jgr = std::max(out.peak_jgr, jgr);
+              if (attacker.stats().calls_issued % 500 == 0) {
+                out.jgr_curve.Add(system.clock().NowUs(),
+                                  static_cast<double>(jgr));
+              }
+            });
+        out.calls = attacker.stats().calls_issued;
+        out.duration_us = drive.virtual_duration_us;
+        out.overflowed = drive.soft_rebooted;
         if (device->metrics() != nullptr) out.metrics = *device->metrics();
         return out;
       });
 
   struct Row {
     const attack::VulnSpec* vuln;
-    const attack::MaliciousApp::AttackResult* result;
+    const TaskResult* result;
   };
   std::vector<Row> rows;
   rows.reserve(vulns.size());
   for (std::size_t i = 0; i < vulns.size(); ++i) {
-    rows.push_back(Row{&vulns[i], &results[i].result});
+    rows.push_back(Row{&vulns[i], &results[i]});
   }
   // stable_sort: rows with equal durations keep registry order, so the table
   // is reproducible independent of how the sort breaks ties.
   std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return a.result->duration_us() < b.result->duration_us();
+    return a.result->duration_us < b.result->duration_us;
   });
 
   std::printf("\n%-3s %-20s %-40s %9s %8s %9s %s\n", "#", "service",
@@ -91,16 +108,15 @@ int main(int argc, char** argv) {
   int succeeded = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
-    if (row.result->succeeded) {
+    if (row.result->overflowed) {
       ++succeeded;
-      min_duration = std::min(min_duration, row.result->duration_us());
-      max_duration = std::max(max_duration, row.result->duration_us());
+      min_duration = std::min(min_duration, row.result->duration_us);
+      max_duration = std::max(max_duration, row.result->duration_us);
     }
     std::printf("%-3zu %-20s %-40s %9d %8.1f %9zu %s\n", i + 1,
                 row.vuln->service.c_str(), row.vuln->interface.c_str(),
-                row.result->calls_issued, row.result->duration_us() / 1e6,
-                row.result->peak_victim_jgr,
-                row.result->succeeded ? "YES" : "no");
+                row.result->calls, row.result->duration_us / 1e6,
+                row.result->peak_jgr, row.result->overflowed ? "YES" : "no");
   }
   std::printf("\n%d/54 attacks overflowed the table (paper: 54/54); attack "
               "durations %.0f–%.0f s (paper: ~100–1800 s)\n",
@@ -147,10 +163,10 @@ int main(int argc, char** argv) {
       harness::Json r = harness::Json::Object();
       r.Set("service", row.vuln->service)
           .Set("interface", row.vuln->interface)
-          .Set("calls", row.result->calls_issued)
-          .Set("duration_us", row.result->duration_us())
-          .Set("peak_jgr", row.result->peak_victim_jgr)
-          .Set("overflowed", row.result->succeeded);
+          .Set("calls", row.result->calls)
+          .Set("duration_us", row.result->duration_us)
+          .Set("peak_jgr", row.result->peak_jgr)
+          .Set("overflowed", row.result->overflowed);
       harness::Json curve = harness::Json::Array();
       const TimeSeries downsampled = row.result->jgr_curve.Downsample(40);
       for (const auto& [t, v] : downsampled.points()) {

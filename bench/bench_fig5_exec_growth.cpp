@@ -4,17 +4,16 @@
 // grows roughly linearly with the invocation index (paper: ~50 ms by the end
 // of the attack) while staying stable early on (Observation 2).
 //
-// Factory-driven: the booted device comes from sim::DeviceFactory (shared
-// CLI: --seed/--json); the bench then installs the attack app and drives
-// MaliciousApp's measurement loop to overflow with per-call execution
-// timing enabled.
+// Factory-driven: the device and its flood come from sim::DeviceFactory
+// (shared CLI: --seed/--json); experiment::Drive runs the flood to overflow
+// and its per-step observer times every call that succeeds.
 #include <algorithm>
 #include <cstdio>
 
-#include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
 #include "bench_util.h"
 #include "common/log.h"
+#include "common/stats.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
@@ -39,22 +38,20 @@ int main(int argc, char** argv) {
   const attack::VulnSpec* vuln =
       attack::FindVulnerability("telephony.registry", "listenForSubscriber");
   sim::DeviceSpec device_spec;
-  device_spec.WithSeed(opts.seed);
+  device_spec.WithSeed(opts.seed)
+      .WithAttack(*vuln)
+      .WithMaxAttackerCalls(bench::kOverflowMaxCalls);
   auto device = sim::DeviceFactory(device_spec).CreateDevice();
-  core::AndroidSystem& system = device->system();
-  services::AppProcess* evil = attack::InstallAttackApp(
-      &system, device_spec.attack_package(), *vuln);
-  attack::MaliciousApp attacker(&system, evil, *vuln);
-  attack::MaliciousApp::RunOptions options;
-  options.record_exec_times = true;
-  options.sample_every_calls = 0;
-  auto result = attacker.Run(options);
+  Summary exec_times_us;
+  const experiment::DriveResult drive =
+      bench::DriveFlood(*device, bench::TimeOkCalls(*device, &exec_times_us));
+  const attack::StrategyStats& stats = device->attacker()->stats();
 
-  const auto& times = result.exec_times_us.samples();
+  const auto& times = exec_times_us.samples();
   std::printf("\nattack issued %d calls before overflow (paper: 50,236 — "
               "ours retains 2 JGRs per call vs the paper's 1, so half the "
               "calls suffice)\n\n",
-              result.calls_issued);
+              stats.calls_issued);
   std::printf("call_index,exec_time_us\n");
   harness::Json rows = harness::Json::Array();
   const std::size_t stride = std::max<std::size_t>(1, times.size() / 100);
@@ -65,7 +62,7 @@ int main(int argc, char** argv) {
                   .Set("exec_time_us", times[i]));
   }
   harness::BenchReport report(spec.name, opts);
-  report.Set("calls_issued", result.calls_issued).Set("curve", std::move(rows));
+  report.Set("calls_issued", stats.calls_issued).Set("curve", std::move(rows));
   if (times.size() > 100) {
     const double first = times.front();
     // The final call's sample includes the soft-reboot downtime it triggered;
@@ -78,5 +75,5 @@ int main(int argc, char** argv) {
     report.Set("first_call_us", first).Set("near_overflow_us", late);
   }
   if (!report.Write()) return 1;
-  return result.succeeded ? 0 : 1;
+  return drive.soft_rebooted ? 0 : 1;
 }

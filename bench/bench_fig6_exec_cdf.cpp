@@ -3,19 +3,20 @@
 // at low state sizes every interface's duration is Delay + Δ with stable
 // Delay and small Δ, so the aggregate CDF is tight (paper: ~0–8,000 µs).
 //
-// Harness-driven: one simulation per interface, fanned out --jobs-wide; the
-// aggregate CDF is merged from per-task results in submission order, so it
-// (and everything else printed) is byte-identical for any --jobs value.
+// Harness-driven: one simulation per interface (a 1,000-call flood stepped
+// by experiment::Drive, whose per-step observer times each call), fanned out
+// --jobs-wide; the aggregate CDF is merged from per-task results in
+// submission order, so it (and everything else printed) is byte-identical
+// for any --jobs value.
 #include <cstdio>
 
-#include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
 #include "bench_util.h"
 #include "common/stats.h"
-#include "core/android_system.h"
 #include "harness/bench_report.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
+#include "sim/device.h"
 
 using namespace jgre;
 
@@ -31,23 +32,17 @@ int main(int argc, char** argv) {
   bench::PrintBanner("FIGURE 6",
                      "CDF of execution time, 54 interfaces x 1000 calls");
   const auto vulns = attack::SystemServerVulnerabilities();
-  const auto results =
-      harness::RunOrdered<attack::MaliciousApp::AttackResult>(
-          vulns.size(), opts.jobs, [&](std::size_t i) {
-            core::SystemConfig config;
-            config.seed = opts.seed;
-            core::AndroidSystem system(config);
-            system.Boot();
-            services::AppProcess* evil =
-                attack::InstallAttackApp(&system, "com.evil.app", vulns[i]);
-            attack::MaliciousApp attacker(&system, evil, vulns[i]);
-            attack::MaliciousApp::RunOptions options;
-            options.max_calls = 1000;
-            options.record_exec_times = true;
-            options.sample_every_calls = 0;
-            options.stop_on_victim_abort = true;
-            return attacker.Run(options);
-          });
+  const auto results = harness::RunOrdered<Summary>(
+      vulns.size(), opts.jobs, [&](std::size_t i) {
+        sim::DeviceSpec device_spec;
+        device_spec.WithSeed(opts.seed)
+            .WithAttack(vulns[i])
+            .WithMaxAttackerCalls(1000);
+        auto device = sim::DeviceFactory(device_spec).CreateDevice();
+        Summary exec_times_us;
+        bench::DriveFlood(*device, bench::TimeOkCalls(*device, &exec_times_us));
+        return exec_times_us;
+      });
 
   Summary all;
   harness::Json json_rows = harness::Json::Array();
@@ -55,18 +50,17 @@ int main(int argc, char** argv) {
               "p95_us", "max_us");
   for (std::size_t i = 0; i < vulns.size(); ++i) {
     const attack::VulnSpec& vuln = vulns[i];
-    const auto& result = results[i];
+    const Summary& exec_times_us = results[i];
     std::printf("%-20s %-40s %8.0f %8.0f %8.0f\n", vuln.service.c_str(),
-                vuln.interface.c_str(), result.exec_times_us.Percentile(50),
-                result.exec_times_us.Percentile(95),
-                result.exec_times_us.max());
-    for (double t : result.exec_times_us.samples()) all.Add(t);
+                vuln.interface.c_str(), exec_times_us.Percentile(50),
+                exec_times_us.Percentile(95), exec_times_us.max());
+    for (double t : exec_times_us.samples()) all.Add(t);
     json_rows.Push(harness::Json::Object()
                        .Set("service", vuln.service)
                        .Set("interface", vuln.interface)
-                       .Set("p50_us", result.exec_times_us.Percentile(50))
-                       .Set("p95_us", result.exec_times_us.Percentile(95))
-                       .Set("max_us", result.exec_times_us.max()));
+                       .Set("p50_us", exec_times_us.Percentile(50))
+                       .Set("p95_us", exec_times_us.Percentile(95))
+                       .Set("max_us", exec_times_us.max()));
   }
 
   std::printf("\naggregate CDF over %zu samples:\n", all.count());

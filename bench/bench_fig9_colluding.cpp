@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "attack/benign_workload.h"
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "bench_util.h"
 #include "common/rng.h"
@@ -60,15 +60,15 @@ int main(int argc, char** argv) {
       {"media_router", "registerClientAsUser"},
       {"mount", "registerListener"},
   };
-  std::vector<std::unique_ptr<attack::MaliciousApp>> attackers;
+  std::vector<std::unique_ptr<attack::AttackStrategy>> attackers;
   std::vector<std::string> attacker_packages;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const attack::VulnSpec* vuln =
         attack::FindVulnerability(targets[i].first, targets[i].second);
     const std::string package = "com.colluder.app" + std::to_string(i);
-    auto* app = attack::InstallAttackApp(&system, package, *vuln);
     attackers.push_back(
-        std::make_unique<attack::MaliciousApp>(&system, app, *vuln));
+        attack::MakeFlood(attack::AttackPlan{}, *vuln, package));
+    if (!attackers.back()->Setup(system).ok()) return 1;
     attacker_packages.push_back(package);
   }
   services::AppProcess* chatty = system.FindApp(benign.packages().front());
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   TimeUs benign_next = system.clock().NowUs();
   while (system.SystemServerJgrCount() < 16'000) {
     for (auto& attacker : attackers) {
-      (void)attacker->Step();
+      (void)attacker->Step(system);
       system.clock().AdvanceUs(rng.UniformU64(1500));
     }
     if (system.clock().NowUs() >= benign_next) {

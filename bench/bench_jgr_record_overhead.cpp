@@ -4,7 +4,7 @@
 // add/remove costs ~1 µs of recording.
 #include <cstdio>
 
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "bench_util.h"
 #include "core/android_system.h"
@@ -17,9 +17,9 @@ namespace {
 // Mean virtual latency of `calls` attack IPC calls starting from the current
 // system state.
 double MeanCallLatencyUs(core::AndroidSystem& system,
-                         attack::MaliciousApp& attacker, int calls) {
+                         attack::AttackStrategy& attacker, int calls) {
   const TimeUs before = system.clock().NowUs();
-  for (int i = 0; i < calls; ++i) (void)attacker.Step();
+  for (int i = 0; i < calls; ++i) (void)attacker.Step(system);
   return static_cast<double>(system.clock().NowUs() - before) / calls;
 }
 
@@ -43,16 +43,16 @@ double Run(bool with_monitor, double* below_out, double* above_out) {
   // overhead is not drowned by handler-state growth.
   const attack::VulnSpec* vuln =
       attack::FindVulnerability("audio", "startWatchingRoutes");
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", *vuln);
-  attack::MaliciousApp attacker(&system, evil, *vuln);
+  auto attacker =
+      attack::MakeFlood(attack::AttackPlan{}, *vuln, "com.evil.app");
+  (void)attacker->Setup(system);
 
   // Phase 1: well below the alarm threshold (JGR < 4000).
-  *below_out = MeanCallLatencyUs(system, attacker, 600);
+  *below_out = MeanCallLatencyUs(system, *attacker, 600);
   // Drive past the alarm threshold...
-  while (system.SystemServerJgrCount() < 4'500) (void)attacker.Step();
+  while (system.SystemServerJgrCount() < 4'500) (void)attacker->Step(system);
   // Phase 2: recording active (when the monitor is installed).
-  *above_out = MeanCallLatencyUs(system, attacker, 600);
+  *above_out = MeanCallLatencyUs(system, *attacker, 600);
   return *above_out - *below_out;
 }
 

@@ -1,7 +1,7 @@
 // bench_static_analysis — runs the summary-based interprocedural taint
 // engine (src/analysis/taint) against the simulated AOSP image and reports:
 //   * engine workload: methods, call edges, SCC structure, fixpoint
-//     iterations, summary-computation runtime,
+//     iterations, summary-computation runtime (console only),
 //   * the zero-divergence cross-check against the legacy entry-local
 //     detector: every interface must get the identical verdict, sift reason
 //     and protection class,
@@ -9,10 +9,11 @@
 //     57-interface census (the attack registry ground truth),
 //   * the witness-path length histogram over all surviving candidates.
 //
-// BENCH_analysis.json carries the summary blocks above. --analysis-json PATH
-// additionally writes the full per-interface witness report — no wall-clock
-// fields, so two runs at any --jobs are byte-identical, which CI asserts
-// with cmp and validates with scripts/validate_analysis_report.py.
+// BENCH_analysis.json carries the summary blocks above; --analysis-json PATH
+// additionally writes the full per-interface witness report. Neither holds
+// a wall-clock field, so two runs at any --jobs are byte-identical, which CI
+// asserts with cmp; scripts/validate_analysis_report.py validates the
+// witness report.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -219,7 +220,9 @@ int main(int argc, char** argv) {
                               .Set("frames", length)
                               .Set("candidates", count));
     }
-    harness::BenchReport bench_report(spec.name, opts);
+    // v2: host times (summary and pipeline ms) stay on the console, so the
+    // report is byte-identical across runs and --jobs values.
+    harness::BenchReport bench_report(spec.name, opts, /*schema_version=*/2);
     bench_report.Set("engine",
              harness::Json::Object()
                  .Set("java_methods", stats.java_methods)
@@ -228,10 +231,7 @@ int main(int argc, char** argv) {
                  .Set("max_scc_size", stats.max_scc_size)
                  .Set("nontrivial_sccs", stats.nontrivial_sccs)
                  .Set("fixpoint_iterations", stats.fixpoint_iterations)
-                 .Set("summary_updates", stats.summary_updates)
-                 .Set("summary_ms", stats.runtime_ms)
-                 .Set("pipeline_ms", engine_wall_ms)
-                 .Set("legacy_pipeline_ms", legacy_wall_ms))
+                 .Set("summary_updates", stats.summary_updates))
         .Set("cross_check",
              harness::Json::Object()
                  .Set("interfaces", report.interfaces.size())

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "bench_util.h"
 #include "core/android_system.h"
@@ -78,12 +78,11 @@ long HelperPathGrowth(const attack::VulnSpec& vuln) {
 long DirectPathGrowth(const attack::VulnSpec& vuln) {
   core::AndroidSystem system;
   system.Boot();
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", vuln);
-  attack::MaliciousApp attacker(&system, evil, vuln);
+  auto attacker = attack::MakeFlood(attack::AttackPlan{}, vuln, "com.evil.app");
+  if (!attacker->Setup(system).ok()) return 0;
   system.CollectAllGarbage();
   const long before = static_cast<long>(system.SystemServerJgrCount());
-  for (int i = 0; i < kOperations; ++i) (void)attacker.Step();
+  for (int i = 0; i < kOperations; ++i) (void)attacker->Step(system);
   system.CollectAllGarbage();
   return static_cast<long>(system.SystemServerJgrCount()) - before;
 }

@@ -4,6 +4,27 @@
 
 namespace jgre::bench {
 
+experiment::DriveResult DriveFlood(sim::DeviceSim& device,
+                                   const experiment::StepObserver& on_step) {
+  constexpr DurationUs kHorizonUs = 4'000'000'000ULL;
+  return experiment::Drive(device, device.attacker(),
+                           experiment::StopRule::kFirstIncident,
+                           device.system().clock().NowUs() + kHorizonUs,
+                           on_step);
+}
+
+experiment::StepObserver TimeOkCalls(sim::DeviceSim& device,
+                                     Summary* exec_times_us) {
+  return [&device, exec_times_us, calls_ok = 0](TimeUs step_start_us) mutable {
+    const int ok = device.attacker()->stats().calls_ok;
+    if (ok > calls_ok) {
+      exec_times_us->Add(
+          static_cast<double>(device.system().clock().NowUs() - step_start_us));
+    }
+    calls_ok = ok;
+  };
+}
+
 bool WriteDefendedAttackTrace(const attack::VulnSpec& vuln,
                               std::uint64_t seed, int benign_apps,
                               const std::string& path) {

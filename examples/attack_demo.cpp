@@ -4,12 +4,13 @@
 // the JGRE defense installed and is stopped cold.
 //
 //   ./build/examples/attack_demo
+#include <algorithm>
 #include <cstdio>
 
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
-#include "core/android_system.h"
-#include "defense/jgre_defender.h"
+#include "experiment/experiment.h"
+#include "sim/device.h"
 
 using namespace jgre;
 
@@ -18,33 +19,42 @@ namespace {
 void RunScenario(bool with_defense) {
   std::printf("\n=== %s ===\n",
               with_defense ? "WITH JGRE DEFENSE" : "STOCK ANDROID 6.0.1");
-  core::AndroidSystem system;
-  system.Boot();
-  defense::JgreDefender defender(&system);
-  if (with_defense) defender.Install();
+  sim::DeviceSpec spec;
+  spec.WithDefense(with_defense);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
 
+  // The paper's Code-Snippet 2 flood, from a zero-permission app.
   const attack::VulnSpec* vuln =
       attack::FindVulnerability("clipboard", "addPrimaryClipChangedListener");
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.clipboard", *vuln);
+  attack::AttackPlan plan;
+  plan.max_calls = 200'000;
+  auto attacker = attack::MakeFlood(plan, *vuln, "com.evil.clipboard");
+  if (!attacker->Setup(system).ok()) return;
+  services::AppProcess* evil = system.FindApp("com.evil.clipboard");
   std::printf("attacker installed (uid %d), no permissions requested\n",
               evil->uid().value());
 
-  attack::MaliciousApp attacker(&system, evil, *vuln);
-  attack::MaliciousApp::RunOptions options;
-  options.sample_every_calls = 2000;
-  auto result = attacker.Run(options);
+  // Until the device soft-reboots, the defender raises an incident, or
+  // 4,000 s of virtual time pass.
+  std::size_t peak_jgr = 0;
+  const experiment::DriveResult result = experiment::Drive(
+      *device, attacker.get(), experiment::StopRule::kFirstIncident,
+      system.clock().NowUs() + 4'000'000'000ULL, [&](TimeUs) {
+        peak_jgr = std::max(peak_jgr, system.SystemServerJgrCount());
+      });
 
   std::printf("attack issued %d IPC calls over %.1f s (virtual)\n",
-              result.calls_issued, result.duration_us() / 1e6);
-  std::printf("peak victim JGR count: %zu / 51200\n", result.peak_victim_jgr);
-  if (result.succeeded && system.soft_reboots() > 0) {
+              attacker->stats().calls_issued,
+              result.virtual_duration_us / 1e6);
+  std::printf("peak victim JGR count: %zu / 51200\n", peak_jgr);
+  if (result.soft_rebooted) {
     std::printf(">>> system_server runtime aborted -> SOFT REBOOT "
                 "(the whole device restarted)\n");
-  } else if (!evil->alive()) {
+  } else if (result.incident && result.attacker_killed) {
     std::printf(">>> attack failed: the defender identified and killed the "
                 "attacker\n");
-    for (const auto& incident : defender.incidents()) {
+    for (const auto& incident : device->defender()->incidents()) {
       std::printf("    incident: victim=%s, response delay %.1f ms, "
                   "killed=[",
                   incident.victim.c_str(),

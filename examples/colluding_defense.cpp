@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "attack/benign_workload.h"
-#include "common/rng.h"
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
+#include "common/rng.h"
 #include "core/android_system.h"
 #include "defense/jgre_defender.h"
 
@@ -29,16 +29,17 @@ int main() {
       {"wifi", "acquireWifiLock"},
       {"mount", "registerListener"},
   };
-  std::vector<std::unique_ptr<attack::MaliciousApp>> attackers;
+  std::vector<std::unique_ptr<attack::AttackStrategy>> attackers;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const attack::VulnSpec* vuln =
         attack::FindVulnerability(targets[i].first, targets[i].second);
-    auto* app = attack::InstallAttackApp(
-        &system, std::string("com.colluder.app") + std::to_string(i), *vuln);
-    attackers.push_back(
-        std::make_unique<attack::MaliciousApp>(&system, app, *vuln));
+    attackers.push_back(attack::MakeFlood(
+        attack::AttackPlan{}, *vuln,
+        std::string("com.colluder.app") + std::to_string(i)));
+    if (!attackers.back()->Setup(system).ok()) return 1;
     std::printf("colluder %zu -> %s.%s (uid %d)\n", i, vuln->service.c_str(),
-                vuln->interface.c_str(), app->uid().value());
+                vuln->interface.c_str(),
+                attackers.back()->attacker_uids().front().value());
   }
 
   // A benign app that is merely noisy (query traffic, no retained JGRs).
@@ -56,7 +57,7 @@ int main() {
   int rounds = 0;
   while (defender.incidents().empty() && rounds < 30000) {
     for (auto& attacker : attackers) {
-      if (attacker->app()->alive()) (void)attacker->Step();
+      (void)attacker->Step(system);  // a killed colluder issues nothing
       system.clock().AdvanceUs(rng.UniformU64(1500));
     }
     if (system.clock().NowUs() >= benign_next && chatty != nullptr &&

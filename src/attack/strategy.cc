@@ -3,7 +3,6 @@
 #include <deque>
 #include <optional>
 
-#include "attack/malicious_app.h"
 #include "binder/parcel.h"
 #include "common/strings.h"
 #include "services/misc_system_services.h"
@@ -30,6 +29,24 @@ std::optional<VulnSpec> ResolveVuln(const AttackPlan& plan) {
   return std::nullopt;
 }
 
+// One Code-Snippet 2 call of `vuln` from `app` over `client`, which is
+// resolved on first use and again after DEAD_OBJECT (a soft reboot
+// re-registers every service).
+Status CallVuln(services::AppProcess& app, const VulnSpec& vuln,
+                services::IpcClient& client) {
+  if (!client.valid()) {
+    auto resolved = app.GetService(vuln.service, vuln.descriptor);
+    if (!resolved.ok()) return resolved.status();
+    client = std::move(resolved).value();
+  }
+  Status status = client.Call(
+      vuln.code, [&](binder::Parcel& p) { vuln.write_args(app, p); });
+  if (status.code() == StatusCode::kUnavailable) {
+    client = services::IpcClient();
+  }
+  return status;
+}
+
 // ------------------------------------------------------------------- flood
 
 class FloodStrategy : public AttackStrategy {
@@ -48,13 +65,19 @@ class FloodStrategy : public AttackStrategy {
     if (!vuln_) return NotFound("flood: no registry vulnerability");
     app_ = InstallAttackApp(&system, package_, *vuln_);
     if (app_ == nullptr) return Internal("flood: install failed");
-    attacker_ = std::make_unique<MaliciousApp>(&system, app_, *vuln_);
     return Status::Ok();
   }
 
   bool Step(core::AndroidSystem& system) override {
     if (!app_->alive() || stats_.calls_issued >= plan_.max_calls) return false;
-    const bool keep_going = Record(attacker_->Step());
+    // An app-hosted victim that aborted is gone for good: nothing is left
+    // to exhaust. (A system_server overflow soft-reboots instead, which
+    // ends the drive.)
+    if (vuln_->victim != VictimKind::kSystemServer &&
+        system.VictimDown(vuln_->victim_package)) {
+      return false;
+    }
+    const bool keep_going = Record(CallVuln(*app_, *vuln_, client_));
     if (plan_.think_time_us > 0) system.clock().AdvanceUs(plan_.think_time_us);
     return keep_going;
   }
@@ -68,7 +91,7 @@ class FloodStrategy : public AttackStrategy {
   std::optional<VulnSpec> vuln_;
   std::string package_;
   services::AppProcess* app_ = nullptr;
-  std::unique_ptr<MaliciousApp> attacker_;
+  services::IpcClient client_;
 };
 
 // ---------------------------------------------------------- sub_alarm_drip
@@ -86,12 +109,11 @@ class SubAlarmDripStrategy : public AttackStrategy {
   std::string_view id() const override { return "sub_alarm_drip"; }
 
   Status Setup(core::AndroidSystem& system) override {
-    const std::optional<VulnSpec> vuln = ResolveVuln(plan_);
-    if (!vuln) return NotFound("drip: no registry vulnerability");
-    jgrs_per_call_ = vuln->jgrs_per_call > 0 ? vuln->jgrs_per_call : 2;
-    app_ = InstallAttackApp(&system, "com.arms.drip", *vuln);
+    vuln_ = ResolveVuln(plan_);
+    if (!vuln_) return NotFound("drip: no registry vulnerability");
+    jgrs_per_call_ = vuln_->jgrs_per_call > 0 ? vuln_->jgrs_per_call : 2;
+    app_ = InstallAttackApp(&system, "com.arms.drip", *vuln_);
     if (app_ == nullptr) return Internal("drip: install failed");
-    attacker_ = std::make_unique<MaliciousApp>(&system, app_, *vuln);
     return Status::Ok();
   }
 
@@ -101,12 +123,12 @@ class SubAlarmDripStrategy : public AttackStrategy {
         plan_.assumed_alarm_threshold > plan_.alarm_margin
             ? plan_.assumed_alarm_threshold - plan_.alarm_margin
             : 0;
-    if (attacker_->VictimJgrCount() + jgrs_per_call_ >= ceiling) {
+    if (system.SystemServerJgrCount() + jgrs_per_call_ >= ceiling) {
       // Parked under the radar: hold what we have, stay quiet.
       system.clock().AdvanceUs(kParkIdleUs);
       return true;
     }
-    if (!Record(attacker_->Step())) return false;
+    if (!Record(CallVuln(*app_, *vuln_, client_))) return false;
     // Pace so adds/sec lands on target including the call's own duration.
     if (plan_.target_adds_per_sec > 0) {
       system.clock().AdvanceUs(static_cast<DurationUs>(
@@ -121,8 +143,9 @@ class SubAlarmDripStrategy : public AttackStrategy {
   }
 
  private:
+  std::optional<VulnSpec> vuln_;
   services::AppProcess* app_ = nullptr;
-  std::unique_ptr<MaliciousApp> attacker_;
+  services::IpcClient client_;
   int jgrs_per_call_ = 2;
 };
 
@@ -139,17 +162,16 @@ class UidRotationStrategy : public AttackStrategy {
   std::string_view id() const override { return "uid_rotation_colluders"; }
 
   Status Setup(core::AndroidSystem& system) override {
-    const std::optional<VulnSpec> vuln = ResolveVuln(plan_);
-    if (!vuln) return NotFound("rotation: no registry vuln");
+    vuln_ = ResolveVuln(plan_);
+    if (!vuln_) return NotFound("rotation: no registry vuln");
     const int count = plan_.colluders > 0 ? plan_.colluders : 1;
     for (int k = 0; k < count; ++k) {
       services::AppProcess* app =
-          InstallAttackApp(&system, StrCat("com.arms.c", k), *vuln);
+          InstallAttackApp(&system, StrCat("com.arms.c", k), *vuln_);
       if (app == nullptr) return Internal("rotation: install failed");
       apps_.push_back(app);
-      colluders_.push_back(
-          std::make_unique<MaliciousApp>(&system, app, *vuln));
     }
+    clients_.resize(apps_.size());
     return Status::Ok();
   }
 
@@ -164,7 +186,7 @@ class UidRotationStrategy : public AttackStrategy {
     }
     if (!apps_[current_]->alive()) return false;  // every issuer is dead
     --burst_left_;
-    return Record(colluders_[current_]->Step());
+    return Record(CallVuln(*apps_[current_], *vuln_, clients_[current_]));
   }
 
   std::vector<Uid> attacker_uids() const override {
@@ -181,8 +203,9 @@ class UidRotationStrategy : public AttackStrategy {
   }
 
  private:
+  std::optional<VulnSpec> vuln_;
   std::vector<services::AppProcess*> apps_;
-  std::vector<std::unique_ptr<MaliciousApp>> colluders_;
+  std::vector<services::IpcClient> clients_;  // index-aligned with apps_
   std::size_t current_ = 0;
   int burst_left_ = 0;
 };

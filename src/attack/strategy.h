@@ -1,8 +1,10 @@
 // AttackStrategy — the one attacker interface.
 //
-// experiment::Drive steps exactly one AttackStrategy per scenario: the Fig 8
-// defended attack, every fleet census device, and every defense-matrix cell.
-// Each strategy owns its apps and decides per step what to issue next,
+// experiment::Drive steps exactly one AttackStrategy per scenario: the
+// undefended floods of Figs 3, 5 and 6 and Table IV, the Fig 8 defended
+// attack, every fleet census device, and every defense-matrix cell; benches
+// and tests that interleave several attackers step them by hand. Each
+// strategy owns its apps and decides per step what to issue next,
 // reacting to what the system shows it (victim table occupancy, denials,
 // process deaths):
 //
@@ -98,8 +100,9 @@ class AttackStrategy {
 
   // Issues the next move: usually one IPC call plus pacing, advancing the
   // virtual clock. Returns false when the strategy is finished — without a
-  // move if every issuer is dead or the call budget is spent, or after this
-  // move if it spent the denial budget.
+  // move if every issuer is dead, the call budget is spent, or (flood) an
+  // app-hosted victim has aborted, or after this move if it spent the
+  // denial budget.
   virtual bool Step(core::AndroidSystem& system) = 0;
 
   const StrategyStats& stats() const { return stats_; }

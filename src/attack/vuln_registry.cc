@@ -1,6 +1,9 @@
 #include "attack/vuln_registry.h"
 
+#include <set>
+
 #include "common/strings.h"
+#include "core/android_system.h"
 #include "services/activity_service.h"
 #include "services/app_services.h"
 #include "services/audio_service.h"
@@ -495,6 +498,14 @@ const VulnSpec* FindVulnerability(const std::string& service,
     if (spec.service == service && spec.interface == interface) return &spec;
   }
   return nullptr;
+}
+
+services::AppProcess* InstallAttackApp(core::AndroidSystem* system,
+                                       const std::string& package,
+                                       const VulnSpec& vuln) {
+  std::set<std::string> permissions;
+  if (!vuln.permission.empty()) permissions.insert(vuln.permission);
+  return system->InstallApp(package, permissions);
 }
 
 }  // namespace jgre::attack

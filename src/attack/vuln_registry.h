@@ -17,6 +17,10 @@
 #include "binder/parcel.h"
 #include "services/app.h"
 
+namespace jgre::core {
+class AndroidSystem;
+}  // namespace jgre::core
+
 namespace jgre::attack {
 
 enum class Protection {
@@ -40,7 +44,7 @@ struct VulnSpec {
   std::string permission;     // required permission ("" = none)
   Protection protection = Protection::kNone;
   VictimKind victim = VictimKind::kSystemServer;
-  std::string victim_package;  // for app victims
+  std::string victim_package;  // for app victims; "" for system_server
   // JGRs pinned in the victim per successful call (proxy + death recipient
   // [+ session]); used by benches to predict call budgets.
   int jgrs_per_call = 2;
@@ -61,6 +65,11 @@ const std::vector<VulnSpec>& ThirdPartyVulnerabilities();
 // Lookup by "service.interface" (e.g. "wifi.acquireWifiLock").
 const VulnSpec* FindVulnerability(const std::string& service,
                                   const std::string& interface);
+
+// Installs an attack app pre-granted whatever permission `vuln` demands.
+services::AppProcess* InstallAttackApp(core::AndroidSystem* system,
+                                       const std::string& package,
+                                       const VulnSpec& vuln);
 
 }  // namespace jgre::attack
 

@@ -208,6 +208,21 @@ std::size_t AndroidSystem::SystemServerJgrCount() {
   return runtime == nullptr ? 0 : runtime->JgrCount();
 }
 
+std::size_t AndroidSystem::JgrCountOf(const std::string& package) {
+  if (package.empty()) return SystemServerJgrCount();
+  services::AppProcess* victim = FindApp(package);
+  if (victim == nullptr || !victim->alive() || victim->runtime() == nullptr) {
+    return 0;
+  }
+  return victim->runtime()->JgrCount();
+}
+
+bool AndroidSystem::VictimDown(const std::string& package) {
+  if (package.empty()) return soft_reboots_seen_ > 0;
+  services::AppProcess* victim = FindApp(package);
+  return victim == nullptr || !victim->alive();
+}
+
 services::AppProcess* AndroidSystem::InstallApp(
     const std::string& package, const std::set<std::string>& permissions) {
   const Uid uid{next_app_uid_++};

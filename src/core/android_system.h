@@ -85,6 +85,13 @@ class AndroidSystem {
   rt::Runtime* system_runtime() { return context_.system_runtime(); }
   std::size_t SystemServerJgrCount();
 
+  // The victim probes: `package` names an app-hosted victim, "" means
+  // system_server. JgrCountOf reads 0 once an app victim is dead.
+  // VictimDown is true once the system has soft-rebooted, or once the app
+  // victim's process is gone.
+  std::size_t JgrCountOf(const std::string& package);
+  bool VictimDown(const std::string& package);
+
   // Typed service lookup for tests/benches, e.g. Service<ClipboardService>().
   template <typename T>
   T* Service() {

@@ -85,22 +85,10 @@ Verdict JgreVerifier::RunProbe(const analysis::AnalyzedInterface& iface,
     return verdict;
   }
 
-  auto victim_jgr = [&]() -> std::size_t {
-    if (!iface.app_hosted) return system.SystemServerJgrCount();
-    services::AppProcess* victim = system.FindApp(iface.package);
-    if (victim == nullptr || !victim->alive() || victim->runtime() == nullptr) {
-      return 0;
-    }
-    return victim->runtime()->JgrCount();
-  };
-  auto victim_down = [&]() {
-    if (!iface.app_hosted) return system.soft_reboots() > 0;
-    services::AppProcess* victim = system.FindApp(iface.package);
-    return victim == nullptr || !victim->alive();
-  };
+  const std::string victim = iface.app_hosted ? iface.package : "";
 
   system.CollectAllGarbage();
-  const std::size_t baseline = victim_jgr();
+  const std::size_t baseline = system.JgrCountOf(victim);
   verdict.tested = true;
 
   for (int i = 0; i < options_.max_calls; ++i) {
@@ -117,7 +105,7 @@ Verdict JgreVerifier::RunProbe(const analysis::AnalyzedInterface& iface,
       // DDMS-triggered GC: transient references must not count as growth.
       system.CollectAllGarbage();
     }
-    if (victim_down()) {
+    if (system.VictimDown(victim)) {
       verdict.victim_aborted = true;
       verdict.exploitable = true;
       break;
@@ -125,16 +113,17 @@ Verdict JgreVerifier::RunProbe(const analysis::AnalyzedInterface& iface,
     // Early exit: growth already flat after the probe window => bounded.
     if (i + 1 == options_.probe_calls) {
       system.CollectAllGarbage();
-      const double growth =
-          (static_cast<double>(victim_jgr()) - static_cast<double>(baseline)) /
-          static_cast<double>(i + 1);
+      const double growth = (static_cast<double>(system.JgrCountOf(victim)) -
+                             static_cast<double>(baseline)) /
+                            static_cast<double>(i + 1);
       if (growth < options_.growth.bounded_jgr_per_call) break;
     }
   }
   if (!verdict.victim_aborted && verdict.calls_issued > 0) {
     system.CollectAllGarbage();
     verdict.jgr_growth_per_call =
-        (static_cast<double>(victim_jgr()) - static_cast<double>(baseline)) /
+        (static_cast<double>(system.JgrCountOf(victim)) -
+         static_cast<double>(baseline)) /
         static_cast<double>(verdict.calls_issued);
     verdict.exploitable =
         verdict.jgr_growth_per_call >= options_.growth.exploitable_jgr_per_call;

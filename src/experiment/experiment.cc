@@ -23,7 +23,8 @@ bool AllIssuersDead(core::AndroidSystem& system,
 }  // namespace
 
 DriveResult Drive(sim::DeviceSim& device, attack::AttackStrategy* attacker,
-                  StopRule rule, TimeUs deadline_us) {
+                  StopRule rule, TimeUs deadline_us,
+                  const StepObserver& on_step) {
   core::AndroidSystem& system = device.system();
   SimClock& clock = system.clock();
   const defense::JgreDefender* defender = device.defender();
@@ -38,7 +39,12 @@ DriveResult Drive(sim::DeviceSim& device, attack::AttackStrategy* attacker,
       break;
     }
     if (attacking) {
+      const TimeUs step_start = clock.NowUs();
+      const int calls_before = attacker->stats().calls_issued;
       attacking = attacker->Step(system);
+      if (on_step && attacker->stats().calls_issued != calls_before) {
+        on_step(step_start);
+      }
       if (!attacking && first_incident) break;
     } else if (first_incident) {
       const TimeUs next = std::min(device.NextBenignDue(), deadline_us);

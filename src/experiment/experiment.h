@@ -5,9 +5,10 @@
 // detects, ranks and kills it. Drive() is the only loop that runs that
 // shape. Each turn it steps the attack::AttackStrategy, fires the benign
 // interactions that are due, and checks for a soft reboot. Its callers
-// differ only in the StopRule: Experiment::RunDefendedAttack (Fig 8) and
-// fleet::RunDeviceScenario (a census device) use kFirstIncident, and
-// arms::MatrixRunner (a matrix cell) uses kHorizon.
+// differ only in the StopRule: Experiment::RunDefendedAttack (Fig 8),
+// fleet::RunDeviceScenario (a census device) and the undefended floods of
+// Figs 3, 5 and 6 and Table IV use kFirstIncident, and arms::MatrixRunner
+// (a matrix cell) uses kHorizon.
 //
 //   sim::DeviceSpec spec;
 //   spec.WithSeed(42).WithBenignApps(10).WithAttack(vuln).WithDefense();
@@ -15,6 +16,8 @@
 //   auto result = experiment::Experiment(*device).RunDefendedAttack();
 #ifndef JGRE_EXPERIMENT_EXPERIMENT_H_
 #define JGRE_EXPERIMENT_EXPERIMENT_H_
+
+#include <functional>
 
 #include "attack/strategy.h"
 #include "common/types.h"
@@ -42,11 +45,17 @@ struct DriveResult {
   DurationUs virtual_duration_us = 0;
 };
 
+// Called after every attacker step that issued a call, with the virtual
+// time the step started: a bench samples the victim (Fig 3's curve and
+// peak) or times the call (Figs 5 and 6) here.
+using StepObserver = std::function<void(TimeUs step_start_us)>;
+
 // Steps `attacker` (null: benign apps only), already set up on `device`,
 // until `rule` says stop, the device soft-reboots, or the virtual clock
 // reaches `deadline_us`.
 DriveResult Drive(sim::DeviceSim& device, attack::AttackStrategy* attacker,
-                  StopRule rule, TimeUs deadline_us);
+                  StopRule rule, TimeUs deadline_us,
+                  const StepObserver& on_step = {});
 
 struct DefendedAttackResult {
   bool incident = false;

@@ -28,24 +28,10 @@ ExecOutcome SequenceExecutor::Run(core::AndroidSystem& system,
     services::AppProcess* victim = system.FindApp(victim_package);
     return victim != nullptr ? victim->pid() : Pid();
   };
-  const auto victim_jgr = [&]() -> std::int64_t {
-    if (victim_package.empty()) {
-      return static_cast<std::int64_t>(system.SystemServerJgrCount());
-    }
-    services::AppProcess* victim = system.FindApp(victim_package);
-    if (victim == nullptr || !victim->alive() || victim->runtime() == nullptr) {
-      return 0;
-    }
-    return static_cast<std::int64_t>(victim->runtime()->JgrCount());
-  };
-  const auto victim_down = [&]() {
-    if (victim_package.empty()) return system.soft_reboots() > 0;
-    services::AppProcess* victim = system.FindApp(victim_package);
-    return victim == nullptr || !victim->alive();
-  };
 
   system.CollectAllGarbage();
-  out.obs.jgr_before = victim_jgr();
+  out.obs.jgr_before =
+      static_cast<std::int64_t>(system.JgrCountOf(victim_package));
   out.obs.fd_before = system.kernel().OpenFdCount(victim_pid());
 
   // Coverage rides the bus only while the sequence runs: baseline-taking and
@@ -165,7 +151,7 @@ ExecOutcome SequenceExecutor::Run(core::AndroidSystem& system,
     }
     (void)status;  // rejections (permission, caps, bad args) are signal too
     ++out.obs.calls;
-    if (victim_down()) {
+    if (system.VictimDown(victim_package)) {
       out.obs.victim_aborted = true;
       break;
     }
@@ -176,7 +162,8 @@ ExecOutcome SequenceExecutor::Run(core::AndroidSystem& system,
 
   if (!out.obs.victim_aborted) {
     system.CollectAllGarbage();
-    out.obs.jgr_after = victim_jgr();
+    out.obs.jgr_after =
+        static_cast<std::int64_t>(system.JgrCountOf(victim_package));
     out.obs.fd_after = system.kernel().OpenFdCount(victim_pid());
   } else {
     out.obs.jgr_after = out.obs.jgr_before;

@@ -1,7 +1,7 @@
 // Tests for the arms-race layer: mitigation policies (quota charge/decay,
 // rate-limit refill, backoff time tax), the MitigationStack's driver seam
-// and denial attribution, strategy construction, the MaliciousApp
-// denial-stop integration, the weak-table leak channel, and the matrix
+// and denial attribution, strategy construction, the flood's
+// consecutive-denial stop, the weak-table leak channel, and the matrix
 // runner's determinism contract.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "arms/matrix.h"
 #include "arms/mitigation.h"
-#include "attack/malicious_app.h"
 #include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "common/clock.h"
@@ -144,8 +143,6 @@ TEST(PerInterfaceRateLimitTest, BucketRefillsWithVirtualTime) {
 TEST(MitigationStackTest, GatesAppCallsAndAttributesDenials) {
   core::AndroidSystem system;
   system.Boot();
-  services::AppProcess* app = system.InstallApp("com.test.caller");
-  ASSERT_NE(app, nullptr);
 
   MitigationStack::Config config;
   config.victim = system.system_server_pid();
@@ -166,24 +163,24 @@ TEST(MitigationStackTest, GatesAppCallsAndAttributesDenials) {
     }
   }
   ASSERT_NE(chosen, nullptr);
-  attack::MaliciousApp attacker(&system, app, *chosen);
+  auto attacker =
+      attack::MakeFlood(attack::AttackPlan{}, *chosen, "com.test.caller");
+  ASSERT_TRUE(attacker->Setup(system).ok());
+  services::AppProcess* app = system.FindApp("com.test.caller");
+  ASSERT_NE(app, nullptr);
 
   // Burst of 2 admitted, the rest denied with per-UID attribution.
-  int denied = 0;
-  for (int i = 0; i < 6; ++i) {
-    if (attacker.Step().code() == StatusCode::kLimitExceeded) ++denied;
-  }
-  EXPECT_EQ(denied, 4);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(attacker->Step(system));
+  EXPECT_EQ(attacker->stats().calls_issued, 6);
+  EXPECT_EQ(attacker->stats().calls_denied, 4);
   EXPECT_EQ(stack.total_denied(), 4);
   EXPECT_EQ(stack.DeniedForUid(app->uid()), 4);
   EXPECT_EQ(stack.denied_by_policy().at("per_interface_rate_limit"), 4);
 }
 
-TEST(MitigationStackTest, MaliciousAppStopsOnConsecutiveDenials) {
+TEST(MitigationStackTest, FloodStopsOnConsecutiveDenials) {
   core::AndroidSystem system;
   system.Boot();
-  services::AppProcess* app = system.InstallApp("com.test.stopper");
-  ASSERT_NE(app, nullptr);
 
   MitigationStack::Config config;
   config.victim = system.system_server_pid();
@@ -203,15 +200,19 @@ TEST(MitigationStackTest, MaliciousAppStopsOnConsecutiveDenials) {
     }
   }
   ASSERT_NE(chosen, nullptr);
-  attack::MaliciousApp attacker(&system, app, *chosen);
-  attack::MaliciousApp::RunOptions options;
-  options.max_calls = 10'000;
-  options.stop_after_consecutive_denials = 16;
-  const attack::MaliciousApp::AttackResult result = attacker.Run(options);
+  attack::AttackPlan plan;
+  plan.max_calls = 10'000;
+  plan.stop_after_consecutive_denials = 16;
+  auto attacker = attack::MakeFlood(plan, *chosen, "com.test.stopper");
+  ASSERT_TRUE(attacker->Setup(system).ok());
+  while (attacker->Step(system)) {
+  }
+  const attack::StrategyStats& result = attacker->stats();
 
   EXPECT_TRUE(result.stopped_by_denial);
+  EXPECT_EQ(result.consecutive_denied, 16);
   EXPECT_GE(result.calls_denied, 16);
-  // Far fewer than the budget: the attacker gave up, not timed out.
+  // Far fewer than the budget: the attacker gave up, not ran out of calls.
   EXPECT_LT(result.calls_issued, 1'000);
   EXPECT_EQ(system.soft_reboots(), 0);
 }

@@ -6,9 +6,13 @@
 #include <set>
 
 #include "attack/benign_workload.h"
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
+#include "common/stats.h"
 #include "core/android_system.h"
+#include "experiment/experiment.h"
+#include "services/ipc_client.h"
+#include "sim/device.h"
 
 namespace jgre {
 namespace {
@@ -59,7 +63,7 @@ TEST(VulnRegistryTest, LookupByServiceAndInterface) {
   EXPECT_EQ(attack::ThirdPartyVulnerabilities().size(), 3u);
 }
 
-TEST(MaliciousAppTest, PermissionGatedAttackFailsWithoutGrant) {
+TEST(AttackerTest, PermissionGatedAttackFailsWithoutGrant) {
   core::AndroidSystem system;
   system.Boot();
   const auto* vuln =
@@ -67,10 +71,18 @@ TEST(MaliciousAppTest, PermissionGatedAttackFailsWithoutGrant) {
   ASSERT_NE(vuln, nullptr);
   // Deliberately install WITHOUT the dangerous permission.
   services::AppProcess* evil = system.InstallApp("com.evil.noperm");
-  attack::MaliciousApp attacker(&system, evil, *vuln);
-  auto result = attacker.Run();
-  EXPECT_FALSE(result.succeeded);
-  EXPECT_EQ(result.calls_failed, result.calls_issued);
+  auto client = evil->GetService(vuln->service, vuln->descriptor);
+  ASSERT_TRUE(client.ok());
+  system.CollectAllGarbage();
+  const std::size_t before = system.SystemServerJgrCount();
+  for (int i = 0; i < 100; ++i) {
+    const Status status = client.value().Call(
+        vuln->code, [&](binder::Parcel& p) { vuln->write_args(*evil, p); });
+    ASSERT_EQ(status.code(), StatusCode::kPermissionDenied) << i;
+  }
+  system.CollectAllGarbage();
+  EXPECT_LE(system.SystemServerJgrCount(), before);
+  EXPECT_FALSE(system.VictimDown(""));
   EXPECT_EQ(system.soft_reboots(), 0);
 }
 
@@ -83,18 +95,20 @@ TEST_P(ExploitabilityTest, LeaksDeclaredJgrsPerCall) {
       attack::AllVulnerabilities()[static_cast<std::size_t>(GetParam())];
   core::AndroidSystem system;
   system.Boot();
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", vuln);
-  attack::MaliciousApp attacker(&system, evil, vuln);
+  auto attacker = attack::MakeFlood(attack::AttackPlan{}, vuln, "com.evil.app");
+  ASSERT_TRUE(attacker->Setup(system).ok());
   system.CollectAllGarbage();
-  const std::size_t before = attacker.VictimJgrCount();
+  // victim_package is "" (system_server) for system-service vulnerabilities.
+  const std::size_t before = system.JgrCountOf(vuln.victim_package);
   constexpr int kCalls = 200;
   for (int i = 0; i < kCalls; ++i) {
-    ASSERT_TRUE(attacker.Step().ok()) << vuln.service << "." << vuln.interface;
+    ASSERT_TRUE(attacker->Step(system));
+    ASSERT_EQ(attacker->stats().calls_ok, i + 1)
+        << vuln.service << "." << vuln.interface;
   }
   system.CollectAllGarbage();
   const double growth_per_call =
-      (static_cast<double>(attacker.VictimJgrCount()) -
+      (static_cast<double>(system.JgrCountOf(vuln.victim_package)) -
        static_cast<double>(before)) /
       kCalls;
   EXPECT_NEAR(growth_per_call, vuln.jgrs_per_call, 0.35)
@@ -145,24 +159,51 @@ TEST(BenignWorkloadTest, ChattyLoopCreatesNoRetainedJgrs) {
   EXPECT_LE(system.SystemServerJgrCount(), before + 2);
 }
 
-TEST(MaliciousAppTest, AttackCurveIsMonotonicallyIncreasing) {
-  core::AndroidSystem system;
-  system.Boot();
+TEST(AttackerTest, AttackCurveIsMonotonicallyIncreasing) {
   const auto* vuln = attack::FindVulnerability("mount", "registerListener");
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", *vuln);
-  attack::MaliciousApp attacker(&system, evil, *vuln);
-  attack::MaliciousApp::RunOptions options;
-  options.max_calls = 3000;
-  options.stop_on_victim_abort = false;
-  options.sample_every_calls = 100;
-  auto result = attacker.Run(options);
-  const auto& points = result.jgr_curve.points();
+  ASSERT_NE(vuln, nullptr);
+  sim::DeviceSpec spec;
+  spec.WithAttack(*vuln).WithMaxAttackerCalls(3000);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  const attack::AttackStrategy& attacker = *device->attacker();
+  TimeSeries curve("victim_jgr");
+  curve.Add(system.clock().NowUs(),
+            static_cast<double>(system.SystemServerJgrCount()));
+  (void)experiment::Drive(
+      *device, device->attacker(), experiment::StopRule::kFirstIncident,
+      system.clock().NowUs() + 4'000'000'000ULL, [&](TimeUs) {
+        if (attacker.stats().calls_issued % 100 == 0) {
+          curve.Add(system.clock().NowUs(),
+                    static_cast<double>(system.SystemServerJgrCount()));
+        }
+      });
+  EXPECT_EQ(attacker.stats().calls_issued, 3000);
+  const auto& points = curve.points();
   ASSERT_GT(points.size(), 10u);
   for (std::size_t i = 1; i < points.size(); ++i) {
     EXPECT_GE(points[i].second + 1, points[i - 1].second);
     EXPECT_GE(points[i].first, points[i - 1].first);
   }
+}
+
+TEST(AttackerTest, FloodStopsWhenItsAppVictimDies) {
+  // Table IV's PicoTts row: the app's own table overflows, the app aborts,
+  // and the flood stops there instead of spending the rest of its budget.
+  const auto* vuln = attack::FindVulnerability("picotts", "setCallback");
+  ASSERT_NE(vuln, nullptr);
+  sim::DeviceSpec spec;
+  spec.WithSeed(42).WithAttack(*vuln).WithMaxAttackerCalls(200'000);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  const experiment::DriveResult result = experiment::Drive(
+      *device, device->attacker(), experiment::StopRule::kFirstIncident,
+      system.clock().NowUs() + 4'000'000'000ULL);
+  EXPECT_TRUE(system.VictimDown("com.svox.pico"));
+  EXPECT_FALSE(result.soft_rebooted);
+  EXPECT_EQ(system.soft_reboots(), 0);
+  EXPECT_FALSE(result.attacker_killed);
+  EXPECT_EQ(device->attacker()->stats().calls_issued, 12'755);
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 // GC cadence, third-party app installation.
 #include <gtest/gtest.h>
 
-#include "attack/malicious_app.h"
+#include <limits>
+
 #include "attack/vuln_registry.h"
 #include "core/android_system.h"
 #include "core/market_apps.h"
+#include "experiment/experiment.h"
 #include "services/audio_service.h"
+#include "sim/device.h"
 
 namespace jgre {
 namespace {
@@ -50,17 +53,18 @@ TEST(CoreTest, RelaunchKeepsUidChangesPid) {
 }
 
 TEST(CoreTest, SoftRebootRestoresAllServicesWithFreshState) {
-  core::AndroidSystem system;
-  system.Boot();
-  const std::size_t services_before =
-      system.service_manager().ServiceCount();
   const auto* vuln =
       attack::FindVulnerability("audio", "startWatchingRoutes");
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", *vuln);
-  attack::MaliciousApp attacker(&system, evil, *vuln);
-  auto result = attacker.Run();
-  ASSERT_TRUE(result.succeeded);
+  sim::DeviceSpec spec;
+  spec.WithAttack(*vuln).WithMaxAttackerCalls(200'000);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  const std::size_t services_before =
+      system.service_manager().ServiceCount();
+  const experiment::DriveResult result = experiment::Drive(
+      *device, device->attacker(), experiment::StopRule::kFirstIncident,
+      std::numeric_limits<TimeUs>::max());
+  ASSERT_TRUE(result.soft_rebooted);
   EXPECT_EQ(system.soft_reboots(), 1);
   // Same census, fresh JGR table, prebuilt apps relaunched.
   EXPECT_EQ(system.service_manager().ServiceCount(), services_before);
@@ -105,19 +109,22 @@ TEST(CoreTest, PumpRunsPeriodicGcAcrossTransactions) {
 }
 
 TEST(CoreTest, ThirdPartyVulnerableAppsInstallAndServe) {
-  core::AndroidSystem system;
-  system.Boot();
-  core::InstallThirdPartyVulnerableApps(system);
+  const auto& vulns = attack::ThirdPartyVulnerabilities();
+  // The Google TTS attack aborts com.google.android.tts, not the system.
+  sim::DeviceSpec spec;
+  spec.WithAttack(vulns[0]).WithMaxAttackerCalls(200'000);
+  const sim::DeviceFactory factory(spec);
+  std::unique_ptr<core::AndroidSystem> booted = factory.BootPrefix();
+  core::InstallThirdPartyVulnerableApps(*booted);
+  auto device = factory.CreateDeviceOn(std::move(booted));
+  core::AndroidSystem& system = device->system();
   for (const char* name : {"googletts", "supernetvpn", "snapmovie"}) {
     EXPECT_TRUE(system.service_manager().HasService(name)) << name;
   }
-  const auto& vulns = attack::ThirdPartyVulnerabilities();
-  // The Google TTS attack aborts com.google.android.tts, not the system.
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", vulns[0]);
-  attack::MaliciousApp attacker(&system, evil, vulns[0]);
-  auto result = attacker.Run();
-  EXPECT_TRUE(result.succeeded);
+  (void)experiment::Drive(*device, device->attacker(),
+                          experiment::StopRule::kFirstIncident,
+                          std::numeric_limits<TimeUs>::max());
+  EXPECT_TRUE(system.VictimDown(vulns[0].victim_package));
   EXPECT_EQ(system.soft_reboots(), 0);
   EXPECT_FALSE(system.FindApp("com.google.android.tts")->alive());
 }

@@ -3,8 +3,10 @@
 // trust boundary of the IPC log.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "attack/benign_workload.h"
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "common/rng.h"
 #include "core/android_system.h"
@@ -13,8 +15,10 @@
 #include "defense/jgre_defender.h"
 #include "defense/monitor_hub.h"
 #include "defense/scoring.h"
+#include "experiment/experiment.h"
 #include "obs/event.h"
 #include "obs/event_bus.h"
+#include "sim/device.h"
 
 namespace jgre {
 namespace {
@@ -254,16 +258,18 @@ class DefensePerVulnTest : public ::testing::TestWithParam<int> {};
 TEST_P(DefensePerVulnTest, DefenderStopsTheAttackBeforeOverflow) {
   const attack::VulnSpec& vuln =
       attack::AllVulnerabilities()[static_cast<std::size_t>(GetParam())];
-  core::AndroidSystem system;
-  system.Boot();
-  defense::JgreDefender defender(&system);
-  defender.Install();
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", vuln);
-  attack::MaliciousApp attacker(&system, evil, vuln);
-  auto result = attacker.Run();
+  sim::DeviceSpec spec;
+  spec.WithAttack(vuln).WithMaxAttackerCalls(200'000).WithDefense();
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  const defense::JgreDefender& defender = *device->defender();
+  services::AppProcess* evil = system.FindApp(spec.attack_package());
+  const experiment::DefendedAttackResult result =
+      experiment::Experiment(*device).RunDefendedAttack();
 
-  EXPECT_FALSE(result.succeeded) << vuln.service << "." << vuln.interface;
+  EXPECT_FALSE(result.soft_rebooted) << vuln.service << "." << vuln.interface;
+  EXPECT_FALSE(system.VictimDown(vuln.victim_package))
+      << vuln.service << "." << vuln.interface;
   EXPECT_EQ(system.soft_reboots(), 0);
   ASSERT_EQ(defender.incidents().size(), 1u);
   const auto& incident = defender.incidents().front();
@@ -295,23 +301,22 @@ TEST(DefenseTest, CollusionIsFullyIdentified) {
   system.Boot();
   defense::JgreDefender defender(&system);
   defender.Install();
-  std::vector<std::unique_ptr<attack::MaliciousApp>> attackers;
+  std::vector<std::unique_ptr<attack::AttackStrategy>> attackers;
   for (int i = 0; i < 3; ++i) {
     const char* targets[][2] = {{"clipboard", "addPrimaryClipChangedListener"},
                                 {"audio", "startWatchingRoutes"},
                                 {"window", "watchRotation"}};
     const auto* vuln =
         attack::FindVulnerability(targets[i][0], targets[i][1]);
-    auto* app = attack::InstallAttackApp(
-        &system, "com.colluder" + std::to_string(i), *vuln);
-    attackers.push_back(
-        std::make_unique<attack::MaliciousApp>(&system, app, *vuln));
+    attackers.push_back(attack::MakeFlood(attack::AttackPlan{}, *vuln,
+                                          "com.colluder" + std::to_string(i)));
+    ASSERT_TRUE(attackers.back()->Setup(system).ok());
   }
   Rng rng(3);
   int rounds = 0;
   while (defender.incidents().empty() && rounds++ < 20'000) {
     for (auto& attacker : attackers) {
-      if (attacker->app()->alive()) (void)attacker->Step();
+      (void)attacker->Step(system);  // a killed colluder issues nothing
       system.clock().AdvanceUs(rng.UniformU64(1200));
     }
   }
@@ -319,7 +324,10 @@ TEST(DefenseTest, CollusionIsFullyIdentified) {
   const auto& incident = defender.incidents().front();
   EXPECT_TRUE(incident.recovered);
   EXPECT_EQ(incident.killed_packages.size(), 3u);
-  for (auto& attacker : attackers) EXPECT_FALSE(attacker->app()->alive());
+  for (auto& attacker : attackers) {
+    const std::string package = attacker->attacker_packages().front();
+    EXPECT_FALSE(system.FindApp(package)->alive()) << package;
+  }
   EXPECT_LE(system.SystemServerJgrCount(), defender.config().recovery_target);
 }
 
@@ -336,32 +344,32 @@ TEST(DefenseTest, ProcfsLogIsSystemOnly) {
 }
 
 TEST(DefenseTest, DefenderReattachesAfterSoftReboot) {
-  core::AndroidSystem system;
-  system.Boot();
   // Report threshold too high to stop the first attack: the system reboots,
   // and the defender must protect the NEW system_server incarnation.
   defense::JgreDefender::Config config;
   config.monitor.report_threshold = 100'000;
-  defense::JgreDefender weak_defender(&system, config);
-  weak_defender.Install();
   const auto* vuln =
       attack::FindVulnerability("clipboard", "addPrimaryClipChangedListener");
-  {
-    services::AppProcess* evil =
-        attack::InstallAttackApp(&system, "com.evil.one", *vuln);
-    attack::MaliciousApp attacker(&system, evil, *vuln);
-    auto result = attacker.Run();
-    EXPECT_TRUE(result.succeeded);
-    EXPECT_EQ(system.soft_reboots(), 1);
-  }
+  sim::DeviceSpec spec;
+  spec.WithAttack(*vuln).WithMaxAttackerCalls(200'000).WithDefenderConfig(
+      config);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  defense::JgreDefender& weak_defender = *device->defender();
+  const experiment::DriveResult result = experiment::Drive(
+      *device, device->attacker(), experiment::StopRule::kFirstIncident,
+      std::numeric_limits<TimeUs>::max());
+  EXPECT_TRUE(result.soft_rebooted);
+  EXPECT_EQ(system.soft_reboots(), 1);
   // After the reboot the monitor must be live on the new runtime: drive the
   // new system_server past the alarm threshold and verify recording starts.
   defense::JgrMonitor* monitor = weak_defender.MonitorFor("system_server");
   ASSERT_NE(monitor, nullptr);
   EXPECT_FALSE(monitor->recording());
-  services::AppProcess* evil2 = system.InstallApp("com.evil.two");
-  attack::MaliciousApp attacker2(&system, evil2, *vuln);
-  for (int i = 0; i < 2000; ++i) (void)attacker2.Step();
+  auto attacker2 =
+      attack::MakeFlood(attack::AttackPlan{}, *vuln, "com.evil.two");
+  ASSERT_TRUE(attacker2->Setup(system).ok());
+  for (int i = 0; i < 2000; ++i) (void)attacker2->Step(system);
   EXPECT_TRUE(monitor->recording());
 }
 

@@ -9,11 +9,14 @@
 // traces.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "attack/benign_workload.h"
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "common/rng.h"
 #include "core/android_system.h"
@@ -23,6 +26,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/event_bus.h"
 #include "obs/trace.h"
+#include "services/ipc_client.h"
 #include "sim/device.h"
 
 namespace jgre {
@@ -57,13 +61,12 @@ MonitoredRun RunMonitored() {
                               monitor_config);
   system.kernel().bus().Subscribe(&monitor, obs::MaskOf(obs::Category::kJgr),
                                   system.system_server_pid().value());
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", Toast());
-  attack::MaliciousApp attacker(&system, evil, Toast());
-  attack::MaliciousApp::RunOptions options;
-  options.max_calls = 800;
-  options.sample_every_calls = 0;
-  (void)attacker.Run(options);
+  attack::AttackPlan plan;
+  plan.max_calls = 800;
+  auto attacker = attack::MakeFlood(plan, Toast(), "com.evil.app");
+  EXPECT_TRUE(attacker->Setup(system).ok());
+  while (attacker->Step(system)) {
+  }
   MonitoredRun out;
   out.events = monitor.events();
   out.alarm_at = monitor.alarm_at();
@@ -160,11 +163,23 @@ TEST(DeviceFactoryTest, MatchesHandRolledSetupByteForByte) {
     }
     services::AppProcess* evil =
         attack::InstallAttackApp(&system, "com.evil.app", vuln);
-    attack::MaliciousApp attacker(&system, evil, vuln);
+    // The attacker's calls, issued by hand: resolve the service on first
+    // use and again after DEAD_OBJECT.
+    services::IpcClient client;
     const TimeUs start = system.clock().NowUs();
     while (defender.incidents().empty() && legacy.attacker_calls < 60'000) {
       if (!evil->alive()) break;
-      (void)attacker.Step();
+      if (!client.valid()) {
+        auto resolved = evil->GetService(vuln.service, vuln.descriptor);
+        if (resolved.ok()) client = std::move(resolved).value();
+      }
+      if (client.valid()) {
+        const Status status = client.Call(
+            vuln.code, [&](binder::Parcel& p) { vuln.write_args(*evil, p); });
+        if (status.code() == StatusCode::kUnavailable) {
+          client = services::IpcClient();
+        }
+      }
       ++legacy.attacker_calls;
       const TimeUs now = system.clock().NowUs();
       for (std::size_t i = 0; i < next_benign.size(); ++i) {
@@ -224,6 +239,80 @@ TEST(DeviceFactoryTest, TracingDoesNotPerturbTheSimulation) {
   EXPECT_EQ(plain.attacker_calls, traced.attacker_calls);
   EXPECT_EQ(plain.virtual_duration_us, traced.virtual_duration_us);
   EXPECT_EQ(plain.report.identified_at, traced.report.identified_at);
+}
+
+// --- Drive's per-step observer ---------------------------------------------
+
+TEST(DriveObserverTest, SeesEveryIssuedCallWithItsStartTime) {
+  sim::DeviceSpec spec;
+  spec.WithSeed(5).WithAttack(Toast()).WithMaxAttackerCalls(300);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  const SimClock& clock = device->system().clock();
+  const attack::AttackStrategy& attacker = *device->attacker();
+  // No benign apps and no think time: each call starts where the last ended.
+  TimeUs last_end = clock.NowUs();
+  int observed = 0;
+  (void)experiment::Drive(
+      *device, device->attacker(), experiment::StopRule::kFirstIncident,
+      std::numeric_limits<TimeUs>::max(), [&](TimeUs step_start_us) {
+        ++observed;
+        EXPECT_EQ(attacker.stats().calls_issued, observed);
+        EXPECT_EQ(step_start_us, last_end);
+        EXPECT_GT(clock.NowUs(), step_start_us);
+        last_end = clock.NowUs();
+      });
+  EXPECT_EQ(observed, 300);
+}
+
+TEST(DriveObserverTest, ParkedDripStepsAreNotObserved) {
+  sim::DeviceSpec spec;
+  spec.WithSeed(5);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  attack::AttackPlan plan;
+  plan.name = "sub_alarm_drip";
+  // A ceiling 64 JGRs above the boot footprint: the drip parks after a few
+  // dozen calls, then idles in 10 ms steps.
+  plan.alarm_margin = 0;
+  plan.assumed_alarm_threshold = system.SystemServerJgrCount() + 64;
+  std::unique_ptr<attack::AttackStrategy> drip = attack::MakeStrategy(plan);
+  ASSERT_TRUE(drip->Setup(system).ok());
+  int observed = 0;
+  (void)experiment::Drive(*device, drip.get(), experiment::StopRule::kHorizon,
+                          system.clock().NowUs() + 2'000'000,
+                          [&](TimeUs) { ++observed; });
+  EXPECT_GT(observed, 0);
+  EXPECT_EQ(observed, drip->stats().calls_issued);
+  // Unparked, 2 s at 384 adds/s would be ~380 calls: most steps parked.
+  EXPECT_LT(observed, 100);
+}
+
+TEST(DriveObserverTest, ObservingDoesNotPerturbTheDrive) {
+  const attack::VulnSpec* clipboard =
+      attack::FindVulnerability("clipboard", "addPrimaryClipChangedListener");
+  ASSERT_NE(clipboard, nullptr);
+  const auto run = [clipboard](bool observe) {
+    // The defender stops the flood within ~15 s; the drive then idles on to
+    // the 30 s horizon.
+    sim::DeviceSpec spec;
+    spec.WithSeed(9).WithBenignApps(3).WithAttack(*clipboard).WithDefense();
+    auto device = sim::DeviceFactory(spec).CreateDevice();
+    core::AndroidSystem& system = device->system();
+    int observed = 0;
+    experiment::StepObserver on_step;
+    if (observe) on_step = [&](TimeUs) { ++observed; };
+    const experiment::DriveResult result = experiment::Drive(
+        *device, device->attacker(), experiment::StopRule::kHorizon,
+        system.clock().NowUs() + 30'000'000, on_step);
+    EXPECT_TRUE(result.incident);
+    EXPECT_TRUE(result.attacker_killed);
+    EXPECT_EQ(observed, observe ? device->attacker()->stats().calls_issued : 0);
+    return std::make_tuple(result.soft_rebooted, result.incident,
+                           result.attacker_killed, result.virtual_duration_us,
+                           system.clock().NowUs(),
+                           device->attacker()->stats().calls_issued);
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 TEST(ExperimentTraceTest, IdenticalRunsYieldIdenticalTraceBytes) {

@@ -6,12 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "analysis/pipeline.h"
-#include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
 #include "core/android_system.h"
 #include "defense/jgre_defender.h"
 #include "defense/scoring.h"
 #include "model/corpus.h"
+#include "services/ipc_client.h"
 #include "services/safe_service.h"
 
 namespace jgre {
@@ -229,10 +229,16 @@ TEST(MultiPathScoringTest, LiveTwoInterfaceAttackerFullyScored) {
   const auto* v2 =
       attack::FindVulnerability("audio", "registerRemoteController");
   auto* evil = system.InstallApp("com.evil.multi");
-  attack::MaliciousApp a1(&system, evil, *v1);
-  attack::MaliciousApp a2(&system, evil, *v2);
+  // One app, two interfaces: the app issues the calls itself.
+  auto c1 = evil->GetService(v1->service, v1->descriptor);
+  auto c2 = evil->GetService(v2->service, v2->descriptor);
+  ASSERT_TRUE(c1.ok() && c2.ok());
   for (int i = 0; i < 4000; ++i) {
-    (void)(i % 2 == 0 ? a1.Step() : a2.Step());
+    const attack::VulnSpec& vuln = i % 2 == 0 ? *v1 : *v2;
+    services::IpcClient& client = i % 2 == 0 ? c1.value() : c2.value();
+    (void)client.Call(vuln.code, [&](binder::Parcel& p) {
+      vuln.write_args(*evil, p);
+    });
   }
   defense::JgrMonitor* monitor = defender.MonitorFor("system_server");
   ASSERT_TRUE(monitor->recording());

@@ -3,18 +3,21 @@
 // parallel run must produce bit-identical results to a serial one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
 #include "core/android_system.h"
+#include "experiment/experiment.h"
 #include "harness/experiment_runner.h"
 #include "harness/json.h"
 #include "harness/thread_pool.h"
+#include "sim/device.h"
 
 namespace jgre::harness {
 namespace {
@@ -248,22 +251,19 @@ TEST(HarnessDeterminismTest, ParallelRunMatchesSerialBitForBit) {
   const auto vulns = attack::SystemServerVulnerabilities();
   ASSERT_GE(vulns.size(), 6u);
   const auto run_one = [&vulns](std::size_t i) {
-    core::SystemConfig config;
-    config.seed = 100 + i;
-    core::AndroidSystem system(config);
-    system.Boot();
-    services::AppProcess* evil =
-        attack::InstallAttackApp(&system, "com.evil.app", vulns[i]);
-    attack::MaliciousApp attacker(&system, evil, vulns[i]);
-    attack::MaliciousApp::RunOptions options;
-    options.max_calls = 250;
-    options.sample_every_calls = 0;
-    const auto result = attacker.Run(options);
+    sim::DeviceSpec spec;
+    spec.WithSeed(100 + i).WithAttack(vulns[i]).WithMaxAttackerCalls(250);
+    auto device = sim::DeviceFactory(spec).CreateDevice();
+    core::AndroidSystem& system = device->system();
     SimResult r;
-    r.calls = result.calls_issued;
-    r.peak_jgr = result.peak_victim_jgr;
-    r.end_us = result.end_us;
-    r.succeeded = result.succeeded;
+    const experiment::DriveResult drive = experiment::Drive(
+        *device, device->attacker(), experiment::StopRule::kFirstIncident,
+        std::numeric_limits<TimeUs>::max(), [&](TimeUs) {
+          r.peak_jgr = std::max(r.peak_jgr, system.SystemServerJgrCount());
+        });
+    r.calls = device->attacker()->stats().calls_issued;
+    r.end_us = system.clock().NowUs();
+    r.succeeded = drive.soft_rebooted;
     return r;
   };
   const auto serial = RunOrdered<SimResult>(6, 1, run_one);

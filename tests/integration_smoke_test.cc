@@ -1,11 +1,15 @@
 // End-to-end smoke tests: the attack detonates, the defense defuses.
 #include <gtest/gtest.h>
 
-#include "attack/malicious_app.h"
+#include <algorithm>
+#include <limits>
+
 #include "attack/vuln_registry.h"
 #include "core/android_system.h"
 #include "defense/jgre_defender.h"
+#include "experiment/experiment.h"
 #include "runtime/java_vm_ext.h"
+#include "sim/device.h"
 
 namespace jgre {
 namespace {
@@ -22,47 +26,49 @@ TEST(BootSmoke, RegistersTheFullServiceCensus) {
 }
 
 TEST(AttackSmoke, ClipboardAttackSoftRebootsTheSystem) {
-  core::AndroidSystem system;
-  system.Boot();
   const attack::VulnSpec* vuln =
       attack::FindVulnerability("clipboard", "addPrimaryClipChangedListener");
   ASSERT_NE(vuln, nullptr);
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", *vuln);
-  attack::MaliciousApp attacker(&system, evil, *vuln);
+  sim::DeviceSpec spec;
+  spec.WithAttack(*vuln).WithMaxAttackerCalls(200'000);
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
 
-  attack::MaliciousApp::RunOptions options;
-  options.sample_every_calls = 1000;
-  auto result = attacker.Run(options);
+  std::size_t peak_jgr = 0;
+  const experiment::DriveResult result = experiment::Drive(
+      *device, device->attacker(), experiment::StopRule::kFirstIncident,
+      std::numeric_limits<TimeUs>::max(), [&](TimeUs) {
+        peak_jgr = std::max(peak_jgr, system.SystemServerJgrCount());
+      });
+  const int calls = device->attacker()->stats().calls_issued;
 
-  EXPECT_TRUE(result.succeeded);
+  EXPECT_TRUE(result.soft_rebooted);
   EXPECT_EQ(system.soft_reboots(), 1);
   // ~2 JGRs per call from a ~1,200 baseline to the 51,200 cap.
-  EXPECT_GT(result.calls_issued, 20'000);
-  EXPECT_LT(result.calls_issued, 30'000);
-  EXPECT_GE(result.peak_victim_jgr, rt::kGlobalsMax - 2);
+  EXPECT_GT(calls, 20'000);
+  EXPECT_LT(calls, 30'000);
+  EXPECT_GE(peak_jgr, rt::kGlobalsMax - 2);
   // The system recovered: services are back and usable.
   EXPECT_TRUE(system.service_manager().HasService("clipboard"));
   EXPECT_LT(system.SystemServerJgrCount(), 3000u);
 }
 
 TEST(DefenseSmoke, DefenderKillsTheAttackerBeforeOverflow) {
-  core::AndroidSystem system;
-  system.Boot();
-  defense::JgreDefender defender(&system);
-  defender.Install();
-
   const attack::VulnSpec* vuln =
       attack::FindVulnerability("audio", "startWatchingRoutes");
   ASSERT_NE(vuln, nullptr);
-  services::AppProcess* evil =
-      attack::InstallAttackApp(&system, "com.evil.app", *vuln);
-  attack::MaliciousApp attacker(&system, evil, *vuln);
+  sim::DeviceSpec spec;
+  spec.WithAttack(*vuln).WithMaxAttackerCalls(200'000).WithDefense();
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  core::AndroidSystem& system = device->system();
+  const defense::JgreDefender& defender = *device->defender();
+  services::AppProcess* evil = system.FindApp(spec.attack_package());
 
-  auto result = attacker.Run();
+  const experiment::DefendedAttackResult result =
+      experiment::Experiment(*device).RunDefendedAttack();
 
   // No overflow, no reboot: the defender killed the attacker first.
-  EXPECT_FALSE(result.succeeded);
+  EXPECT_FALSE(result.soft_rebooted);
   EXPECT_EQ(system.soft_reboots(), 0);
   ASSERT_EQ(defender.incidents().size(), 1u);
   const auto& incident = defender.incidents().front();

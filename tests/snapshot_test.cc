@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "attack/malicious_app.h"
 #include "attack/vuln_registry.h"
 #include "binder/binder_driver.h"
 #include "binder/ipc_log.h"

@@ -6,11 +6,12 @@
 
 #include <memory>
 
-#include "attack/malicious_app.h"
+#include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "common/rng.h"
 #include "core/android_system.h"
 #include "services/audio_service.h"
+#include "services/ipc_client.h"
 #include "services/safe_service.h"
 
 namespace jgre {
@@ -25,25 +26,41 @@ TEST_P(SystemPropertyTest, RandomWorkloadKeepsInvariants) {
   system.Boot();
   Rng rng(GetParam() * 7919 + 1);
 
-  // A pool of apps, some of which run partial attacks.
+  // A pool of apps, some of which run partial attacks. The test relaunches
+  // killed apps (a new AppProcess), so each app issues its own attack calls
+  // over a client it re-resolves after a relaunch or DEAD_OBJECT.
   std::vector<services::AppProcess*> apps;
-  std::vector<std::unique_ptr<attack::MaliciousApp>> attackers;
+  std::vector<attack::VulnSpec> app_vulns;
+  std::vector<services::IpcClient> clients;
   const auto vulns = attack::SystemServerVulnerabilities();
   for (int i = 0; i < 6; ++i) {
     const attack::VulnSpec& vuln = vulns[rng.UniformU64(vulns.size())];
-    auto* app = attack::InstallAttackApp(
-        &system, "com.fuzz.app" + std::to_string(i), vuln);
-    apps.push_back(app);
-    attackers.push_back(
-        std::make_unique<attack::MaliciousApp>(&system, app, vuln));
+    apps.push_back(attack::InstallAttackApp(
+        &system, "com.fuzz.app" + std::to_string(i), vuln));
+    app_vulns.push_back(vuln);
   }
+  clients.resize(apps.size());
+  const auto attack_step = [&](std::size_t i) {
+    const attack::VulnSpec& vuln = app_vulns[i];
+    if (!clients[i].valid()) {
+      auto client = apps[i]->GetService(vuln.service, vuln.descriptor);
+      if (!client.ok()) return;
+      clients[i] = std::move(client).value();
+    }
+    const Status status = clients[i].Call(vuln.code, [&](binder::Parcel& p) {
+      vuln.write_args(*apps[i], p);
+    });
+    if (status.code() == StatusCode::kUnavailable) {
+      clients[i] = services::IpcClient();
+    }
+  };
 
   const std::int64_t mem_baseline = system.kernel().UsedMemoryKb();
   for (int step = 0; step < 3000; ++step) {
     const std::size_t i = rng.UniformU64(apps.size());
     const double roll = rng.UniformDouble();
     if (roll < 0.55) {
-      if (apps[i]->alive()) (void)attackers[i]->Step();
+      if (apps[i]->alive()) attack_step(i);
     } else if (roll < 0.7) {
       // Benign query traffic.
       if (apps[i]->alive()) {
@@ -62,9 +79,8 @@ TEST_P(SystemPropertyTest, RandomWorkloadKeepsInvariants) {
         system.kernel().KillProcess(apps[i]->pid(), "fuzz kill");
       } else if (!apps[i]->alive()) {
         apps[i] = system.RelaunchApp(apps[i]->package());
-        // The attacker keeps a stale AppProcess*; rebuild it.
-        attackers[i] = std::make_unique<attack::MaliciousApp>(
-            &system, apps[i], attackers[i]->vuln());
+        // The old client belongs to the dead process; resolve a new one.
+        clients[i] = services::IpcClient();
       }
     } else {
       system.clock().AdvanceUs(rng.UniformU64(200'000));
@@ -108,9 +124,10 @@ TEST(DeterminismTest, IdenticalSeedsProduceIdenticalTrajectories) {
     system.Boot();
     const auto* vuln =
         attack::FindVulnerability("clipboard", "addPrimaryClipChangedListener");
-    auto* evil = attack::InstallAttackApp(&system, "com.evil.app", *vuln);
-    attack::MaliciousApp attacker(&system, evil, *vuln);
-    for (int i = 0; i < 2000; ++i) (void)attacker.Step();
+    auto attacker =
+        attack::MakeFlood(attack::AttackPlan{}, *vuln, "com.evil.app");
+    EXPECT_TRUE(attacker->Setup(system).ok());
+    for (int i = 0; i < 2000; ++i) (void)attacker->Step(system);
     return std::make_tuple(system.clock().NowUs(),
                            system.SystemServerJgrCount(),
                            system.driver().total_transactions());
