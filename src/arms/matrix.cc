@@ -231,8 +231,7 @@ MatrixResult MatrixRunner::Run() {
 
   MatrixResult result;
   result.boot_images = fleet_result.image_count;
-  result.image_builds = fleet_result.image_builds;
-  result.image_evictions = fleet_result.image_evictions;
+  result.cache = fleet_result.cache;
   result.cells.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     MatrixCell cell;

@@ -35,6 +35,7 @@
 #include "common/types.h"
 #include "detect/catalog.h"
 #include "fleet/aggregator.h"
+#include "harness/branch_runner.h"
 #include "harness/json.h"
 #include "runtime/java_vm_ext.h"
 
@@ -119,8 +120,7 @@ struct MatrixResult {
   std::vector<MatrixCell> cells;  // expansion order
   std::size_t boot_images = 0;    // distinct prefix keys (deterministic)
   // Cache traffic; scheduling-dependent under --jobs > 1, so console-only.
-  std::uint64_t image_builds = 0;
-  std::uint64_t image_evictions = 0;
+  harness::CacheStats cache;
 
   // The jobs-invariant BENCH_matrix.json body: axes plus one entry per cell
   // (outcome, attacker stats, collateral, hunt hits). Never includes the

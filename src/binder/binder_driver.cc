@@ -504,11 +504,13 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
   in.Marker(0x42445232);
   descriptors_.RestoreState(in);
   descriptor_labels_.clear();  // refilled lazily; interning is idempotent
-  // Nodes minted since boot belong to whatever ran since; the image brings
-  // back its own. next_node_ tracks nodes_, so FindNode stays in bounds even
-  // if the stream fails part-way.
+  // Nodes minted since boot belong to whatever ran since, and so does the
+  // room they took (a system is restored in place run after run); the image
+  // brings back its own. next_node_ tracks nodes_, so FindNode stays in
+  // bounds even if the stream fails part-way.
   nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(boot_node_count_),
                nodes_.end());
+  nodes_.shrink_to_fit();
   next_node_ = static_cast<std::int64_t>(nodes_.size()) + 1;
   const std::int64_t next_node = in.I64();
   if (in.ok() && (next_node < 1 || static_cast<std::uint64_t>(next_node - 1) <

@@ -74,13 +74,15 @@ void IpcLog::RestoreState(snapshot::Deserializer& in,
   const std::size_t count = static_cast<std::size_t>(
       std::min<std::uint64_t>(total, capacity_));
   if (!in.NeedRecords(count, kRecordBytes)) return;
-  timestamp_.assign(count, 0);
-  from_pid_.assign(count, 0);
-  from_uid_.assign(count, 0);
-  to_pid_.assign(count, 0);
-  node_.assign(count, 0);
-  code_.assign(count, 0);
-  descriptor_.assign(count, 0);
+  // Fresh columns, so a log restored in place keeps no room its last run
+  // grew.
+  timestamp_ = std::vector<std::uint64_t>(count);
+  from_pid_ = std::vector<std::int32_t>(count);
+  from_uid_ = std::vector<std::int32_t>(count);
+  to_pid_ = std::vector<std::int32_t>(count);
+  node_ = std::vector<std::int64_t>(count);
+  code_ = std::vector<std::uint32_t>(count);
+  descriptor_ = std::vector<std::uint32_t>(count);
   for (std::size_t i = 0; i < count; ++i) timestamp_[i] = in.U64();
   for (std::size_t i = 0; i < count; ++i) {
     from_pid_[i] = static_cast<std::int32_t>(in.I64());

@@ -4,6 +4,7 @@
 
 #include "common/log.h"
 #include "common/strings.h"
+#include "snapshot/serializer.h"
 
 namespace jgre::core {
 
@@ -28,6 +29,22 @@ AndroidSystem::AndroidSystem(SystemConfig config)
 }
 
 AndroidSystem::~AndroidSystem() = default;
+
+std::uint64_t ConfigFingerprint(const SystemConfig& config) {
+  snapshot::Serializer out;
+  out.U64(config.system_server_boot_class_refs);
+  out.U64(config.app_boot_class_refs);
+  out.U64(config.system_server_max_jgr);
+  out.I64(config.gc_period_us);
+  out.I64(config.baseline_native_processes);
+  out.I64(config.total_ram_kb);
+  out.I64(config.driver.base_transact_cost_us);
+  out.F64(config.driver.us_per_kb);
+  out.I64(config.driver.defense_log_base_us);
+  out.F64(config.driver.defense_log_fraction);
+  out.U64(config.driver.ipc_log_capacity);
+  return out.Hash();
+}
 
 void AndroidSystem::Boot() {
   assert(!booted_ && "Boot() is one-shot per AndroidSystem");

@@ -58,6 +58,11 @@ struct SystemConfig {
   binder::BinderDriver::Config driver;
 };
 
+// Hash over every SystemConfig field but the seed, byte-stable across runs
+// and machines. Checkpoints carry it, so a restore can refuse a system
+// booted with another configuration.
+std::uint64_t ConfigFingerprint(const SystemConfig& config);
+
 class AndroidSystem {
  public:
   AndroidSystem();

@@ -9,6 +9,8 @@
 
 namespace jgre::defense {
 
+constexpr char kIpcLogPath[] = "/proc/jgre_ipc_log";
+
 JgreDefender::JgreDefender(core::AndroidSystem* system, Config config)
     : system_(system), config_(config) {}
 
@@ -19,6 +21,8 @@ JgreDefender::~JgreDefender() {
   if (installed_) {
     system_->SetPumpExtension(nullptr);
     system_->SetPostRebootHook(nullptr);
+    // Restore keeps procfs providers, and this one captures `this`.
+    system_->kernel().procfs().Unregister(kIpcLogPath);
     hub_.reset();  // unsubscribes its kJgr route
     if (tap_ != nullptr) system_->kernel().bus().Unsubscribe(tap_.get());
   }
@@ -37,7 +41,7 @@ void JgreDefender::Install() {
   system_->driver().SetDefenseLogging(true);
   // Export the log through procfs, readable by system services only.
   system_->kernel().procfs().Register(
-      "/proc/jgre_ipc_log",
+      kIpcLogPath,
       [this] { return system_->driver().RenderIpcLogProcfs(); },
       /*system_only=*/true);
   // The defender is a standalone system service in its own process — it must

@@ -3,9 +3,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "common/strings.h"
 #include "detect/registry.h"
-#include "harness/experiment_runner.h"
 #include "obs/event_bus.h"
 
 namespace jgre::fleet {
@@ -105,46 +103,18 @@ DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
 FleetRunner::FleetRunner(std::vector<FleetDeviceSpec> fleet,
                          FleetOptions options)
     : fleet_(std::move(fleet)),
-      options_(options),
-      cache_(options_.max_images) {}
+      options_(std::move(options)),
+      cache_(options_.jobs, options_.max_images) {}
 
 Status FleetRunner::Prepare() {
   if (prepared_) return Status::Ok();
   std::set<std::uint64_t> keys;
-  key_of_.resize(fleet_.size());
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    key_of_[i] = sim::PrefixKey(fleet_[i].device);
-    keys.insert(key_of_[i]);
+  for (const FleetDeviceSpec& spec : fleet_) {
+    keys.insert(sim::PrefixKey(spec.device));
   }
   distinct_keys_ = keys.size();
   prepared_ = true;
   return Status::Ok();
-}
-
-std::unique_ptr<core::AndroidSystem> FleetRunner::RestoreDevice(
-    std::size_t index) {
-  const sim::DeviceSpec& spec = fleet_[index].device;
-  auto image = cache_.Get(key_of_[index], [&spec] {
-    sim::DeviceFactory factory(spec);
-    std::unique_ptr<core::AndroidSystem> warmed = factory.BootPrefix();
-    return snapshot::SystemSnapshot::Capture(*warmed);
-  });
-  if (!image.ok()) {
-    throw std::runtime_error(StrCat("FleetRunner (device ", index,
-                                    "): boot image build failed: ",
-                                    image.status().ToString()));
-  }
-  core::SystemConfig sys_config = spec.system_config();
-  sys_config.seed = spec.seed();
-  auto system = std::make_unique<core::AndroidSystem>(sys_config);
-  system->Boot();
-  Status restored = image.value()->RestoreInto(system.get());
-  if (!restored.ok()) {
-    throw std::runtime_error(StrCat("FleetRunner (device ", index,
-                                    "): restore failed: ",
-                                    restored.ToString()));
-  }
-  return system;
 }
 
 FleetResult FleetRunner::Run() {
@@ -153,18 +123,15 @@ FleetResult FleetRunner::Run() {
 
   FleetResult result;
   result.image_count = distinct_keys_;
-  result.outcomes = harness::RunOrdered<DeviceOutcome>(
-      fleet_.size(), options_.jobs, [this](std::size_t i) {
-        sim::DeviceFactory factory(fleet_[i].device);
-        std::unique_ptr<sim::DeviceSim> device =
-            factory.CreateDeviceOn(RestoreDevice(i));
+  result.outcomes = cache_.Run<DeviceOutcome>(
+      fleet_.size(), [this](std::size_t i) { return fleet_[i].device; },
+      [this](std::size_t i, sim::DeviceSim& device) {
         return options_.scenario_driver
-                   ? options_.scenario_driver(fleet_[i], *device,
+                   ? options_.scenario_driver(fleet_[i], device,
                                               options_.catalog)
-                   : RunDeviceScenario(fleet_[i], *device, options_.catalog);
+                   : RunDeviceScenario(fleet_[i], device, options_.catalog);
       });
-  result.image_builds = cache_.builds();
-  result.image_evictions = cache_.evictions();
+  result.cache = cache_.stats();
   // Fold in submission order; MergeFrom-based shard folds land on the same
   // bytes (the sketch-merge invariance the tests pin).
   for (const DeviceOutcome& outcome : result.outcomes) {

@@ -3,21 +3,19 @@
 // JGRESNAP boot images.
 //
 // Lifecycle per campaign:
-//   1. Prepare(): group the fleet's devices by sim::PrefixKey (boot seed +
-//      system config + warmup). Each distinct key gets ONE warmed boot image
-//      — built via DeviceFactory::BootPrefix and captured in memory — so a
+//   1. Prepare(): count the fleet's distinct sim::PrefixKeys (boot seed +
+//      system config + warmup). Each key gets ONE warmed boot image, so a
 //      324-device census over 4 JGR-cap points boots exactly 4 prefixes.
-//      Images live in an LRU BootImageCache: FleetOptions::max_images is a
-//      residency *budget*, not a cap on distinct keys — a fleet with more
-//      prefix diversity than slots just rebuilds cold keys on re-use
-//      (deterministically: BootPrefix reproduces the same bytes).
-//   2. Run(): harness::RunOrdered over the devices. Each task restores a
-//      fresh AndroidSystem from its group's image, completes the device with
-//      DeviceFactory::CreateDeviceOn, drives its scenario (flood, drip, or
-//      benign-only) through experiment::Drive, and reduces to a
-//      DeviceOutcome. Results land in submission order and the aggregator
-//      folds them in that order, so the census is byte-identical for any
-//      --jobs.
+//   2. Run(): the devices run through a harness::BranchRunner, the warm-
+//      image cache: FleetOptions::max_images is its residency *budget*, not
+//      a cap on distinct keys (a fleet with more keys than slots rebuilds
+//      evicted images on re-use, deterministically). Each device is built
+//      with DeviceFactory::CreateDeviceOn on a system restored to its key's
+//      image (in place over a system an earlier device handed back, when
+//      one is idle), drives its scenario (flood, drip, or benign-only)
+//      through experiment::Drive, and reduces to a DeviceOutcome. Results
+//      land in submission order and the aggregator folds them in that
+//      order, so the census is byte-identical for any --jobs.
 #ifndef JGRE_FLEET_RUNNER_H_
 #define JGRE_FLEET_RUNNER_H_
 
@@ -32,9 +30,8 @@
 #include "detect/catalog.h"
 #include "experiment/experiment.h"
 #include "fleet/aggregator.h"
-#include "fleet/image_cache.h"
 #include "fleet/spec.h"
-#include "snapshot/snapshot.h"
+#include "harness/branch_runner.h"
 
 namespace jgre::fleet {
 
@@ -62,12 +59,10 @@ struct FleetOptions {
 struct FleetResult {
   FleetAggregator aggregator;
   std::vector<DeviceOutcome> outcomes;  // device (submission) order
-  // Distinct prefix keys the fleet used. Deterministic, unlike the rebuild
-  // counters below, which depend on worker arrival order when the fleet
-  // overflows the image budget.
+  // Distinct prefix keys the fleet used. Deterministic, unlike the cache
+  // counters, which depend on worker arrival order.
   std::size_t image_count = 0;
-  std::uint64_t image_builds = 0;
-  std::uint64_t image_evictions = 0;
+  harness::CacheStats cache;
 };
 
 // One device's run, shared by every scenario driver: construction
@@ -113,27 +108,23 @@ class FleetRunner {
  public:
   FleetRunner(std::vector<FleetDeviceSpec> fleet, FleetOptions options);
 
-  // Maps every device to its prefix key. Idempotent; Run() calls it
+  // Counts the fleet's distinct prefix keys. Idempotent; Run() calls it
   // implicitly. Images themselves build lazily on first use.
   Status Prepare();
 
-  // Runs every device; throws (like BranchRunner) if a restore fails
+  // Runs every device; throws (from BranchRunner) if a restore fails
   // mid-campaign, naming the device index.
   FleetResult Run();
 
   // Distinct prefix keys after Prepare() (0 before).
   std::size_t image_count() const { return distinct_keys_; }
   const std::vector<FleetDeviceSpec>& fleet() const { return fleet_; }
-  const BootImageCache& image_cache() const { return cache_; }
 
  private:
-  std::unique_ptr<core::AndroidSystem> RestoreDevice(std::size_t index);
-
   std::vector<FleetDeviceSpec> fleet_;
   FleetOptions options_;
   bool prepared_ = false;
-  BootImageCache cache_;
-  std::vector<std::uint64_t> key_of_;  // device index -> prefix key
+  harness::BranchRunner cache_;
   std::size_t distinct_keys_ = 0;
 };
 

@@ -147,9 +147,8 @@ Status CampaignRunner::Prepare() {
   return Status::Ok();
 }
 
-harness::BranchRunner::PooledSystem CampaignRunner::ResetSystem(
-    std::size_t shard) {
-  return branch_->AcquireSystem(shard);
+sim::PooledSystem CampaignRunner::ResetSystem(std::size_t shard) {
+  return branch_->AcquireSystem(prefix_, shard);
 }
 
 Sequence CampaignRunner::PickSequence(

@@ -179,7 +179,7 @@ class CampaignRunner {
   // (or a fresh restore on a pool miss), or a cold prefix rebuild under
   // cold_boot. Dropping the handle returns the system to the pool. `shard`
   // labels restore failures with the failing shard.
-  harness::BranchRunner::PooledSystem ResetSystem(std::size_t shard);
+  sim::PooledSystem ResetSystem(std::size_t shard);
 
  private:
   struct Suspect {

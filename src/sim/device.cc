@@ -9,23 +9,11 @@
 namespace jgre::sim {
 
 std::uint64_t PrefixKey(const DeviceSpec& spec) {
-  // Every field that BootPrefix() reads, in declaration order. Byte-stable
-  // encoding via the checkpoint serializer so the key is identical across
-  // runs and machines.
+  // Every field that BootPrefix() reads. Byte-stable encoding via the
+  // checkpoint serializer so the key is identical across runs and machines.
   snapshot::Serializer out;
   out.U64(spec.seed());
-  const core::SystemConfig& sys = spec.system_config();
-  out.U64(sys.system_server_boot_class_refs);
-  out.U64(sys.app_boot_class_refs);
-  out.U64(sys.system_server_max_jgr);
-  out.I64(sys.gc_period_us);
-  out.I64(sys.baseline_native_processes);
-  out.I64(sys.total_ram_kb);
-  out.I64(sys.driver.base_transact_cost_us);
-  out.F64(sys.driver.us_per_kb);
-  out.I64(sys.driver.defense_log_base_us);
-  out.F64(sys.driver.defense_log_fraction);
-  out.U64(sys.driver.ipc_log_capacity);
+  out.U64(core::ConfigFingerprint(spec.system_config()));
   out.I64(spec.warmup_apps());
   out.I64(spec.warmup_foreground_us());
   out.I64(spec.warmup_interaction_period_us());
@@ -62,13 +50,17 @@ std::unique_ptr<core::AndroidSystem> DeviceFactory::BootPrefix() const {
   return system;
 }
 
+void ReturnToPool::operator()(core::AndroidSystem* system) const {
+  std::unique_ptr<core::AndroidSystem> owned(system);
+  if (pool != nullptr) pool->HandBack(key, std::move(owned));
+}
+
 std::unique_ptr<DeviceSim> DeviceFactory::CreateDeviceOn(
-    std::unique_ptr<core::AndroidSystem> system) const {
+    PooledSystem system) const {
   return std::unique_ptr<DeviceSim>(new DeviceSim(spec_, std::move(system)));
 }
 
-DeviceSim::DeviceSim(const DeviceSpec& spec,
-                     std::unique_ptr<core::AndroidSystem> system)
+DeviceSim::DeviceSim(const DeviceSpec& spec, PooledSystem system)
     : spec_(spec), rng_(spec.scenario_seed() + 2), system_(std::move(system)) {
   if (spec_.defense()) {
     defender_ = std::make_unique<defense::JgreDefender>(

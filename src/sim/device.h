@@ -1,11 +1,8 @@
 // The unified per-device simulation API.
 //
-// Before this layer, a simulated device could be built three divergent ways
-// (ExperimentConfig::Build, ExperimentConfig::BuildPrefix + BuildOn, and the
-// branch-phase Experiment(config, system) constructor). DeviceFactory is now
-// the ONE construction path every consumer goes through — the experiment
-// scenario driver, harness::BranchRunner, the fuzzer's CampaignRunner, and
-// the fleet::FleetRunner:
+// DeviceFactory is the ONE construction path every consumer goes through —
+// the experiment scenario driver, harness::BranchRunner (and through it the
+// fleet census, the defense matrix and the fuzzer's CampaignRunner):
 //
 //   sim::DeviceSpec spec;
 //   spec.WithSeed(42).WithBenignApps(10).WithAttack(vuln).WithDefense();
@@ -33,6 +30,11 @@
 // snapshot::SystemSnapshot captures, and CreateDeviceOn(system) completes
 // the scenario on any such system — freshly built or restored from a
 // checkpoint. CreateDevice() is CreateDeviceOn(BootPrefix()).
+//
+// A DeviceSim runs one scenario. Destroying it tears down everything it
+// installed (defender, sinks, workloads, attacker) and then hands its system
+// to the SystemPool it came from, which restores that system in place for
+// the next device of the same prefix key; a system from no pool is deleted.
 #ifndef JGRE_SIM_DEVICE_H_
 #define JGRE_SIM_DEVICE_H_
 
@@ -180,9 +182,29 @@ class DeviceSpec {
 // warmed boot images.
 std::uint64_t PrefixKey(const DeviceSpec& spec);
 
+// Takes back systems whose device finished (harness::BranchRunner).
+class SystemPool {
+ public:
+  // `key` is the PrefixKey of the image the system was restored to. The
+  // system may be in any state, soft-rebooted included.
+  virtual void HandBack(std::uint64_t key,
+                        std::unique_ptr<core::AndroidSystem> system) = 0;
+
+ protected:
+  ~SystemPool() = default;
+};
+
+// Deleter that hands a system back to its pool, or deletes it without one.
+struct ReturnToPool {
+  SystemPool* pool = nullptr;
+  std::uint64_t key = 0;
+  void operator()(core::AndroidSystem* system) const;
+};
+using PooledSystem = std::unique_ptr<core::AndroidSystem, ReturnToPool>;
+
 // One live simulated device. Owns every piece of per-device state; never
 // shares interned tables, observability sinks, or RNG streams with another
-// DeviceSim. Single-use: build a fresh one per run.
+// DeviceSim. Runs one scenario; its system goes back to its pool after.
 class DeviceSim {
  public:
   ~DeviceSim();
@@ -217,12 +239,13 @@ class DeviceSim {
 
  private:
   friend class DeviceFactory;
-  DeviceSim(const DeviceSpec& spec,
-            std::unique_ptr<core::AndroidSystem> system);
+  DeviceSim(const DeviceSpec& spec, PooledSystem system);
 
   DeviceSpec spec_;
   Rng rng_;
-  std::unique_ptr<core::AndroidSystem> system_;  // first: destroyed last
+  // Declared first, so destroyed (handed back) after everything installed
+  // on it has been torn down.
+  PooledSystem system_;
   std::unique_ptr<defense::JgreDefender> defender_;
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
@@ -245,11 +268,14 @@ class DeviceFactory {
   std::unique_ptr<core::AndroidSystem> BootPrefix() const;
 
   // Completes the scenario on an existing prefix system — the output of
-  // BootPrefix(), or a fresh Boot()ed system restored from a checkpoint of
-  // one. The system must have been built from this spec's boot seed and
-  // system config.
+  // BootPrefix(), or a system restored from a checkpoint of one. The system
+  // must have been built from this spec's boot seed and system config. A
+  // pooled system goes back to its pool when the device is destroyed.
+  std::unique_ptr<DeviceSim> CreateDeviceOn(PooledSystem system) const;
   std::unique_ptr<DeviceSim> CreateDeviceOn(
-      std::unique_ptr<core::AndroidSystem> system) const;
+      std::unique_ptr<core::AndroidSystem> system) const {
+    return CreateDeviceOn(PooledSystem(system.release()));
+  }
 
   // Boots the device and performs the whole setup sequence.
   std::unique_ptr<DeviceSim> CreateDevice() const {

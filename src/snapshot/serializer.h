@@ -36,6 +36,9 @@ inline std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t size,
 
 class Serializer {
  public:
+  // Room for a prefix key or a config fingerprint in one allocation.
+  Serializer() { buffer_.reserve(128); }
+
   void U8(std::uint8_t v) { buffer_.push_back(v); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(std::uint32_t v) { AppendLe(v); }
@@ -68,9 +71,11 @@ class Serializer {
   template <typename T>
   void AppendLe(T v) {
     static_assert(std::is_unsigned_v<T>);
+    std::uint8_t bytes[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    buffer_.insert(buffer_.end(), bytes, bytes + sizeof(T));
   }
 
   std::vector<std::uint8_t> buffer_;

@@ -11,9 +11,10 @@ namespace jgre::snapshot {
 
 namespace {
 
-// Payload framing marker ("SNP1"): guards against handing RestoreInto a
-// buffer that is not a snapshot payload.
-constexpr std::uint32_t kPayloadMarker = 0x534E5031;
+// Payload framing marker ("SNP2": the payload carries the config
+// fingerprint): guards against handing RestoreInto a buffer that is not a
+// snapshot payload of this layout.
+constexpr std::uint32_t kPayloadMarker = 0x534E5032;
 
 void PutU32(std::ofstream& out, std::uint32_t v) {
   std::uint8_t bytes[4];
@@ -74,6 +75,7 @@ Result<SystemSnapshot> SystemSnapshot::Capture(
   system.kernel().bus().Flush();
   Serializer out;
   out.Marker(kPayloadMarker);
+  out.U64(core::ConfigFingerprint(system.config()));
   out.Bool(defender != nullptr);
   system.SaveState(out);
   if (defender != nullptr) defender->SaveState(out);
@@ -98,6 +100,15 @@ Status SystemSnapshot::RestoreInto(core::AndroidSystem* system,
   }
   Deserializer in(payload_);
   in.Marker(kPayloadMarker);
+  // The image carries per-process table caps and other config-derived
+  // state: restored over another config, the system would report one cap
+  // while enforcing the image's.
+  const std::uint64_t fingerprint = in.U64();
+  if (in.ok() && fingerprint != core::ConfigFingerprint(system->config())) {
+    return InvalidArgument(StrCat(
+        "checkpoint was captured under a different system configuration "
+        "than the restore target booted with [", DescribeSource(), "]"));
+  }
   const bool has_defender = in.Bool();
   if (has_defender && defender == nullptr) {
     return InvalidArgument(

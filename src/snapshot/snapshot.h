@@ -65,9 +65,11 @@ class SystemSnapshot {
 
   // Restores into a Boot()ed AndroidSystem with the SAME SystemConfig:
   // freshly booted, or reused after anything short of a soft reboot (the
-  // restore is exact either way). Returns a non-OK Status, leaving the
-  // system half-restored and fit only for destruction, for a corrupt image,
-  // a soft-rebooted system, or one whose boot-time binder died since boot.
+  // restore is exact either way). A target booted with another seed or
+  // config fails with InvalidArgument, untouched. Returns a non-OK Status,
+  // leaving the system half-restored and fit only for destruction, for a
+  // corrupt image, a soft-rebooted system, or one whose boot-time binder
+  // died since boot.
   // When the checkpoint carries defender state, `defender` must be an
   // Install()ed defender on that same system.
   Status RestoreInto(core::AndroidSystem* system,

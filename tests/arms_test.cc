@@ -1,8 +1,9 @@
 // Tests for the arms-race layer: mitigation policies (quota charge/decay,
 // rate-limit refill, backoff time tax), the MitigationStack's driver seam
 // and denial attribution, strategy construction, the flood's
-// consecutive-denial stop, the weak-table leak channel, and the matrix
-// runner's determinism contract.
+// consecutive-denial stop, the weak-table leak channel, the matrix
+// runner's determinism contract, and census devices and matrix cells on
+// systems restored in place by the warm-image cache.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +17,8 @@
 #include "attack/vuln_registry.h"
 #include "common/clock.h"
 #include "core/android_system.h"
+#include "fleet/runner.h"
+#include "fleet/spec.h"
 #include "runtime/runtime.h"
 #include "sim/device.h"
 #include "snapshot/serializer.h"
@@ -366,6 +369,151 @@ TEST(MatrixRunnerTest, UnknownStrategyThrowsNamingTheCell) {
               std::string::npos)
         << error.what();
   }
+}
+
+// --- Systems handed back to the warm-image cache ----------------------------
+
+// Every DeviceOutcome field; detections through their full JSON.
+void ExpectSameOutcome(const fleet::DeviceOutcome& a,
+                       const fleet::DeviceOutcome& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.scenario_class, b.scenario_class);
+  EXPECT_EQ(a.exhausted, b.exhausted);
+  EXPECT_EQ(a.time_to_exhaustion_us, b.time_to_exhaustion_us);
+  EXPECT_EQ(a.exhausted_within_horizon, b.exhausted_within_horizon);
+  EXPECT_EQ(a.incident, b.incident);
+  EXPECT_EQ(a.attacker_killed, b.attacker_killed);
+  EXPECT_EQ(a.ipc_calls, b.ipc_calls);
+  EXPECT_EQ(a.jgr_adds, b.jgr_adds);
+  EXPECT_EQ(a.peak_jgr, b.peak_jgr);
+  EXPECT_EQ(a.peak_weak_jgr, b.peak_weak_jgr);
+  EXPECT_EQ(a.denied_attacker_calls, b.denied_attacker_calls);
+  EXPECT_EQ(a.denied_benign_calls, b.denied_benign_calls);
+  EXPECT_EQ(a.benign_kills, b.benign_kills);
+  EXPECT_EQ(a.stopped_by_denial, b.stopped_by_denial);
+  EXPECT_EQ(a.virtual_duration_us, b.virtual_duration_us);
+  EXPECT_EQ(a.hunt_hits, b.hunt_hits);
+  ASSERT_EQ(a.detections.size(), b.detections.size());
+  for (std::size_t i = 0; i < a.detections.size(); ++i) {
+    EXPECT_EQ(a.detections[i].ToJson().Dump(), b.detections[i].ToJson().Dump());
+  }
+}
+
+void ExpectSameCell(const MatrixCell& a, const MatrixCell& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.attack, b.attack);
+  EXPECT_EQ(a.defense, b.defense);
+  EXPECT_EQ(a.jgr_cap, b.jgr_cap);
+  EXPECT_EQ(a.benign_apps, b.benign_apps);
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_EQ(a.attacker.calls_issued, b.attacker.calls_issued);
+  EXPECT_EQ(a.attacker.calls_ok, b.attacker.calls_ok);
+  EXPECT_EQ(a.attacker.calls_denied, b.attacker.calls_denied);
+  EXPECT_EQ(a.attacker.calls_failed, b.attacker.calls_failed);
+  EXPECT_EQ(a.attacker.consecutive_denied, b.attacker.consecutive_denied);
+  EXPECT_EQ(a.attacker.stopped_by_denial, b.attacker.stopped_by_denial);
+  EXPECT_EQ(a.denied_by_policy, b.denied_by_policy);
+  ExpectSameOutcome(a.device, b.device);
+}
+
+// Two operating points, each with four cells at jobs 1: every cell of the
+// second point runs on the system the previous cell handed back when both
+// points share a JGR cap, and the first of them runs on a fresh restore when
+// the first point has another cap. That first cell is a defender+quota
+// flood (after a weakref_churn cell without a defender) in one ordering,
+// and a weakref_churn cell without a defender (after a defender+quota
+// flood) in the other; weakref_churn registers WeakWatchService and turns on
+// weak-reference events.
+TEST(MatrixRunnerTest, CellsOnHandedBackSystemsMatchFreshRestores) {
+  const ArmsMatrix tiny = TinyMatrix();
+  const attack::AttackPlan& flood = tiny.attacks[0];
+  attack::AttackPlan weakref;
+  weakref.name = "weakref_churn";
+  const DefenseConfig& none = tiny.defenses[0];
+  const DefenseConfig& quota = tiny.defenses[1];
+  struct Ordering {
+    std::vector<attack::AttackPlan> attacks;
+    std::vector<DefenseConfig> defenses;
+  };
+  for (const Ordering& ordering :
+       {Ordering{{flood, weakref}, {quota, none}},
+        Ordering{{weakref, flood}, {none, quota}}}) {
+    ArmsMatrix matrix = tiny;
+    matrix.attacks = ordering.attacks;
+    matrix.defenses = ordering.defenses;
+    matrix.points = {{6'400, 1}, {6'400, 1}};
+    const MatrixResult reused = MatrixRunner(matrix, {}).Run();
+    matrix.points.front().jgr_cap = 3'200;
+    const MatrixResult fresh = MatrixRunner(matrix, {}).Run();
+    ASSERT_EQ(reused.cells.size(), 8u);
+    ASSERT_EQ(fresh.cells.size(), 8u);
+    SCOPED_TRACE(reused.cells[4].attack + "|" + reused.cells[4].defense);
+    // Cell 3 did not soft-reboot, so cell 4 restored its system in place.
+    EXPECT_NE(reused.cells[3].outcome, CellOutcome::kExhausted);
+    EXPECT_GT(reused.cache.in_place_restores,
+              fresh.cache.in_place_restores);
+    for (std::size_t i = 4; i < 8; ++i) {
+      ExpectSameCell(reused.cells[i], fresh.cells[i]);
+    }
+  }
+}
+
+// A defended census device with benign apps and a flood, on the system a
+// weakref_churn run behind a quota stack handed back, matches the device on
+// a fresh restore.
+TEST(FleetRunnerCacheTest, CensusDeviceOnAHandedBackSystemMatchesAFreshRestore) {
+  const attack::VulnSpec& toast =
+      *attack::FindVulnerability("notification", "enqueueToast");
+  const auto device_at = [&toast](std::size_t index, std::size_t cap) {
+    core::SystemConfig sys;
+    sys.system_server_max_jgr = cap;
+    fleet::FleetDeviceSpec spec;
+    spec.index = index;
+    spec.scenario_class = "flood";
+    // enqueueToast's per-call cost grows (Fig 5): 10 s fit ~700 calls, so
+    // the thresholds sit low enough to raise an incident.
+    spec.horizon_us = 10'000'000;
+    spec.device.WithSeed(42)
+        .WithScenarioSeed(fleet::MixFleetSeed(42, index))
+        .WithSystemConfig(sys)
+        .WithWarmup(1, 200'000)
+        .WithBenignApps(2)
+        .WithAttack(toast)
+        .WithThresholds(500, 1'000)
+        .WithMaxAttackerCalls(4'000);
+    return spec;
+  };
+  fleet::FleetOptions options;
+  options.scenario_driver = [](const fleet::FleetDeviceSpec& spec,
+                               sim::DeviceSim& device,
+                               const detect::InterfaceCatalog* catalog) {
+    if (spec.index == 1) return fleet::RunDeviceScenario(spec, device, catalog);
+    fleet::DeviceRun run(spec, device);
+    MitigationStack::Config config;
+    config.victim = device.system().system_server_pid();
+    MitigationStack stack(&device.system(), config);
+    stack.Add(std::make_unique<PerUidQuota>());
+    stack.Install();
+    attack::AttackPlan plan;
+    plan.name = "weakref_churn";
+    plan.max_calls = 2'000;
+    std::unique_ptr<attack::AttackStrategy> strategy =
+        attack::MakeStrategy(plan);
+    EXPECT_TRUE(strategy->Setup(device.system()).ok());
+    run.Drive(strategy.get(), experiment::StopRule::kHorizon);
+    return run.Finish(catalog);
+  };
+  fleet::FleetRunner reused_runner({device_at(0, 6'400), device_at(1, 6'400)},
+                                   options);
+  const fleet::FleetResult reused = reused_runner.Run();
+  fleet::FleetRunner fresh_runner({device_at(0, 3'200), device_at(1, 6'400)},
+                                  options);
+  const fleet::FleetResult fresh = fresh_runner.Run();
+  EXPECT_EQ(reused.cache.in_place_restores, 1u);
+  EXPECT_EQ(fresh.cache.in_place_restores, 0u);
+  EXPECT_GT(reused.outcomes[0].peak_weak_jgr, 0u);  // the churn ran
+  EXPECT_TRUE(reused.outcomes[1].incident);          // so did the flood
+  ExpectSameOutcome(reused.outcomes[1], fresh.outcomes[1]);
 }
 
 }  // namespace

@@ -343,6 +343,23 @@ TEST(DefenseTest, ProcfsLogIsSystemOnly) {
   EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
 }
 
+// The log's provider reads through the defender, and the system (restored
+// in place for the next device) outlives it: the file must go with it.
+TEST(DefenseTest, DestroyedDefenderTakesItsProcfsLogWithIt) {
+  core::AndroidSystem system;
+  system.Boot();
+  {
+    defense::JgreDefender defender(&system);
+    defender.Install();
+  }
+  EXPECT_FALSE(system.kernel().procfs().Exists("/proc/jgre_ipc_log"));
+  EXPECT_EQ(
+      system.kernel().procfs().Read("/proc/jgre_ipc_log", kSystemUid)
+          .status()
+          .code(),
+      StatusCode::kNotFound);
+}
+
 TEST(DefenseTest, DefenderReattachesAfterSoftReboot) {
   // Report threshold too high to stop the first attack: the system reboots,
   // and the defender must protect the NEW system_server incarnation.

@@ -356,7 +356,7 @@ TEST(FleetRunnerTest, ImageBudgetEvictsLruInsteadOfRejecting) {
   EXPECT_EQ(tight.image_count(), 3u);
   const fleet::FleetResult constrained = tight.Run();
   EXPECT_EQ(constrained.image_count, 3u);
-  EXPECT_GE(constrained.image_builds, 3u);
+  EXPECT_GE(constrained.cache.image_builds, 3u);
 
   // Rebuilt images restore the same bytes, so the census is unchanged by
   // the budget.
@@ -364,8 +364,8 @@ TEST(FleetRunnerTest, ImageBudgetEvictsLruInsteadOfRejecting) {
   roomy_options.max_images = 8;
   fleet::FleetRunner roomy(fleet::ExpandMatrix(matrix), roomy_options);
   const fleet::FleetResult unconstrained = roomy.Run();
-  EXPECT_EQ(unconstrained.image_builds, 3u);
-  EXPECT_EQ(unconstrained.image_evictions, 0u);
+  EXPECT_EQ(unconstrained.cache.image_builds, 3u);
+  EXPECT_EQ(unconstrained.cache.image_evictions, 0u);
   EXPECT_EQ(constrained.aggregator.ToJson().Dump(),
             unconstrained.aggregator.ToJson().Dump());
 }

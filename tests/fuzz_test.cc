@@ -5,6 +5,7 @@
 // --jobs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <set>
@@ -250,19 +251,35 @@ TEST(FuzzOracleUnitTest, ScreenAndConfirmThresholds) {
   EXPECT_EQ(oracle.Confirm(obs).kind, fuzz::ExhaustionKind::kAbort);
 }
 
-// A restore requested before Prepare() captured anything must name the
-// failing shard so a mid-campaign failure is attributable.
+// A restore that fails mid-campaign must name the failing shard so it is
+// attributable: here the --resume image was captured under another JGR cap
+// than the prefix boots with.
 TEST(FuzzBranchIntegrationTest, RestoreFailureNamesShard) {
+  core::SystemConfig small_table;
+  small_table.system_server_max_jgr = 6'400;
+  sim::DeviceSpec other;
+  other.WithSeed(42).WithSystemConfig(small_table);
+  auto captured = snapshot::SystemSnapshot::Capture(
+      *sim::DeviceFactory(other).BootPrefix());
+  ASSERT_TRUE(captured.ok());
+  const std::string path = "fuzz_test_other_cap.ckpt";
+  ASSERT_TRUE(captured.value().WriteFile(path).ok());
+
   sim::DeviceSpec prefix;
   prefix.WithSeed(42);
-  harness::BranchRunner runner(prefix, harness::BranchOptions{});
+  harness::BranchOptions options;
+  options.resume_path = path;
+  harness::BranchRunner runner(prefix, options);
+  ASSERT_TRUE(runner.Prepare().ok());
   try {
-    runner.RestoreBranchSystem(3);
-    FAIL() << "expected runtime_error";
+    runner.AcquireSystem(prefix, 3);
+    ADD_FAILURE() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("shard 3"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("branch 3"), std::string::npos)
         << e.what();
   }
+  std::remove(path.c_str());
+  std::remove((path + snapshot::SystemSnapshot::kManifestSuffix).c_str());
 }
 
 // --- Reset in place ---------------------------------------------------------
@@ -280,7 +297,7 @@ TEST_F(FuzzTest, RestoreInPlaceAfterExecutionsRecapturesTheImage) {
   harness::BranchRunner runner(SmallResetPrefix(), harness::BranchOptions{});
   ASSERT_TRUE(runner.Prepare().ok());
   const snapshot::SystemSnapshot& image = *runner.snapshot();
-  std::unique_ptr<core::AndroidSystem> system = runner.RestoreBranchSystem();
+  sim::PooledSystem system = runner.AcquireSystem(SmallResetPrefix(), 0);
   const fuzz::SequenceExecutor executor = MakeExecutor();
   fuzz::Mutator mutator(model_, *live_services_);
   Rng rng(5);
@@ -342,7 +359,7 @@ TEST_F(FuzzTest, ExecutionAfterInPlaceRestoreMatchesAFreshRestore) {
     system.kernel().bus().Unsubscribe(&tape);
     return tape.events();
   };
-  std::unique_ptr<core::AndroidSystem> fresh = runner.RestoreBranchSystem();
+  sim::PooledSystem fresh = runner.AcquireSystem(SmallResetPrefix(), 0);
   const std::vector<obs::TraceEvent> expected = tape_of_b(*fresh);
   ASSERT_FALSE(expected.empty());
 
@@ -356,7 +373,7 @@ TEST_F(FuzzTest, ExecutionAfterInPlaceRestoreMatchesAFreshRestore) {
        [&](core::AndroidSystem& system) { executor.Execute(system, *chain); }},
   };
   for (const auto& [name, run_a] : runs_a) {
-    std::unique_ptr<core::AndroidSystem> used = runner.RestoreBranchSystem();
+    sim::PooledSystem used = runner.AcquireSystem(SmallResetPrefix(), 1);
     run_a(*used);
     Status restored = runner.snapshot()->RestoreInto(used.get());
     ASSERT_TRUE(restored.ok()) << name << ": " << restored.ToString();

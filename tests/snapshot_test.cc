@@ -472,6 +472,32 @@ TEST(SystemSnapshotTest, RestoreRejectsSeedMismatch) {
             StatusCode::kInvalidArgument);
 }
 
+// The image carries system_server's table cap, so restored over a system
+// booted at another cap it would leave config() and the table disagreeing.
+// The restore refuses, before touching the target.
+TEST(SystemSnapshotTest, RestoreRejectsConfigMismatchUntouched) {
+  core::SystemConfig config;
+  config.system_server_max_jgr = 6'400;
+  core::AndroidSystem system(config);
+  system.Boot();
+  auto captured = snapshot::SystemSnapshot::Capture(system);
+  ASSERT_TRUE(captured.ok());
+
+  core::SystemConfig other = config;
+  other.system_server_max_jgr = 51'200;
+  core::AndroidSystem target(other);
+  target.Boot();
+  target.InstallApp("com.example.target");
+  const TimeUs now = target.clock().NowUs();
+  const std::size_t jgrs = target.SystemServerJgrCount();
+  EXPECT_EQ(captured.value().RestoreInto(&target).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(target.clock().NowUs(), now);
+  EXPECT_EQ(target.SystemServerJgrCount(), jgrs);
+  EXPECT_NE(target.FindApp("com.example.target"), nullptr);
+  EXPECT_EQ(target.system_runtime()->vm().MaxGlobals(), 51'200u);
+}
+
 // The headline contract: a restored branch continues event-for-event
 // byte-identically to the cold run of the same scenario.
 TEST(SystemSnapshotTest, RestoredRunMatchesColdRunGoldenTrace) {
@@ -541,6 +567,8 @@ TEST(BranchRunnerTest, BranchesMatchColdBuilds) {
   };
   const std::vector<DurationUs> warm =
       runner.Run<DurationUs>(3, branch_config, task);
+  // Two workers, three branches: the third runs on a handed-back system.
+  EXPECT_GE(runner.stats().in_place_restores, 1u);
 
   harness::BranchOptions cold_options;
   cold_options.jobs = 1;
@@ -637,8 +665,9 @@ TEST(SystemSnapshotTest, TruncatedImagesFailAndLeaveADestroyableSystem) {
   auto captured = snapshot::SystemSnapshot::Capture(*prefix);
   ASSERT_TRUE(captured.ok()) << captured.status().ToString();
   const std::vector<std::uint8_t>& payload = captured.value().payload();
-  // The system state follows the payload marker and the defender flag.
-  constexpr std::size_t kSystemStart = 4 + 1;
+  // The system state follows the payload marker, the config fingerprint
+  // and the defender flag.
+  constexpr std::size_t kSystemStart = 4 + 8 + 1;
   core::SystemConfig sys_config = config.system_config();
   sys_config.seed = config.seed();
   for (int cut = 0; cut < 16; ++cut) {
@@ -660,7 +689,8 @@ TEST(SystemSnapshotTest, TruncatedImagesFailAndLeaveADestroyableSystem) {
 // concurrent borrower gets its own; and a system whose in-place restore
 // fails is replaced by a fresh restore.
 TEST(BranchRunnerTest, PoolRestoresHandedBackSystemsInPlace) {
-  harness::BranchRunner runner(SmallScenario(11), harness::BranchOptions{});
+  const sim::DeviceSpec spec = SmallScenario(11);
+  harness::BranchRunner runner(spec, harness::BranchOptions{});
   ASSERT_TRUE(runner.Prepare().ok());
   const snapshot::SystemSnapshot& image = *runner.snapshot();
   const auto recaptures_image = [&image](core::AndroidSystem& system) {
@@ -670,16 +700,16 @@ TEST(BranchRunnerTest, PoolRestoresHandedBackSystemsInPlace) {
 
   const core::AndroidSystem* first = nullptr;
   {
-    harness::BranchRunner::PooledSystem system = runner.AcquireSystem(0);
+    sim::PooledSystem system = runner.AcquireSystem(spec, 0);
     first = system.get();
     EXPECT_TRUE(recaptures_image(*system));
     system->InstallApp("com.example.borrower");
   }
   {
-    harness::BranchRunner::PooledSystem reused = runner.AcquireSystem(1);
+    sim::PooledSystem reused = runner.AcquireSystem(spec, 1);
     EXPECT_EQ(reused.get(), first);
     EXPECT_TRUE(recaptures_image(*reused));
-    harness::BranchRunner::PooledSystem second = runner.AcquireSystem(2);
+    sim::PooledSystem second = runner.AcquireSystem(spec, 2);
     EXPECT_NE(second.get(), first);
     EXPECT_TRUE(recaptures_image(*second));
     // Soft-reboot both before handing them back.
@@ -689,12 +719,64 @@ TEST(BranchRunnerTest, PoolRestoresHandedBackSystemsInPlace) {
       ASSERT_EQ(system->soft_reboots(), 1);
     }
   }
-  harness::BranchRunner::PooledSystem a = runner.AcquireSystem(3);
-  harness::BranchRunner::PooledSystem b = runner.AcquireSystem(4);
+  sim::PooledSystem a = runner.AcquireSystem(spec, 3);
+  sim::PooledSystem b = runner.AcquireSystem(spec, 4);
   for (core::AndroidSystem* fresh : {a.get(), b.get()}) {
     EXPECT_EQ(fresh->soft_reboots(), 0);
     EXPECT_TRUE(recaptures_image(*fresh));
   }
+  EXPECT_EQ(runner.stats().in_place_restores, 1u);
+}
+
+// The keyed pool across JGR caps: every system served for a cap was booted
+// at that cap and its table caps there (a system handed back under one cap
+// is never restored for another); live systems never outnumber the most
+// borrowed at once, however the keys alternate; and a destroyed DeviceSim
+// hands its system back.
+TEST(BranchRunnerTest, KeyedPoolServesEachCapItsOwnSystemsWithinPeakBorrowing) {
+  const auto spec_at = [](std::size_t cap) {
+    core::SystemConfig sys;
+    sys.system_server_max_jgr = cap;
+    sim::DeviceSpec spec;
+    spec.WithSeed(11).WithSystemConfig(sys).WithWarmup(2, 500'000);
+    return spec;
+  };
+  const auto serves = [](core::AndroidSystem& system, std::size_t cap) {
+    return system.config().system_server_max_jgr == cap &&
+           system.system_runtime()->vm().MaxGlobals() == cap;
+  };
+  harness::BranchRunner cache(/*jobs=*/1, /*image_budget=*/2);
+  {
+    sim::PooledSystem a = cache.AcquireSystem(spec_at(6'400), 0);
+    sim::PooledSystem b = cache.AcquireSystem(spec_at(6'400), 1);
+  }
+  constexpr std::size_t kPeakBorrowed = 2;
+  EXPECT_EQ(cache.idle_systems(), kPeakBorrowed);
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t cap : {51'200u, 6'400u, 12'800u, 6'400u}) {
+      sim::PooledSystem system = cache.AcquireSystem(spec_at(cap), 2);
+      EXPECT_TRUE(serves(*system, cap)) << "cap " << cap;
+      EXPECT_LT(cache.idle_systems(), kPeakBorrowed);
+    }
+    EXPECT_LE(cache.idle_systems(), kPeakBorrowed);
+  }
+  // Each round both 6,400 borrowers reuse the one 6,400 system kept idle in
+  // place, and the 51,200 and 12,800 ones miss and replace the oldest idle
+  // system.
+  EXPECT_EQ(cache.stats().in_place_restores, 6u);
+  // Three caps on two image slots: evicted images were rebuilt.
+  EXPECT_GT(cache.stats().image_evictions, 0u);
+
+  const core::AndroidSystem* handed_back = nullptr;
+  {
+    const sim::DeviceSpec spec = spec_at(12'800);
+    auto device = sim::DeviceFactory(spec).CreateDeviceOn(
+        cache.AcquireSystem(spec, 3));
+    handed_back = &device->system();
+  }
+  sim::PooledSystem again = cache.AcquireSystem(spec_at(12'800), 4);
+  EXPECT_EQ(again.get(), handed_back);
+  EXPECT_TRUE(serves(*again, 12'800));
 }
 
 // --- File format ------------------------------------------------------------
