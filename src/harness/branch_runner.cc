@@ -50,8 +50,20 @@ Status BranchRunner::Prepare() {
         << "resumed prefix from " << options_.resume_path << " ("
         << prefix_image_->manifest().byte_size << " bytes, virtual t="
         << prefix_image_->manifest().virtual_time_us << "us)";
-    std::lock_guard<std::mutex> lock(images_mu_);
-    Insert(key, prefix_image_);
+    {
+      std::lock_guard<std::mutex> lock(images_mu_);
+      Insert(key, prefix_image_);
+    }
+    // A file that loads may still not fit this prefix (written under
+    // another config or payload layout): restore it once, so that fails
+    // here with a Status rather than mid-run. The system joins the pool.
+    try {
+      AcquireSystem(*prefix_, 0);
+    } catch (const std::runtime_error& error) {
+      prefix_image_.reset();
+      return InvalidArgument(
+          StrCat("--resume ", options_.resume_path, ": ", error.what()));
+    }
   } else {
     Result<Image> built = ImageFor(*prefix_, key);
     if (!built.ok()) return built.status();

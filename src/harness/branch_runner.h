@@ -85,9 +85,10 @@ class BranchRunner : public sim::SystemPool {
   BranchRunner(const BranchRunner&) = delete;
   BranchRunner& operator=(const BranchRunner&) = delete;
 
-  // Builds the prefix's image and captures it (or loads --resume), then
-  // writes --checkpoint. No-op in cold mode, without a prefix, and on
-  // repeated calls. Separate from Run so callers can time the prefix and
+  // Builds the prefix's image and captures it (or loads --resume and
+  // restores it once, failing if it does not fit the prefix), then writes
+  // --checkpoint. No-op in cold mode, without a prefix, and on repeated
+  // successful calls. Separate from Run so callers can time the prefix and
   // capture phases; Run calls it implicitly.
   Status Prepare();
 

@@ -251,9 +251,9 @@ TEST(FuzzOracleUnitTest, ScreenAndConfirmThresholds) {
   EXPECT_EQ(oracle.Confirm(obs).kind, fuzz::ExhaustionKind::kAbort);
 }
 
-// A restore that fails mid-campaign must name the failing shard so it is
-// attributable: here the --resume image was captured under another JGR cap
-// than the prefix boots with.
+// A --resume image captured under another JGR cap than the prefix boots
+// with fails Prepare with a Status naming the file, and a restore from it
+// names the failing shard, so a mid-campaign failure is attributable.
 TEST(FuzzBranchIntegrationTest, RestoreFailureNamesShard) {
   core::SystemConfig small_table;
   small_table.system_server_max_jgr = 6'400;
@@ -270,7 +270,10 @@ TEST(FuzzBranchIntegrationTest, RestoreFailureNamesShard) {
   harness::BranchOptions options;
   options.resume_path = path;
   harness::BranchRunner runner(prefix, options);
-  ASSERT_TRUE(runner.Prepare().ok());
+  const Status prepared = runner.Prepare();
+  EXPECT_EQ(prepared.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(prepared.ToString().find(path), std::string::npos)
+      << prepared.ToString();
   try {
     runner.AcquireSystem(prefix, 3);
     ADD_FAILURE() << "expected runtime_error";
