@@ -196,13 +196,13 @@ void GcScan(std::vector<PathResult>* results, harness::Json* sections) {
   config.boot_class_refs = 0;
   rt::Runtime runtime(&clock, config);
   for (int i = 0; i < kHeld; ++i) {
-    const ObjectId obj = runtime.AllocPlainObject("held");
+    const ObjectId obj = runtime.AllocPlainObject();
     runtime.heap().AddHold(obj);
   }
   const auto start = Clock::now();
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kGarbagePerRound; ++i) {
-      (void)runtime.AllocPlainObject("garbage");
+      (void)runtime.AllocPlainObject();
     }
     (void)runtime.CollectGarbage();
   }

@@ -8,8 +8,10 @@ The behaviour ledger (bench/report_digests.json) lists, for each report
 whose JSON is byte-identical for any --jobs value, the bench command that
 writes it and the sha256 of that JSON. This script runs each command from
 DIR/bench/ at --jobs 2, hashes the JSON it writes, and names every report
-whose digest differs from the pinned one. Exit status: 0 when all match, 1
-when any differs or a bench fails to run.
+whose digest differs from the pinned one. An entry marked "stdout": true is
+a bench that takes no --jobs or --json and whose stdout is its report: it
+runs as listed and its stdout is hashed instead. Exit status: 0 when all
+match, 1 when any differs or a bench fails to run.
 
 --update rewrites the ledger with the digests just measured. Use it only
 for a deliberate behaviour change, in the same change that makes it, and
@@ -57,23 +59,30 @@ def load_ledger(path):
         if (not isinstance(command, list) or not command
                 or not all(isinstance(arg, str) for arg in command)):
             fail(f"{path}: {name}: 'command' must be a list of strings")
+        if not isinstance(entry.get("stdout", False), bool):
+            fail(f"{path}: {name}: 'stdout' must be true or false")
     return ledger
 
 
 def measure(build, entry, scratch):
-    """Runs one report's command; returns the sha256 of its JSON, or None
-    (after printing why) if the bench failed."""
+    """Runs one report's command; returns the sha256 of its JSON (or of its
+    stdout, for a "stdout" entry), or None (after printing why) if the bench
+    failed."""
     binary = os.path.join(build, "bench", entry["command"][0])
+    argv = [binary] + entry["command"][1:]
     out = os.path.join(scratch, entry["name"] + ".json")
-    argv = [binary] + entry["command"][1:] + ["--jobs", str(JOBS),
-                                              "--json", out]
-    run = subprocess.run(argv, stdout=subprocess.DEVNULL,
-                         stderr=subprocess.PIPE, text=True, check=False)
-    if run.returncode != 0 or not os.path.exists(out):
-        tail = run.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
+    to_stdout = entry.get("stdout", False)
+    if not to_stdout:
+        argv += ["--jobs", str(JOBS), "--json", out]
+    run = subprocess.run(argv, capture_output=True, check=False)
+    if run.returncode != 0 or not (to_stdout or os.path.exists(out)):
+        stderr = run.stderr.decode(errors="replace")
+        tail = stderr.strip().splitlines()[-1:] or ["(no stderr)"]
         print(f"{TOOL}: {entry['name']}: '{' '.join(argv)}' exited "
               f"{run.returncode}: {tail[0]}", file=sys.stderr)
         return None
+    if to_stdout:
+        return hashlib.sha256(run.stdout).hexdigest()
     with open(out, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
 

@@ -54,9 +54,7 @@ NodeId BinderDriver::RegisterBinder(const std::shared_ptr<BBinder>& binder,
     // The Java-side Binder object: JavaBBinder takes a global ref in the
     // *sender* process (android_util_Binder.cpp), held while the kernel
     // keeps the node referenced.
-    auto obj = proc->runtime->AllocManagedObject(
-        rt::ObjectKind::kJavaBBinder, "JavaBBinder:",
-        descriptors_.Name(node.descriptor_id));
+    auto obj = proc->runtime->AllocManagedObject(rt::ObjectKind::kJavaBBinder);
     if (obj.ok()) {
       node.sender_obj = obj.value();
       proc->runtime->heap().AddHold(node.sender_obj);
@@ -122,8 +120,7 @@ Result<StrongBinder> BinderDriver::MaterializeBinder(NodeId node_id,
   out.binder = std::make_shared<BpBinder>(this, node_id, holder, descriptor);
   if (holder_proc->HasRuntime()) {
     AttachRuntimeHooks(holder, holder_proc->runtime.get());
-    auto proxy =
-        holder_proc->runtime->GetOrCreateBinderProxy(node_id, descriptor);
+    auto proxy = holder_proc->runtime->GetOrCreateBinderProxy(node_id);
     if (!proxy.ok()) return proxy.status();  // JGR table overflow in holder
     out.java_obj = proxy.value();
     auto it =
@@ -262,8 +259,7 @@ Result<LinkId> BinderDriver::LinkToDeath(
   if (holder_proc->HasRuntime()) {
     // JavaDeathRecipient holds one JGR on the recipient object while linked.
     auto obj = holder_proc->runtime->AllocManagedObject(
-        rt::ObjectKind::kDeathRecipient, "JavaDeathRecipient:",
-        descriptors_.Name(node->descriptor_id));
+        rt::ObjectKind::kDeathRecipient);
     if (!obj.ok()) return obj.status();  // JGR overflow in the holder
     link.recipient_obj = obj.value();
     holder_proc->runtime->heap().AddHold(link.recipient_obj);

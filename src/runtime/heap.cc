@@ -5,11 +5,10 @@
 
 namespace jgre::rt {
 
-ObjectId Heap::PushObject(ObjectKind kind, StringInterner::Id label) {
+ObjectId Heap::Alloc(ObjectKind kind) {
   const ObjectId id{next_id_++};
   kind_.push_back(static_cast<std::uint8_t>(kind));
   holds_.push_back(0);
-  label_.push_back(label);
   managed_ref_.push_back(kHeapNullRef);
   weak_ref_.push_back(kHeapNullRef);
   node_.push_back(NodeId{}.value());
@@ -20,23 +19,11 @@ ObjectId Heap::PushObject(ObjectKind kind, StringInterner::Id label) {
   return id;
 }
 
-ObjectId Heap::Alloc(ObjectKind kind, std::string_view label) {
-  return PushObject(kind, labels_.Intern(label));
-}
-
-ObjectId Heap::Alloc(ObjectKind kind, std::string_view label_prefix,
-                     std::string_view label_suffix) {
-  label_scratch_.assign(label_prefix);
-  label_scratch_.append(label_suffix);
-  return PushObject(kind, labels_.Intern(label_scratch_));
-}
-
 void Heap::Free(ObjectId id) {
   if (!IsAlive(id)) return;
   const std::size_t slot = SlotOf(id);
   kind_[slot] = 0;
   holds_[slot] = kDeadSlot;
-  label_[slot] = 0;
   managed_ref_[slot] = kHeapNullRef;
   weak_ref_[slot] = kHeapNullRef;
   node_[slot] = NodeId{}.value();
@@ -70,9 +57,8 @@ void Heap::TakeUnheldCandidates(std::vector<ObjectId>* out) {
 }
 
 void Heap::SaveState(snapshot::Serializer& out) const {
-  out.Marker(0x48454133);  // "HEA3": live-slot bitmap, live columns
+  out.Marker(0x48454134);  // "HEA4": live-slot bitmap, then live columns
   out.I64(next_id_);
-  labels_.SaveState(out);
   // Per 64 slots: a bitmap word marking the live ones, then each live
   // slot's columns. Dead slots cost one bit, so a restore that sizes the
   // arena from the cursor never allocates more than the stream pays for.
@@ -88,7 +74,6 @@ void Heap::SaveState(snapshot::Serializer& out) const {
       if (holds_[slot] == kDeadSlot) continue;
       out.U8(kind_[slot]);
       out.I64(holds_[slot]);
-      out.U32(label_[slot]);
       out.U64(managed_ref_[slot]);
       out.U64(weak_ref_[slot]);
       out.I64(node_[slot]);
@@ -97,15 +82,13 @@ void Heap::SaveState(snapshot::Serializer& out) const {
 }
 
 void Heap::RestoreState(snapshot::Deserializer& in) {
-  in.Marker(0x48454133);
+  in.Marker(0x48454134);
   const std::int64_t next_id = in.I64();
-  labels_.RestoreState(in);
   // The arena empties first and next_id_ tracks the columns, so IsAlive
   // stays in bounds even if the stream fails part-way.
   next_id_ = 1;
   kind_.clear();
   holds_.clear();
-  label_.clear();
   managed_ref_.clear();
   weak_ref_.clear();
   node_.clear();
@@ -119,7 +102,6 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
   if (!in.NeedRecords((slots + 63) / 64, 8)) return;
   kind_.assign(slots, 0);
   holds_.assign(slots, kDeadSlot);
-  label_.assign(slots, 0);
   managed_ref_.assign(slots, kHeapNullRef);
   weak_ref_.assign(slots, kHeapNullRef);
   node_.assign(slots, NodeId{}.value());
@@ -135,16 +117,13 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
       if (((live >> (slot - base)) & 1) == 0) continue;
       const std::uint8_t kind = in.U8();
       const std::int64_t holds = in.I64();
-      const std::uint32_t label = in.U32();
       if (kind > static_cast<std::uint8_t>(ObjectKind::kClassRoot) ||
-          holds < 0 || holds > std::numeric_limits<std::int32_t>::max() ||
-          label >= labels_.size()) {
-        in.Fail("heap object kind, hold count or label out of range");
+          holds < 0 || holds > std::numeric_limits<std::int32_t>::max()) {
+        in.Fail("heap object kind or hold count out of range");
         return;
       }
       kind_[slot] = kind;
       holds_[slot] = static_cast<std::int32_t>(holds);
-      label_[slot] = label;
       managed_ref_[slot] = in.U64();
       weak_ref_[slot] = in.U64();
       node_[slot] = in.I64();

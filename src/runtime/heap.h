@@ -11,11 +11,11 @@
 //
 // Storage is a struct-of-arrays arena indexed by object id: ids are dense
 // and allocated in order, so slot = id - 1 and every per-object attribute is
-// a flat column (kind, holds, interned label, and the runtime's JNI ref /
-// binder-node attachments). Allocation is a handful of column pushes with no
-// per-object heap node, labels are interned once per distinct string instead
-// of copied per object, and the snapshot subsystem serializes the live
-// columns as flat spans.
+// a flat column (kind, holds, and the runtime's JNI ref / binder-node
+// attachments). Objects carry no name: the attack and the defense only ask
+// how full a table is and who filled it. Allocation is a handful of column
+// pushes with no per-object heap node, and the snapshot subsystem
+// serializes the live columns as flat spans.
 //
 // The GC's collection candidates are tracked *incrementally*: an object
 // enters the pending-candidate list when it is allocated unheld or when its
@@ -27,11 +27,8 @@
 
 #include <cassert>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/interner.h"
 #include "common/types.h"
 #include "snapshot/serializer.h"
 
@@ -56,12 +53,7 @@ class Heap {
   Heap(const Heap&) = delete;
   Heap& operator=(const Heap&) = delete;
 
-  ObjectId Alloc(ObjectKind kind, std::string_view label);
-  // Composed-label allocation: interns prefix+suffix through a reusable
-  // scratch buffer, so steady-state allocation of recurring labels
-  // ("BinderProxy:" + descriptor) performs no string allocation at all.
-  ObjectId Alloc(ObjectKind kind, std::string_view label_prefix,
-                 std::string_view label_suffix);
+  ObjectId Alloc(ObjectKind kind);
 
   // Strong-hold accounting. AddHold/RemoveHold model a service data structure
   // taking/dropping a strong reference to the object.
@@ -87,10 +79,6 @@ class Heap {
   ObjectKind Kind(ObjectId id) const {
     assert(IsAlive(id));
     return static_cast<ObjectKind>(kind_[SlotOf(id)]);
-  }
-  const std::string& Label(ObjectId id) const {
-    assert(IsAlive(id));
-    return labels_.Name(label_[SlotOf(id)]);
   }
 
   // --- Runtime attachment columns -----------------------------------------
@@ -155,8 +143,8 @@ class Heap {
   std::size_t LiveCount() const { return live_count_; }
   std::int64_t total_allocated() const { return next_id_ - 1; }
 
-  // Checkpointing: the label interner, a one-bit-per-slot live bitmap, and
-  // the live objects' columns in ascending id order; restore replaces the
+  // Checkpointing: the allocation cursor, a one-bit-per-slot live bitmap,
+  // and the live objects' columns in ascending id order; restore replaces the
   // heap contents wholesale (including the allocation cursor) and rebuilds
   // the candidate list from the live unheld set.
   void SaveState(snapshot::Serializer& out) const;
@@ -171,22 +159,17 @@ class Heap {
     return static_cast<std::size_t>(id.value() - 1);
   }
 
-  ObjectId PushObject(ObjectKind kind, StringInterner::Id label);
-
   std::int64_t next_id_ = 1;
   std::size_t live_count_ = 0;
   // Struct-of-arrays columns, slot = id - 1.
   std::vector<std::uint8_t> kind_;
   std::vector<std::int32_t> holds_;
-  std::vector<StringInterner::Id> label_;
   std::vector<HeapIndirectRef> managed_ref_;
   std::vector<HeapIndirectRef> weak_ref_;
   std::vector<std::int64_t> node_;
   // Pending collection candidates (may contain stale/duplicate entries;
   // filtered at take time).
   std::vector<ObjectId> unheld_candidates_;
-  StringInterner labels_;
-  std::string label_scratch_;
 };
 
 }  // namespace jgre::rt

@@ -82,8 +82,9 @@ class IndirectReferenceTable {
   // Enumerates live references (GC root visiting).
   void VisitRoots(const std::function<void(ObjectId)>& visitor) const;
 
-  // Dumps "<name>: N entries (capacity M)" plus top labels, like ART's
-  // ReferenceTable::Dump used in overflow abort messages.
+  // One-line occupancy summary for overflow abort messages: "<name>: N of M
+  // entries in use (top=, holes=, adds=, removes=)". Unlike ART's
+  // ReferenceTable::Dump it lists no referents: objects carry no class name.
   std::string DumpSummary() const;
 
   std::int64_t total_adds() const { return total_adds_; }

@@ -29,8 +29,7 @@ Runtime::Runtime(SimClock* clock, Config config)
   // held forever, so the GC never reclaims them; the paper's static analysis
   // filters the 67 native paths that only run here.
   for (std::size_t i = 0; i < config_.boot_class_refs; ++i) {
-    const ObjectId cls =
-        heap_.Alloc(ObjectKind::kClassRoot, StrCat("class-root#", i));
+    const ObjectId cls = heap_.Alloc(ObjectKind::kClassRoot);
     heap_.AddHold(cls);  // pinned by the class table
     auto ref = vm_.AddGlobalRef(cls);
     (void)ref;
@@ -44,14 +43,12 @@ Result<IndirectRef> Runtime::AddLocalRef(ObjectId obj) {
   return locals_.Add(locals_.CurrentCookie(), obj);
 }
 
-Result<ObjectId> Runtime::GetOrCreateBinderProxy(NodeId node,
-                                                 std::string_view descriptor) {
+Result<ObjectId> Runtime::GetOrCreateBinderProxy(NodeId node) {
   const std::size_t node_slot = static_cast<std::size_t>(node.value());
   if (node_slot < proxy_by_node_.size() && proxy_by_node_[node_slot] != 0) {
     return ObjectId{proxy_by_node_[node_slot]};
   }
-  const ObjectId proxy =
-      heap_.Alloc(ObjectKind::kBinderProxy, "BinderProxy:", descriptor);
+  const ObjectId proxy = heap_.Alloc(ObjectKind::kBinderProxy);
   auto ref = vm_.AddGlobalRef(proxy);
   if (!ref.ok()) {
     heap_.Free(proxy);
@@ -76,22 +73,8 @@ Result<ObjectId> Runtime::GetOrCreateBinderProxy(NodeId node,
   return proxy;
 }
 
-Result<ObjectId> Runtime::AllocManagedObject(ObjectKind kind,
-                                             std::string_view label) {
-  const ObjectId obj = heap_.Alloc(kind, label);
-  auto ref = vm_.AddGlobalRef(obj);
-  if (!ref.ok()) {
-    heap_.Free(obj);
-    return ref.status();
-  }
-  heap_.SetManagedRef(obj, ref.value());
-  return obj;
-}
-
-Result<ObjectId> Runtime::AllocManagedObject(ObjectKind kind,
-                                             std::string_view label_prefix,
-                                             std::string_view label_suffix) {
-  const ObjectId obj = heap_.Alloc(kind, label_prefix, label_suffix);
+Result<ObjectId> Runtime::AllocManagedObject(ObjectKind kind) {
+  const ObjectId obj = heap_.Alloc(kind);
   auto ref = vm_.AddGlobalRef(obj);
   if (!ref.ok()) {
     heap_.Free(obj);

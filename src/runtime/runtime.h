@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -61,10 +60,7 @@ class Runtime {
 
   // Returns the proxy object for `node`, creating it (and its JGR) if this
   // process has not seen the node before or the old proxy was collected.
-  // The proxy's heap label is "BinderProxy:" + `descriptor`, composed
-  // without allocating.
-  Result<ObjectId> GetOrCreateBinderProxy(NodeId node,
-                                          std::string_view descriptor);
+  Result<ObjectId> GetOrCreateBinderProxy(NodeId node);
 
   // True if a live proxy for `node` is cached.
   bool HasBinderProxy(NodeId node) const {
@@ -83,17 +79,10 @@ class Runtime {
 
   // Allocates a heap object holding one JGR; the GC deletes the JGR and frees
   // the object once its strong-hold count reaches zero.
-  Result<ObjectId> AllocManagedObject(ObjectKind kind, std::string_view label);
-  // Composed-label variant (label = prefix + suffix, interned allocation-free
-  // on the steady state).
-  Result<ObjectId> AllocManagedObject(ObjectKind kind,
-                                      std::string_view label_prefix,
-                                      std::string_view label_suffix);
+  Result<ObjectId> AllocManagedObject(ObjectKind kind);
 
   // Allocates a plain heap object with NO global ref (parameters, payloads).
-  ObjectId AllocPlainObject(std::string_view label) {
-    return heap_.Alloc(ObjectKind::kPlain, label);
-  }
+  ObjectId AllocPlainObject() { return heap_.Alloc(ObjectKind::kPlain); }
 
   // --- Local references (JNI frames) ----------------------------------------
 

@@ -17,15 +17,11 @@ NotificationService::NotificationService(SystemContext* sys)
       callbacks_(sys->driver, sys->system_server_pid,
                  "notification.ToastCallbacks") {}
 
-int NotificationService::CountForPackage(const std::string& pkg) const {
-  int count = 0;
-  for (const ToastRecord& record : toast_queue_) {
-    if (record.pkg == pkg) ++count;
-  }
-  return count;
-}
-
 void NotificationService::ReleaseRecord(const ToastRecord& record) {
+  if (auto pkg = toasts_per_pkg_.find(record.pkg);
+      pkg != toasts_per_pkg_.end() && --pkg->second <= 0) {
+    toasts_per_pkg_.erase(pkg);
+  }
   auto it = records_per_node_.find(record.callback_node);
   if (it == records_per_node_.end()) return;
   if (--it->second <= 0) {
@@ -73,10 +69,12 @@ void NotificationService::RestoreState(snapshot::Deserializer& in) {
   SystemService::RestoreState(in);
   callbacks_.RestoreState(in);
   toast_queue_.clear();
+  toasts_per_pkg_.clear();
   for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
     ToastRecord record;
     record.pkg = in.Str();
     record.callback_node = NodeId{in.I64()};
+    ++toasts_per_pkg_[record.pkg];
     toast_queue_.push_back(std::move(record));
   }
   records_per_node_.clear();
@@ -117,8 +115,8 @@ Status NotificationService::OnTransact(std::uint32_t code,
       const bool is_system_toast = ctx.calling_uid == kSystemUid ||
                                    ctx.calling_uid == kRootUid ||
                                    pkg.value() == "android";
+      int& count = toasts_per_pkg_[pkg.value()];
       if (!is_system_toast) {
-        const int count = CountForPackage(pkg.value());
         if (count >= kMaxPackageNotifications) {
           JGRE_LOG(kWarning, "NotificationService")
               << "Package has already posted " << count
@@ -131,6 +129,7 @@ Status NotificationService::OnTransact(std::uint32_t code,
       }
       callbacks_.Register(callback.value());  // no-op if node already known
       ++records_per_node_[callback.value().node];
+      ++count;
       toast_queue_.push_back(ToastRecord{pkg.value(), callback.value().node});
       return Status::Ok();
     }

@@ -58,12 +58,15 @@ class NotificationService : public SystemService {
   // Pops shown/expired toasts off the queue front (toasts display one at a
   // time); releases callbacks whose last record left the queue.
   void DrainShownToasts(const binder::CallContext& ctx);
-  int CountForPackage(const std::string& pkg) const;
+  // Bookkeeping for a record leaving the queue (drained or cancelled).
   void ReleaseRecord(const ToastRecord& record);
 
   binder::RemoteCallbackList callbacks_;
   std::deque<ToastRecord> toast_queue_;
   std::unordered_map<NodeId, int> records_per_node_;
+  // Queued records per package: the cap's count without a queue scan.
+  // Derived from toast_queue_, so it is rebuilt on restore, not saved.
+  std::unordered_map<std::string, int> toasts_per_pkg_;
   TimeUs current_toast_shown_since_us_ = 0;
   std::unordered_map<std::string, int> notifications_per_pkg_;
 };

@@ -50,9 +50,9 @@ TEST(LocalRefTest, FrameNestingBalances) {
   EXPECT_FALSE(runtime.InLocalFrame());
   const auto outer = runtime.PushLocalFrame();
   EXPECT_TRUE(runtime.InLocalFrame());
-  ASSERT_TRUE(runtime.AddLocalRef(runtime.AllocPlainObject("a")).ok());
+  ASSERT_TRUE(runtime.AddLocalRef(runtime.AllocPlainObject()).ok());
   const auto inner = runtime.PushLocalFrame();
-  ASSERT_TRUE(runtime.AddLocalRef(runtime.AllocPlainObject("b")).ok());
+  ASSERT_TRUE(runtime.AddLocalRef(runtime.AllocPlainObject()).ok());
   EXPECT_EQ(runtime.LocalRefCount(), 2u);
   runtime.PopLocalFrame(inner);
   EXPECT_EQ(runtime.LocalRefCount(), 1u);

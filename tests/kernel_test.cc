@@ -84,7 +84,7 @@ TEST(KernelTest, RuntimeAbortKillsOwningProcess) {
   const Pid pid = kernel.CreateProcess("app", Uid{10001}, config);
   rt::Runtime* runtime = kernel.FindProcess(pid)->runtime.get();
   for (int i = 0; i < 25; ++i) {
-    (void)runtime->AllocManagedObject(rt::ObjectKind::kPlain, "x");
+    (void)runtime->AllocManagedObject(rt::ObjectKind::kPlain);
   }
   EXPECT_TRUE(runtime->aborted());
   EXPECT_FALSE(kernel.IsAlive(pid));

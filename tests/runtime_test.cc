@@ -21,7 +21,7 @@ Runtime::Config SmallConfig(std::size_t max_globals = 100,
 
 TEST(HeapTest, HoldAccounting) {
   Heap heap;
-  const ObjectId obj = heap.Alloc(ObjectKind::kPlain, "x");
+  const ObjectId obj = heap.Alloc(ObjectKind::kPlain);
   EXPECT_TRUE(heap.IsAlive(obj));
   EXPECT_EQ(heap.Holds(obj), 0);
   heap.AddHold(obj);
@@ -38,7 +38,7 @@ TEST(HeapTest, HoldAccounting) {
 
 TEST(HeapTest, RemoveHoldOnFreedObjectIsIgnored) {
   Heap heap;
-  const ObjectId obj = heap.Alloc(ObjectKind::kPlain, "x");
+  const ObjectId obj = heap.Alloc(ObjectKind::kPlain);
   heap.AddHold(obj);
   heap.Free(obj);
   heap.RemoveHold(obj);  // must not crash or corrupt
@@ -189,13 +189,13 @@ TEST(RuntimeTest, BootClassRefsArePinnedForever) {
 TEST(RuntimeTest, ProxyCacheReturnsSameObjectForSameNode) {
   SimClock clock;
   Runtime runtime(&clock, SmallConfig());
-  auto p1 = runtime.GetOrCreateBinderProxy(NodeId{5}, "proxy");
-  auto p2 = runtime.GetOrCreateBinderProxy(NodeId{5}, "proxy");
+  auto p1 = runtime.GetOrCreateBinderProxy(NodeId{5});
+  auto p2 = runtime.GetOrCreateBinderProxy(NodeId{5});
   ASSERT_TRUE(p1.ok());
   ASSERT_TRUE(p2.ok());
   EXPECT_EQ(p1.value(), p2.value());
   EXPECT_EQ(runtime.JgrCount(), 1u);  // one JGR, not two
-  auto p3 = runtime.GetOrCreateBinderProxy(NodeId{6}, "proxy");
+  auto p3 = runtime.GetOrCreateBinderProxy(NodeId{6});
   ASSERT_TRUE(p3.ok());
   EXPECT_EQ(runtime.JgrCount(), 2u);
 }
@@ -206,8 +206,8 @@ TEST(RuntimeTest, GcReclaimsUnheldProxiesAndNotifiesDriver) {
   std::vector<NodeId> collected;
   runtime.SetProxyCollectHandler(
       [&](NodeId node) { collected.push_back(node); });
-  auto held = runtime.GetOrCreateBinderProxy(NodeId{1}, "held");
-  auto loose = runtime.GetOrCreateBinderProxy(NodeId{2}, "loose");
+  auto held = runtime.GetOrCreateBinderProxy(NodeId{1});
+  auto loose = runtime.GetOrCreateBinderProxy(NodeId{2});
   ASSERT_TRUE(held.ok());
   ASSERT_TRUE(loose.ok());
   runtime.heap().AddHold(held.value());
@@ -218,7 +218,7 @@ TEST(RuntimeTest, GcReclaimsUnheldProxiesAndNotifiesDriver) {
   EXPECT_TRUE(runtime.HasBinderProxy(NodeId{1}));
   EXPECT_FALSE(runtime.HasBinderProxy(NodeId{2}));
   // Re-materializing the collected node mints a fresh proxy + JGR.
-  auto again = runtime.GetOrCreateBinderProxy(NodeId{2}, "loose");
+  auto again = runtime.GetOrCreateBinderProxy(NodeId{2});
   ASSERT_TRUE(again.ok());
   EXPECT_NE(again.value(), loose.value());
   EXPECT_EQ(runtime.JgrCount(), 2u);
@@ -229,7 +229,7 @@ TEST(RuntimeTest, ProxyCacheAlsoTracksWeakGlobals) {
   // global reference (a second capped table); collection must release it.
   SimClock clock;
   Runtime runtime(&clock, SmallConfig());
-  auto proxy = runtime.GetOrCreateBinderProxy(NodeId{9}, "p");
+  auto proxy = runtime.GetOrCreateBinderProxy(NodeId{9});
   ASSERT_TRUE(proxy.ok());
   EXPECT_EQ(runtime.vm().WeakGlobalRefCount(), 1u);
   runtime.CollectGarbage();
@@ -240,7 +240,7 @@ TEST(RuntimeTest, ProxyCacheAlsoTracksWeakGlobals) {
 TEST(RuntimeTest, GcReleasesManagedObjectsWhenUnheld) {
   SimClock clock;
   Runtime runtime(&clock, SmallConfig());
-  auto obj = runtime.AllocManagedObject(ObjectKind::kDeathRecipient, "dr");
+  auto obj = runtime.AllocManagedObject(ObjectKind::kDeathRecipient);
   ASSERT_TRUE(obj.ok());
   runtime.heap().AddHold(obj.value());
   runtime.CollectGarbage();
@@ -265,9 +265,9 @@ TEST(RuntimeTest, AbortedRuntimeStopsAllocating) {
   SimClock clock;
   Runtime runtime(&clock, SmallConfig(5));
   for (int i = 0; i < 5; ++i) {
-    (void)runtime.AllocManagedObject(ObjectKind::kPlain, "x");
+    (void)runtime.AllocManagedObject(ObjectKind::kPlain);
   }
-  auto overflow = runtime.AllocManagedObject(ObjectKind::kPlain, "boom");
+  auto overflow = runtime.AllocManagedObject(ObjectKind::kPlain);
   EXPECT_FALSE(overflow.ok());
   EXPECT_TRUE(runtime.aborted());
   EXPECT_EQ(runtime.CollectGarbage(), 0u);  // dead runtimes don't GC

@@ -2,6 +2,9 @@
 // the enqueueToast flaw, helper-class guards, and registry-base semantics.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/android_system.h"
 #include "services/clipboard_service.h"
 #include "services/misc_system_services.h"
@@ -12,6 +15,7 @@
 #include "services/telephony_registry_service.h"
 #include "services/ui_services.h"
 #include "services/wifi_service.h"
+#include "snapshot/snapshot.h"
 
 namespace jgre {
 namespace {
@@ -177,6 +181,64 @@ TEST_F(ServicesTest, ToastQueueDrainsOverTime) {
                         })
                   .ok());
   EXPECT_LE(service->ToastQueueSize(), 6u);
+}
+
+// The cap counts a package's queued toasts: it refuses exactly the 51st, a
+// toast leaving the queue (drained after its display time, or cancelled)
+// frees one slot, and the count is rebuilt from the queue on restore.
+TEST_F(ServicesTest, ToastCapSlotsFreeOnDrainAndCancelAndSurviveRestore) {
+  using Notification = sv::NotificationService;
+  const auto enqueue = [](sv::AppProcess* app,
+                          const std::shared_ptr<binder::BBinder>& toast) {
+    auto client =
+        app->GetService(Notification::kName, Notification::kDescriptor);
+    EXPECT_TRUE(client.ok());
+    return client.value().Call(Notification::TRANSACTION_enqueueToast,
+                               [&](binder::Parcel& p) {
+                                 p.WriteString(app->package());
+                                 p.WriteStrongBinder(toast);
+                                 p.WriteInt32(1);
+                               });
+  };
+  std::vector<std::shared_ptr<binder::BBinder>> toasts;
+  for (int i = 0; i < Notification::kMaxPackageNotifications; ++i) {
+    toasts.push_back(app_->NewBinder("toast"));
+    ASSERT_TRUE(enqueue(app_, toasts.back()).ok()) << "toast " << i + 1;
+  }
+  EXPECT_EQ(enqueue(app_, app_->NewBinder("toast")).code(),
+            StatusCode::kLimitExceeded);
+
+  // cancelToast frees the cancelled toast's slot, and only that one.
+  auto notification = Client(Notification::kName, Notification::kDescriptor);
+  ASSERT_TRUE(notification
+                  .Call(Notification::TRANSACTION_cancelToast,
+                        [&](binder::Parcel& p) {
+                          p.WriteString(app_->package());
+                          p.WriteStrongBinder(toasts[7]);
+                        })
+                  .ok());
+  EXPECT_TRUE(enqueue(app_, app_->NewBinder("toast")).ok());
+  EXPECT_FALSE(enqueue(app_, app_->NewBinder("toast")).ok());
+
+  // The head toast's display time passes: the next enqueue drains it.
+  system_.clock().AdvanceUs(Notification::kToastDisplayUs);
+  EXPECT_TRUE(enqueue(app_, app_->NewBinder("toast")).ok());
+  EXPECT_FALSE(enqueue(app_, app_->NewBinder("toast")).ok());
+  auto* service = system_.Service<Notification>();
+  EXPECT_EQ(service->ToastQueueSize(),
+            static_cast<std::size_t>(Notification::kMaxPackageNotifications));
+
+  auto captured = snapshot::SystemSnapshot::Capture(system_);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  core::AndroidSystem restored(system_.config());
+  restored.Boot();
+  ASSERT_TRUE(captured.value().RestoreInto(&restored).ok());
+  sv::AppProcess* app = restored.FindApp(app_->package());
+  ASSERT_NE(app, nullptr);
+  EXPECT_EQ(enqueue(app, app->NewBinder("toast")).code(),
+            StatusCode::kLimitExceeded);
+  restored.clock().AdvanceUs(Notification::kToastDisplayUs);
+  EXPECT_TRUE(enqueue(app, app->NewBinder("toast")).ok());
 }
 
 TEST_F(ServicesTest, TelephonyListenReplacesRecordForSameBinder) {

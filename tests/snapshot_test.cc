@@ -4,9 +4,14 @@
 // a restored simulation continues byte-identically to a cold run.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -200,6 +205,9 @@ void PatchU64(std::vector<std::uint8_t>* bytes, std::size_t offset,
 
 TEST(SnapshotPropertyTest, RestoreCountsAndIdsPastTheirTablesFailWithoutThrowing) {
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  // A heap image is its marker, the allocation cursor, then per 64 slots a
+  // live bitmap followed by each live slot's kind (u8) and holds (i64).
+  constexpr std::size_t kHeapBitmap = 4 + 8;
   const auto error_of = [](snapshot::Deserializer& in) {
     return in.ok() ? std::string("restore succeeded") : in.error();
   };
@@ -295,6 +303,48 @@ TEST(SnapshotPropertyTest, RestoreCountsAndIdsPastTheirTablesFailWithoutThrowing
          return error_of(in);
        },
        "truncated"},
+      {"heap bitmap past the cursor",
+       [&] {
+         rt::Heap saved;
+         saved.Alloc(rt::ObjectKind::kPlain);
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, kHeapBitmap, 0b11);  // one slot, two live bits
+         rt::Heap target;
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in);
+         return error_of(in);
+       },
+       "past the allocation cursor"},
+      {"heap object kind",
+       [&] {
+         rt::Heap saved;
+         saved.Alloc(rt::ObjectKind::kPlain);
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         bytes[kHeapBitmap + 8] = 0xFF;  // the first live slot's kind
+         rt::Heap target;
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in);
+         return error_of(in);
+       },
+       "kind or hold count out of range"},
+      {"heap hold count",
+       [&] {
+         rt::Heap saved;
+         saved.Alloc(rt::ObjectKind::kPlain);
+         snapshot::Serializer out;
+         saved.SaveState(out);
+         std::vector<std::uint8_t> bytes = out.buffer();
+         PatchU64(&bytes, kHeapBitmap + 8 + 1, kHuge);  // past int32
+         rt::Heap target;
+         snapshot::Deserializer in(bytes);
+         target.RestoreState(in);
+         return error_of(in);
+       },
+       "kind or hold count out of range"},
       {"IRT top index",
        [&] {
          rt::IndirectReferenceTable saved(kHuge, rt::IndirectRefKind::kGlobal,
@@ -333,8 +383,7 @@ TEST(SnapshotPropertyTest, RestoreCountsAndIdsPastTheirTablesFailWithoutThrowing
        [&] {
          SimClock clock;
          rt::Runtime saved(&clock, rt::Runtime::Config{});
-         const ObjectId proxy =
-             saved.heap().Alloc(rt::ObjectKind::kBinderProxy, "BinderProxy");
+         const ObjectId proxy = saved.heap().Alloc(rt::ObjectKind::kBinderProxy);
          saved.heap().SetProxyNode(proxy, NodeId{static_cast<std::int64_t>(kHuge)});
          snapshot::Serializer out;
          saved.SaveState(out);
@@ -363,8 +412,7 @@ TEST(SnapshotPropertyTest, HeapArenaRoundTripIsByteStableWithHoles) {
   rt::Heap original;
   std::vector<ObjectId> ids;
   for (int i = 0; i < 64; ++i) {
-    const ObjectId id =
-        original.Alloc(rt::ObjectKind::kBinderProxy, "BinderProxy:", "svc");
+    const ObjectId id = original.Alloc(rt::ObjectKind::kBinderProxy);
     ids.push_back(id);
     if (i % 3 == 0) original.AddHold(id);
     original.SetManagedRef(id, static_cast<rt::HeapIndirectRef>(0x100 + i));
@@ -395,7 +443,6 @@ TEST(SnapshotPropertyTest, HeapArenaRoundTripIsByteStableWithHoles) {
     if (!original.IsAlive(id)) continue;
     EXPECT_EQ(restored.Holds(id), original.Holds(id));
     EXPECT_EQ(restored.Kind(id), original.Kind(id));
-    EXPECT_EQ(restored.Label(id), original.Label(id));
     EXPECT_EQ(restored.ManagedRef(id), original.ManagedRef(id));
     EXPECT_EQ(restored.WeakRef(id), original.WeakRef(id));
     EXPECT_EQ(restored.ProxyNode(id).value(), original.ProxyNode(id).value());
@@ -682,6 +729,101 @@ TEST(SystemSnapshotTest, TruncatedImagesFailAndLeaveADestroyableSystem) {
     EXPECT_FALSE(in.ok()) << "cut at " << size;
     system.reset();
   }
+}
+
+// Writes the checkpoint of a booted seed-42 system to `path` as an image
+// from before the heap dropped its label column: every heap section carries
+// the "HEA3" marker instead of "HEA4", under a valid content hash, so only
+// the restore can reject it.
+void WriteOldHeapImage(const std::string& path) {
+  core::SystemConfig config;
+  config.seed = 42;
+  core::AndroidSystem system(config);
+  system.Boot();
+  auto captured = snapshot::SystemSnapshot::Capture(system);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  ASSERT_TRUE(captured.value().WriteFile(path).ok());
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;  // magic .. payload size
+  ASSERT_GT(bytes.size(), kHeader + 8);
+  const std::size_t payload_end = bytes.size() - 8;  // FNV-1a trailer
+  const std::uint8_t hea4[] = {'4', 'A', 'E', 'H'};  // 0x48454134, LE
+  int heaps = 0;
+  for (std::size_t i = kHeader; i + 4 <= payload_end; ++i) {
+    if (std::equal(hea4, hea4 + 4,
+                   bytes.begin() + static_cast<std::ptrdiff_t>(i))) {
+      bytes[i] = '3';
+      ++heaps;
+    }
+  }
+  ASSERT_GT(heaps, 0);
+  const std::uint64_t hash =
+      snapshot::Fnv1a(bytes.data() + kHeader, payload_end - kHeader);
+  for (int i = 0; i < 8; ++i) {
+    bytes[payload_end + i] = static_cast<std::uint8_t>(hash >> (8 * i));
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// A checkpoint written before the heap lost its labels loads (its hash is
+// intact), but restoring it over a used system fails with a marker-mismatch
+// Status naming the file, and the half-restored system can be destroyed.
+TEST(SystemSnapshotTest, OldHeapMarkerFailsRestoreAndLeavesADestroyableSystem) {
+  const std::string path = "snapshot_test_hea3.ckpt";
+  ASSERT_NO_FATAL_FAILURE(WriteOldHeapImage(path));
+  auto old = snapshot::SystemSnapshot::ReadFile(path);
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+
+  core::SystemConfig config;
+  config.seed = 42;
+  auto system = std::make_unique<core::AndroidSystem>(config);
+  system->Boot();
+  system->InstallApp("com.example.used")->NewBinder("test.IUsed");
+  Status restored = old.value().RestoreInto(system.get());
+  EXPECT_FALSE(restored.ok());
+  EXPECT_NE(restored.ToString().find("marker mismatch"), std::string::npos)
+      << restored.ToString();
+  EXPECT_NE(restored.ToString().find(path), std::string::npos)
+      << restored.ToString();
+  EXPECT_NO_THROW(system.reset());
+  std::remove(path.c_str());
+  std::remove((path + snapshot::SystemSnapshot::kManifestSuffix).c_str());
+}
+
+// The same image handed to a harness bench through --resume fails
+// BranchRunner::Prepare: the bench prints the error and exits 1 before it
+// runs a single branch. Its prefix adds warm-up to the seed-42 boot, which
+// leaves the config fingerprint alone, so the heap marker is what fails.
+TEST(SystemSnapshotTest, ResumingAnOldHeapImageExitsOneWithTheError) {
+  const std::string path = "snapshot_test_hea3_resume.ckpt";
+  ASSERT_NO_FATAL_FAILURE(WriteOldHeapImage(path));
+
+  const std::string command = std::string(JGRE_RESPONSE_DELAY_BENCH) +
+                              " --seed 42 --no-json --resume " + path +
+                              " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char chunk[4096];
+  for (std::size_t n; (n = std::fread(chunk, 1, sizeof chunk, pipe)) > 0;) {
+    output.append(chunk, n);
+  }
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_NE(output.find("error: INVALID_ARGUMENT: --resume " + path),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("marker mismatch"), std::string::npos) << output;
+  std::remove(path.c_str());
+  std::remove((path + snapshot::SystemSnapshot::kManifestSuffix).c_str());
 }
 
 // The pool behind BranchRunner::AcquireSystem: a handed-back system is
