@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "attack/strategy.h"
+#include "attack/vuln_registry.h"
 #include "bench_util.h"
 #include "common/log.h"
 #include "detect/catalog.h"
@@ -69,13 +71,14 @@ fleet::FleetMatrix DetectFleetMatrix(std::uint64_t seed) {
   matrix.warmup_apps = 2;
   matrix.warmup_foreground_us = 500'000;
   matrix.jgr_caps = {12'800};
-  matrix.scenarios = {fleet::DefaultScenarios()[1],  // flood enqueueToast
-                      fleet::AttackScenario{"drip",
-                                            fleet::DefaultScenarios()[1].vuln_id,
-                                            40'000},
-                      fleet::AttackScenario{"churn", fleet::kChurnVulnId,
-                                            4'000}};
-  matrix.defense = {{false, 0, 0}, {true, 3'200, 400}};
+  const attack::AttackPlan flood = fleet::DefaultScenarios()[1];  // toast
+  attack::AttackPlan drip = flood;
+  drip.think_time_us = 40'000;
+  attack::AttackPlan churn = flood;
+  churn.vuln_id = attack::kChurnVulnId;
+  churn.think_time_us = 4'000;
+  matrix.scenarios = {flood, drip, churn};
+  matrix.defense = {{"none"}, {"defender", true, 3'200, 400}};
   matrix.benign_apps = {1};
   matrix.max_attacker_calls = 4'000;
   matrix.horizon_us = 10'000'000;

@@ -57,12 +57,11 @@ int main(int argc, char** argv) {
     matrix.warmup_apps = 3;
     matrix.warmup_foreground_us = 1'000'000;
     matrix.jgr_caps = {12'800, 51'200};
-    matrix.scenarios = {fleet::AttackScenario{"benign", 0, 0},
-                        fleet::DefaultScenarios()[1],
-                        fleet::DefaultScenarios()[2]};
+    const std::vector<attack::AttackPlan> scenarios = fleet::DefaultScenarios();
+    matrix.scenarios = {scenarios.begin(), scenarios.begin() + 3};
     // Low thresholds so the short horizon still produces incidents: the
     // toast attack's per-call cost grows (Fig 5), capping calls-per-horizon.
-    matrix.defense = {{false, 0, 0}, {true, 1'000, 2'000}};
+    matrix.defense = {{"none"}, {"defender", true, 1'000, 2'000}};
     matrix.benign_apps = {0, 2};
     matrix.max_attacker_calls = 8'000;
     matrix.horizon_us = 30'000'000;

@@ -1,113 +1,12 @@
 #include "arms/matrix.h"
 
 #include <algorithm>
-#include <memory>
-#include <set>
-#include <stdexcept>
 #include <utility>
 
-#include "common/strings.h"
 #include "fleet/runner.h"
 #include "fleet/spec.h"
 
 namespace jgre::arms {
-
-namespace {
-
-// Per-cell extras the ScenarioDriver computes beyond the DeviceOutcome.
-// Indexed by cell; each slot is written by exactly one worker task.
-struct CellExtra {
-  CellOutcome outcome = CellOutcome::kSurvived;
-  attack::StrategyStats attacker;
-  std::map<std::string, std::int64_t> denied_by_policy;
-};
-
-struct CellDesc {
-  attack::AttackPlan plan;
-  DefenseConfig defense;
-  OperatingPoint point;
-};
-
-std::unique_ptr<MitigationStack> BuildStack(core::AndroidSystem& system,
-                                            const MitigationSettings& set,
-                                            std::size_t jgr_cap) {
-  if (!set.any()) return nullptr;
-  MitigationStack::Config config;
-  config.victim = system.system_server_pid();
-  auto stack = std::make_unique<MitigationStack>(&system, config);
-  if (set.per_uid_quota) {
-    stack->Add(std::make_unique<PerUidQuota>(set.quota));
-  }
-  if (set.table_growth_backoff) {
-    TableGrowthBackoff::Config backoff = set.backoff;
-    if (backoff.watermark == 0) backoff.watermark = jgr_cap / 2;
-    stack->Add(std::make_unique<TableGrowthBackoff>(backoff));
-  }
-  if (set.per_interface_rate_limit) {
-    stack->Add(std::make_unique<PerInterfaceRateLimit>(set.rate_limit));
-  }
-  stack->Install();
-  return stack;
-}
-
-fleet::DeviceOutcome RunCell(const CellDesc& cell,
-                             const fleet::FleetDeviceSpec& spec,
-                             sim::DeviceSim& device,
-                             const detect::InterfaceCatalog* catalog,
-                             CellExtra* extra) {
-  core::AndroidSystem& system = device.system();
-  // The probe subscribes before the mitigations and the strategy install.
-  fleet::DeviceRun run(spec, device);
-  std::unique_ptr<MitigationStack> stack =
-      BuildStack(system, cell.defense.mitigations, cell.point.jgr_cap);
-  std::unique_ptr<attack::AttackStrategy> strategy =
-      attack::MakeStrategy(cell.plan);
-  if (strategy == nullptr) {
-    throw std::runtime_error(
-        StrCat("MatrixRunner (cell ", spec.index, "): unknown strategy '",
-               cell.plan.name, "'"));
-  }
-  if (Status setup = strategy->Setup(system); !setup.ok()) {
-    throw std::runtime_error(StrCat("MatrixRunner (cell ", spec.index, ", ",
-                                    cell.plan.name, "): setup failed: ",
-                                    setup.ToString()));
-  }
-
-  // Unlike the census, an incident does NOT end the cell: the defender's
-  // recovery (killing issuers) is exactly the defense-vs-attack interaction
-  // the matrix measures, and the strategy reports itself done when every
-  // issuer is dead or its denial budget is spent.
-  fleet::DeviceOutcome& out =
-      run.Drive(strategy.get(), experiment::StopRule::kHorizon);
-
-  if (stack != nullptr) {
-    for (const Uid uid : strategy->attacker_uids()) {
-      out.denied_attacker_calls += stack->DeniedForUid(uid);
-    }
-    out.denied_benign_calls = stack->total_denied() - out.denied_attacker_calls;
-  }
-  if (const defense::JgreDefender* defender = device.defender();
-      defender != nullptr) {
-    const std::vector<std::string> packages = strategy->attacker_packages();
-    const std::set<std::string> attacker_set(packages.begin(), packages.end());
-    for (const auto& incident : defender->incidents()) {
-      for (const std::string& package : incident.killed_packages) {
-        if (attacker_set.count(package) == 0) ++out.benign_kills;
-      }
-    }
-  }
-
-  extra->attacker = strategy->stats();
-  if (stack != nullptr) extra->denied_by_policy = stack->denied_by_policy();
-  extra->outcome = out.exhausted ? CellOutcome::kExhausted
-                   : out.attacker_killed
-                       ? CellOutcome::kKilled
-                       : out.stopped_by_denial ? CellOutcome::kDenied
-                                               : CellOutcome::kSurvived;
-  return run.Finish(catalog);
-}
-
-}  // namespace
 
 std::vector<attack::AttackPlan> DefaultAttacks() {
   std::vector<attack::AttackPlan> attacks;
@@ -176,75 +75,65 @@ std::size_t MatrixRunner::cell_count() const {
 MatrixResult MatrixRunner::Run() {
   // Expansion: points outermost so consecutive cells share a boot image
   // (one prefix key per distinct JGR cap), then attacks, then defenses.
-  std::vector<CellDesc> cells;
+  MatrixResult result;
   std::vector<fleet::FleetDeviceSpec> specs;
-  cells.reserve(cell_count());
+  result.cells.reserve(cell_count());
   specs.reserve(cell_count());
   for (const OperatingPoint& point : matrix_.points) {
     for (const attack::AttackPlan& plan : matrix_.attacks) {
       for (const DefenseConfig& defense : matrix_.defenses) {
-        const std::size_t index = cells.size();
-        CellDesc cell;
-        cell.plan = plan;
-        cell.plan.seed = fleet::MixFleetSeed(matrix_.seed, index);
-        cell.plan.max_calls = std::min(cell.plan.max_calls, matrix_.max_calls);
-        cell.defense = defense;
-        cell.point = point;
+        MatrixCell cell;
+        cell.index = specs.size();
+        cell.attack = plan.name;
+        cell.defense = defense.name;
+        cell.jgr_cap = point.jgr_cap;
+        cell.benign_apps = point.benign_apps;
+        result.cells.push_back(std::move(cell));
+
+        fleet::FleetDeviceSpec spec;
+        spec.index = specs.size();
+        spec.scenario_class = fleet::ScenarioClass(plan);
+        spec.horizon_us = matrix_.horizon_us;
+        // Unlike the census, an incident does NOT end the cell: the
+        // defender's recovery (killing issuers) is exactly the defense-vs-
+        // attack interaction the matrix measures, and the strategy reports
+        // itself done when every issuer is dead or its denial budget is
+        // spent.
+        spec.stop = experiment::StopRule::kHorizon;
+        attack::AttackPlan cell_plan = plan;
+        cell_plan.seed = fleet::MixFleetSeed(matrix_.seed, spec.index);
+        cell_plan.max_calls = std::min(plan.max_calls, matrix_.max_calls);
 
         core::SystemConfig sys;
         sys.system_server_max_jgr = point.jgr_cap;
-        fleet::FleetDeviceSpec spec;
-        spec.index = index;
-        spec.scenario_class = plan.name;
-        spec.scenario_detail = plan.name + "|" + defense.name;
-        spec.horizon_us = matrix_.horizon_us;
         spec.device.WithSeed(matrix_.seed)
-            .WithScenarioSeed(cell.plan.seed)
+            .WithScenarioSeed(cell_plan.seed)
             .WithSystemConfig(sys)
             .WithWarmup(matrix_.warmup_apps, matrix_.warmup_foreground_us)
             .WithBenignApps(point.benign_apps)
-            .WithMaxAttackerCalls(matrix_.max_calls);
-        if (defense.defender) {
-          spec.device.WithThresholds(defense.alarm_threshold,
-                                     defense.report_threshold);
-        }
-        cells.push_back(std::move(cell));
+            .WithDefense(defense)
+            .WithAttack(cell_plan);
         specs.push_back(std::move(spec));
       }
     }
   }
 
-  std::vector<CellExtra> extras(cells.size());
   fleet::FleetOptions options;
   options.jobs = options_.jobs;
   options.max_images = options_.image_budget;
   options.catalog = options_.catalog;
-  options.scenario_driver = [&cells, &extras](
-                                const fleet::FleetDeviceSpec& spec,
-                                sim::DeviceSim& device,
-                                const detect::InterfaceCatalog* catalog) {
-    return RunCell(cells[spec.index], spec, device, catalog,
-                   &extras[spec.index]);
-  };
   fleet::FleetRunner runner(std::move(specs), options);
   fleet::FleetResult fleet_result = runner.Run();
 
-  MatrixResult result;
   result.boot_images = fleet_result.image_count;
   result.cache = fleet_result.cache;
-  result.cells.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    MatrixCell cell;
-    cell.index = i;
-    cell.attack = cells[i].plan.name;
-    cell.defense = cells[i].defense.name;
-    cell.jgr_cap = cells[i].point.jgr_cap;
-    cell.benign_apps = cells[i].point.benign_apps;
-    cell.outcome = extras[i].outcome;
-    cell.attacker = extras[i].attacker;
-    cell.denied_by_policy = std::move(extras[i].denied_by_policy);
-    cell.device = std::move(fleet_result.outcomes[i]);
-    result.cells.push_back(std::move(cell));
+  for (MatrixCell& cell : result.cells) {
+    cell.device = std::move(fleet_result.outcomes[cell.index]);
+    cell.attacker = cell.device.attacker;
+    cell.outcome = cell.device.exhausted ? CellOutcome::kExhausted
+                   : cell.device.attacker_killed ? CellOutcome::kKilled
+                   : cell.attacker.stopped_by_denial ? CellOutcome::kDenied
+                                                     : CellOutcome::kSurvived;
   }
   return result;
 }
@@ -282,7 +171,7 @@ harness::Json MatrixResult::GridJson() const {
       hunts.Set(hunt, hits);
     }
     harness::Json by_policy = harness::Json::Object();
-    for (const auto& [policy, denied] : cell.denied_by_policy) {
+    for (const auto& [policy, denied] : cell.device.denied_by_policy) {
       by_policy.Set(policy, denied);
     }
     cells_json.Push(
@@ -296,7 +185,7 @@ harness::Json MatrixResult::GridJson() const {
             .Set("time_to_exhaustion_us", cell.device.time_to_exhaustion_us)
             .Set("incident", cell.device.incident)
             .Set("attacker_killed", cell.device.attacker_killed)
-            .Set("stopped_by_denial", cell.device.stopped_by_denial)
+            .Set("stopped_by_denial", cell.attacker.stopped_by_denial)
             .Set("calls_issued", cell.attacker.calls_issued)
             .Set("calls_ok", cell.attacker.calls_ok)
             .Set("calls_denied", cell.attacker.calls_denied)

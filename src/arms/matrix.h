@@ -1,18 +1,18 @@
 // MatrixRunner — the defense-vs-attack matrix (BENCH_matrix.json).
 //
 // Expands attacks x defense configs x operating points into one fleet of
-// cells and runs each cell as a full device simulation on the fleet layer's
-// warmed-boot-image infrastructure (FleetRunner + ScenarioDriver). A cell
-// restores a device at its JGR-cap operating point, installs the defense
-// config (the paper's kill-based JgreDefender, a MitigationStack of modern
-// admission policies, both, or neither), drives its attack::AttackStrategy
-// through experiment::Drive to the horizon (fleet::DeviceRun), and reduces
-// to one MatrixCell:
+// cells. A cell is a fleet::FleetDeviceSpec like any census device: its
+// device carries the attack::AttackPlan (WithAttack) and the
+// defense::DefenseConfig (WithDefense) — the paper's kill-based
+// JgreDefender, a MitigationStack of modern admission policies, both, or
+// neither — so sim::DeviceFactory builds its attacker and its stack, and
+// fleet::FleetRunner runs it through fleet::RunDeviceScenario with
+// StopRule::kHorizon. Each cell reduces to one MatrixCell:
 //
 //   outcome    — exhausted | killed | denied | survived (in that precedence)
-//   detection  — the defender's incidents plus the follow-up hunt battery
-//                (fleet::DeviceRun::Finish), so "evaded the defender" can be
-//                cross-checked against "but a hunt saw it"
+//   detection  — the defender's incidents plus the follow-up hunt battery,
+//                so "evaded the defender" can be cross-checked against "but
+//                a hunt saw it"
 //   collateral — benign calls denied by mitigations, benign apps killed by
 //                the defender's recovery pass
 //
@@ -25,14 +25,13 @@
 #define JGRE_ARMS_MATRIX_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "arms/mitigation.h"
 #include "attack/strategy.h"
 #include "common/types.h"
+#include "defense/mitigation.h"
 #include "detect/catalog.h"
 #include "fleet/aggregator.h"
 #include "harness/branch_runner.h"
@@ -41,31 +40,9 @@
 
 namespace jgre::arms {
 
-// Which modern mitigations a defense config stacks, with their tunings.
-// backoff.watermark == 0 means "half the cell's JGR cap", resolved per cell
-// — an absolute watermark would be meaningless across operating points.
-struct MitigationSettings {
-  bool per_uid_quota = false;
-  bool table_growth_backoff = false;
-  bool per_interface_rate_limit = false;
-  PerUidQuota::Config quota;
-  TableGrowthBackoff::Config backoff{0, 200, 256, 100'000};
-  PerInterfaceRateLimit::Config rate_limit;
-
-  bool any() const {
-    return per_uid_quota || table_growth_backoff || per_interface_rate_limit;
-  }
-};
-
-// One defense axis point: the §V kill-based defender at (alarm, report),
-// a mitigation stack, both, or neither.
-struct DefenseConfig {
-  std::string name;  // axis label ("none", "defender", "defender+quota", ...)
-  bool defender = false;
-  std::size_t alarm_threshold = 4'000;
-  std::size_t report_threshold = 12'000;
-  MitigationSettings mitigations;
-};
+// The defense axis point, shared with the fleet census (e2ebench names it
+// here).
+using defense::DefenseConfig;
 
 // One device operating point. Benign apps are the collateral sensors: their
 // denied calls and deaths are what over-aggressive defenses cost.
@@ -111,8 +88,7 @@ struct MatrixCell {
   std::size_t jgr_cap = 0;
   int benign_apps = 0;
   CellOutcome outcome = CellOutcome::kSurvived;
-  attack::StrategyStats attacker;
-  std::map<std::string, std::int64_t> denied_by_policy;
+  attack::StrategyStats attacker;  // device.attacker (e2ebench reads it here)
   fleet::DeviceOutcome device;  // stream counters, collateral, hunt pass
 };
 
@@ -139,7 +115,7 @@ class MatrixRunner {
   MatrixRunner(ArmsMatrix matrix, Options options);
 
   // Runs every cell; throws if a cell's device cannot be restored or its
-  // strategy fails to set up, naming the cell.
+  // strategy is unknown or fails to set up, naming the cell's index.
   MatrixResult Run();
 
   std::size_t cell_count() const;

@@ -17,16 +17,23 @@ namespace {
 // short enough to keep the benign schedule responsive.
 constexpr DurationUs kParkIdleUs = 10'000;
 
-// By value: SystemServerVulnerabilities() builds its vector per call, so a
-// pointer into it would dangle the moment this returns.
-std::optional<VulnSpec> ResolveVuln(const AttackPlan& plan) {
-  for (const VulnSpec& vuln : SystemServerVulnerabilities()) {
+// The system-server target `plan.vuln_id` names (kChurnVulnId included),
+// or null. Scans the registry in place: SystemServerVulnerabilities()
+// copies it.
+const VulnSpec* ResolveVuln(const AttackPlan& plan) {
+  if (plan.vuln_id == kChurnVulnId) return &ChurnAttackSpec();
+  for (const VulnSpec& vuln : AllVulnerabilities()) {
+    if (vuln.victim != VictimKind::kSystemServer) continue;
     if (plan.vuln_id != 0 ? vuln.id == plan.vuln_id
                           : vuln.permission.empty()) {
-      return vuln;
+      return &vuln;
     }
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+Status NoTarget(std::string_view strategy, const AttackPlan& plan) {
+  return NotFound(StrCat(strategy, ": no vulnerability ", plan.vuln_id));
 }
 
 // One Code-Snippet 2 call of `vuln` from `app` over `client`, which is
@@ -61,8 +68,11 @@ class FloodStrategy : public AttackStrategy {
   std::string_view id() const override { return "flood"; }
 
   Status Setup(core::AndroidSystem& system) override {
-    if (!vuln_) vuln_ = ResolveVuln(plan_);
-    if (!vuln_) return NotFound("flood: no registry vulnerability");
+    if (!vuln_) {
+      const VulnSpec* target = ResolveVuln(plan_);
+      if (target == nullptr) return NoTarget("flood", plan_);
+      vuln_ = *target;
+    }
     app_ = InstallAttackApp(&system, package_, *vuln_);
     if (app_ == nullptr) return Internal("flood: install failed");
     return Status::Ok();
@@ -110,7 +120,7 @@ class SubAlarmDripStrategy : public AttackStrategy {
 
   Status Setup(core::AndroidSystem& system) override {
     vuln_ = ResolveVuln(plan_);
-    if (!vuln_) return NotFound("drip: no registry vulnerability");
+    if (vuln_ == nullptr) return NoTarget("drip", plan_);
     jgrs_per_call_ = vuln_->jgrs_per_call > 0 ? vuln_->jgrs_per_call : 2;
     app_ = InstallAttackApp(&system, "com.arms.drip", *vuln_);
     if (app_ == nullptr) return Internal("drip: install failed");
@@ -143,7 +153,7 @@ class SubAlarmDripStrategy : public AttackStrategy {
   }
 
  private:
-  std::optional<VulnSpec> vuln_;
+  const VulnSpec* vuln_ = nullptr;
   services::AppProcess* app_ = nullptr;
   services::IpcClient client_;
   int jgrs_per_call_ = 2;
@@ -163,7 +173,7 @@ class UidRotationStrategy : public AttackStrategy {
 
   Status Setup(core::AndroidSystem& system) override {
     vuln_ = ResolveVuln(plan_);
-    if (!vuln_) return NotFound("rotation: no registry vuln");
+    if (vuln_ == nullptr) return NoTarget("rotation", plan_);
     const int count = plan_.colluders > 0 ? plan_.colluders : 1;
     for (int k = 0; k < count; ++k) {
       services::AppProcess* app =
@@ -203,7 +213,7 @@ class UidRotationStrategy : public AttackStrategy {
   }
 
  private:
-  std::optional<VulnSpec> vuln_;
+  const VulnSpec* vuln_ = nullptr;
   std::vector<services::AppProcess*> apps_;
   std::vector<services::IpcClient> clients_;  // index-aligned with apps_
   std::size_t current_ = 0;
@@ -380,7 +390,7 @@ const std::vector<std::string>& KnownStrategies() {
 std::unique_ptr<AttackStrategy> MakeStrategy(const AttackPlan& plan) {
   if (plan.name == "flood") {
     return std::make_unique<FloodStrategy>(plan, std::nullopt,
-                                           "com.arms.flood");
+                                           std::string(kFloodPackage));
   }
   if (plan.name == "sub_alarm_drip") {
     return std::make_unique<SubAlarmDripStrategy>(plan);

@@ -54,9 +54,12 @@ namespace jgre::attack {
 
 // Tuning knobs shared by all strategies; each reads the subset it needs.
 struct AttackPlan {
-  std::string name = "flood";  // which strategy MakeStrategy builds
-  // Registry vulnerability the call-issuing strategies drive (0 = the first
-  // permissionless system-server interface, stable registry order).
+  // Which strategy MakeStrategy builds. "" means no attacker: a device
+  // given such a plan (sim::DeviceSpec::WithAttack) runs benign apps only.
+  std::string name = "flood";
+  // System-server vulnerability the call-issuing strategies drive: a
+  // registry id, kChurnVulnId, or 0 for the first permissionless interface
+  // (stable registry order).
   int vuln_id = 0;
   std::uint64_t seed = 42;
   int max_calls = 40'000;
@@ -124,16 +127,22 @@ class AttackStrategy {
   StrategyStats stats_;
 };
 
+// The package MakeStrategy's flood installs its app as. It is also
+// sim::DeviceSpec::attack_package(), so a device's flood has one name
+// whether it was given a plan or an explicit target.
+inline constexpr std::string_view kFloodPackage = "com.evil.app";
+
 // The registry: strategy names MakeStrategy accepts, in matrix axis order.
 const std::vector<std::string>& KnownStrategies();
 
 // Builds the named strategy from `plan.name`; null for an unknown name.
-// Call-issuing strategies resolve `plan.vuln_id` against the registry.
+// Call-issuing strategies resolve `plan.vuln_id` at Setup, which fails if
+// it names no system-server vulnerability.
 std::unique_ptr<AttackStrategy> MakeStrategy(const AttackPlan& plan);
 
 // A flood of `vuln` (which need not be in the registry) from an app
 // installed as `package`: the attacker sim::DeviceSim builds for
-// DeviceSpec::WithAttack.
+// DeviceSpec::WithAttack(vuln).
 std::unique_ptr<AttackStrategy> MakeFlood(const AttackPlan& plan,
                                           const VulnSpec& vuln,
                                           std::string package);

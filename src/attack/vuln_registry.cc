@@ -13,6 +13,7 @@
 #include "services/net_media_services.h"
 #include "services/notification_service.h"
 #include "services/package_manager.h"
+#include "services/safe_service.h"
 #include "services/telephony_registry_service.h"
 #include "services/ui_services.h"
 #include "services/wifi_service.h"
@@ -490,6 +491,26 @@ std::vector<VulnSpec> SystemServerVulnerabilities() {
 const std::vector<VulnSpec>& ThirdPartyVulnerabilities() {
   static const std::vector<VulnSpec> kThirdParty = BuildThirdParty();
   return kThirdParty;
+}
+
+const VulnSpec& ChurnAttackSpec() {
+  static const VulnSpec spec = [] {
+    VulnSpec s;
+    s.id = kChurnVulnId;
+    s.service = "account";
+    s.interface = "setCallback";
+    // GenericSafeService descriptors splice the raw service name between the
+    // "android.os.I"/"Service" affixes — no capitalisation.
+    s.descriptor = "android.os.IaccountService";
+    s.code = sv::GenericSafeService::TRANSACTION_setCallback;
+    s.victim = VictimKind::kSystemServer;
+    s.jgrs_per_call = 0;  // replace-single: the previous reference is evicted
+    s.write_args = [](sv::AppProcess& app, binder::Parcel& p) {
+      p.WriteStrongBinder(app.NewBinder("IAccountCallback"));
+    };
+    return s;
+  }();
+  return spec;
 }
 
 const VulnSpec* FindVulnerability(const std::string& service,

@@ -62,6 +62,18 @@ std::vector<VulnSpec> SystemServerVulnerabilities();
 // its service registered by the caller).
 const std::vector<VulnSpec>& ThirdPartyVulnerabilities();
 
+// Sentinel VulnSpec::id of the synthetic churn target: not a registry
+// vulnerability (replace-single slots are sift rule 4's *non*-exploitable
+// class), but flooding one with fresh binders churns the victim's JGR table
+// — every call adds a reference and evicts the previous one, so net growth
+// stays ~zero while table bandwidth burns. The follow-up death-churn hunt
+// exists to catch exactly this profile. AttackPlan::vuln_id resolves it.
+inline constexpr int kChurnVulnId = -1;
+
+// The spec behind kChurnVulnId: flood a generic safe service's setCallback
+// (member-variable slot) with a fresh callback binder per call.
+const VulnSpec& ChurnAttackSpec();
+
 // Lookup by "service.interface" (e.g. "wifi.acquireWifiLock").
 const VulnSpec* FindVulnerability(const std::string& service,
                                   const std::string& interface);

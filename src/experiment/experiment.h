@@ -5,10 +5,11 @@
 // detects, ranks and kills it. Drive() is the only loop that runs that
 // shape. Each turn it steps the attack::AttackStrategy, fires the benign
 // interactions that are due, and checks for a soft reboot. Its callers
-// differ only in the StopRule: Experiment::RunDefendedAttack (Fig 8),
-// fleet::RunDeviceScenario (a census device) and the undefended floods of
-// Figs 3, 5 and 6 and Table IV use kFirstIncident, and arms::MatrixRunner
-// (a matrix cell) uses kHorizon.
+// differ only in the StopRule: Experiment::RunDefendedAttack (Fig 8) and
+// the undefended floods of Figs 3, 5 and 6 and Table IV use kFirstIncident;
+// fleet::RunDeviceScenario drives every fleet device under the rule its
+// spec carries, kFirstIncident for a census device and kHorizon for an
+// arms::MatrixRunner cell.
 //
 //   sim::DeviceSpec spec;
 //   spec.WithSeed(42).WithBenignApps(10).WithAttack(vuln).WithDefense();

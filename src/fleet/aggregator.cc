@@ -2,6 +2,15 @@
 
 namespace jgre::fleet {
 
+DeviceProbe::DeviceProbe(obs::EventBus& bus, std::int32_t victim_pid,
+                         std::size_t ring_capacity)
+    : bus_(bus), victim_pid_(victim_pid), ring_capacity_(ring_capacity) {
+  bus_.Subscribe(this,
+                 obs::MaskOf(obs::Category::kJgr) |
+                     obs::MaskOf(obs::Category::kIpc),
+                 /*pid_filter=*/-1, obs::Delivery::kBuffered);
+}
+
 void DeviceProbe::OnEvent(const obs::TraceEvent& event) {
   OnBatch(&event, 1);
 }
@@ -17,16 +26,11 @@ void DeviceProbe::OnBatch(const obs::TraceEvent* events, std::size_t count) {
     if (event.category != obs::Category::kJgr || event.pid != victim_pid_) {
       continue;
     }
-    // Weak-table mutations (arg0 = weak count) feed their own counters and
-    // never the strong-table activity trajectory.
+    // Weak-table mutations (arg0 = weak count) feed their own high-water
+    // mark and never the strong-table activity trajectory.
     if (event.name == obs::LabelIdOf(obs::Label::kJgrWeakAdd) ||
         event.name == obs::LabelIdOf(obs::Label::kJgrWeakRemove)) {
       const std::uint64_t weak_after = static_cast<std::uint64_t>(event.arg0);
-      if (event.name == obs::LabelIdOf(obs::Label::kJgrWeakAdd)) {
-        ++weak_adds_;
-      } else {
-        ++weak_removes_;
-      }
       if (weak_after > peak_weak_jgr_) peak_weak_jgr_ = weak_after;
       Retain(event);
       continue;
@@ -88,34 +92,33 @@ void FleetAggregator::Absorb(const DeviceOutcome& outcome) {
   stats.denied_attacker_calls += outcome.denied_attacker_calls;
   stats.denied_benign_calls += outcome.denied_benign_calls;
   stats.benign_kills += outcome.benign_kills;
-  if (outcome.stopped_by_denial) ++stats.denial_stops;
+  if (outcome.attacker.stopped_by_denial) ++stats.denial_stops;
   stats.peak_jgr.Add(outcome.peak_jgr);
   for (const auto& [hunt, hits] : outcome.hunt_hits) {
     stats.hunt_hits[hunt] += hits;
   }
 }
 
+void FleetAggregator::ClassStats::Add(const ClassStats& other) {
+  devices += other.devices;
+  incidents += other.incidents;
+  exhausted += other.exhausted;
+  exhausted_within_horizon += other.exhausted_within_horizon;
+  attacker_kills += other.attacker_kills;
+  ipc_calls += other.ipc_calls;
+  jgr_adds += other.jgr_adds;
+  denied_attacker_calls += other.denied_attacker_calls;
+  denied_benign_calls += other.denied_benign_calls;
+  benign_kills += other.benign_kills;
+  denial_stops += other.denial_stops;
+  tte_us.Merge(other.tte_us);
+  peak_jgr.Merge(other.peak_jgr);
+  for (const auto& [hunt, hits] : other.hunt_hits) hunt_hits[hunt] += hits;
+}
+
 void FleetAggregator::MergeFrom(const FleetAggregator& other) {
   devices_ += other.devices_;
-  for (const auto& [name, theirs] : other.classes_) {
-    ClassStats& ours = classes_[name];
-    ours.devices += theirs.devices;
-    ours.incidents += theirs.incidents;
-    ours.exhausted += theirs.exhausted;
-    ours.exhausted_within_horizon += theirs.exhausted_within_horizon;
-    ours.attacker_kills += theirs.attacker_kills;
-    ours.ipc_calls += theirs.ipc_calls;
-    ours.jgr_adds += theirs.jgr_adds;
-    ours.denied_attacker_calls += theirs.denied_attacker_calls;
-    ours.denied_benign_calls += theirs.denied_benign_calls;
-    ours.benign_kills += theirs.benign_kills;
-    ours.denial_stops += theirs.denial_stops;
-    ours.tte_us.Merge(theirs.tte_us);
-    ours.peak_jgr.Merge(theirs.peak_jgr);
-    for (const auto& [hunt, hits] : theirs.hunt_hits) {
-      ours.hunt_hits[hunt] += hits;
-    }
-  }
+  for (const auto& [name, theirs] : other.classes_) classes_[name].Add(theirs);
 }
 
 namespace {
@@ -168,24 +171,7 @@ harness::Json FleetAggregator::ToJson() const {
   harness::Json doc = harness::Json::Object();
   doc.Set("devices", devices_);
   ClassStats overall;
-  for (const auto& [name, stats] : classes_) {
-    overall.devices += stats.devices;
-    overall.incidents += stats.incidents;
-    overall.exhausted += stats.exhausted;
-    overall.exhausted_within_horizon += stats.exhausted_within_horizon;
-    overall.attacker_kills += stats.attacker_kills;
-    overall.ipc_calls += stats.ipc_calls;
-    overall.jgr_adds += stats.jgr_adds;
-    overall.denied_attacker_calls += stats.denied_attacker_calls;
-    overall.denied_benign_calls += stats.denied_benign_calls;
-    overall.benign_kills += stats.benign_kills;
-    overall.denial_stops += stats.denial_stops;
-    overall.tte_us.Merge(stats.tte_us);
-    overall.peak_jgr.Merge(stats.peak_jgr);
-    for (const auto& [hunt, hits] : stats.hunt_hits) {
-      overall.hunt_hits[hunt] += hits;
-    }
-  }
+  for (const auto& [name, stats] : classes_) overall.Add(stats);
   doc.Set("overall", StatsJson(overall));
   harness::Json classes = harness::Json::Object();
   for (const auto& [name, stats] : classes_) {

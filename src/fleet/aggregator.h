@@ -1,11 +1,12 @@
 // FleetAggregator — streaming census statistics over per-device outcomes.
 //
 // Each device run reduces to one DeviceOutcome (drained from its EventBus by
-// a DeviceProbe plus the scenario driver's own bookkeeping). The aggregator
-// folds outcomes into per-scenario-class counters and mergeable
-// QuantileSketches; MergeFrom() combines aggregators bin-wise, so shard
-// aggregation commutes — the census JSON is identical no matter how the
-// fleet was partitioned across workers.
+// a DeviceProbe plus what RunDeviceScenario reads off the device's
+// attacker, mitigation stack and defender). The aggregator folds outcomes
+// into per-scenario-class counters and mergeable QuantileSketches;
+// MergeFrom() combines aggregators bin-wise, so shard aggregation commutes —
+// the census JSON is identical no matter how the fleet was partitioned
+// across workers.
 #ifndef JGRE_FLEET_AGGREGATOR_H_
 #define JGRE_FLEET_AGGREGATOR_H_
 
@@ -14,12 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "attack/strategy.h"
 #include "common/types.h"
 #include "detect/detection.h"
 #include "detect/hunt.h"
 #include "fleet/sketch.h"
 #include "harness/json.h"
 #include "obs/event.h"
+#include "obs/event_bus.h"
 
 namespace jgre::fleet {
 
@@ -37,16 +40,18 @@ struct DeviceOutcome {
   std::int64_t jgr_adds = 0;
   std::uint64_t peak_jgr = 0;  // system_server table high-water mark
   // Weak-global table high-water mark. Non-zero only when the victim runtime
-  // emits weak events (arms weakref_churn cells opt in).
+  // emits weak events (a weakref_churn attacker opts in).
   std::uint64_t peak_weak_jgr = 0;
-  // Mitigation collateral (arms cells; zero elsewhere): calls denied by a
-  // MitigationPolicy split by issuer, and benign apps killed by the
-  // defender's recovery pass.
+  // The attacker's call tally, stopped_by_denial included (zeros without
+  // an attacker).
+  attack::StrategyStats attacker;
+  // Collateral: calls denied by the device's mitigation stack split by
+  // issuer (zero without a stack) and by policy, and benign apps killed by
+  // the defender's recovery pass.
   std::int64_t denied_attacker_calls = 0;
   std::int64_t denied_benign_calls = 0;
+  std::map<std::string, std::int64_t> denied_by_policy;
   std::int64_t benign_kills = 0;
-  // The attack strategy gave up after its consecutive-denial budget.
-  bool stopped_by_denial = false;
   DurationUs virtual_duration_us = 0;
   // The device's hunt pass: per-hunt detection counts plus the detections
   // themselves (with provenance), in hunt registration order.
@@ -55,8 +60,9 @@ struct DeviceOutcome {
 };
 
 // An EventSink that reduces a device's kJgr/kIpc batches as they drain.
-// Subscribes only the functional categories, so the census numbers are
-// identical under -DJGRE_OBS_TRACING=OFF.
+// It is subscribed to `bus` (buffered) from construction until Detach() or
+// its destruction, to the functional categories only, so the census numbers
+// are identical under -DJGRE_OBS_TRACING=OFF.
 class DeviceProbe : public obs::EventSink {
  public:
   // `victim_pid` scopes the JGR statistics to the victim's table (the
@@ -65,8 +71,15 @@ class DeviceProbe : public obs::EventSink {
   // events as the trace window the detection hunts read — the full-stream
   // JgrActivity counters keep accumulating regardless, so rates and net
   // growth never depend on the ring size.
-  explicit DeviceProbe(std::int32_t victim_pid, std::size_t ring_capacity = 0)
-      : victim_pid_(victim_pid), ring_capacity_(ring_capacity) {}
+  DeviceProbe(obs::EventBus& bus, std::int32_t victim_pid,
+              std::size_t ring_capacity = 0);
+  ~DeviceProbe() override { Detach(); }
+  DeviceProbe(const DeviceProbe&) = delete;
+  DeviceProbe& operator=(const DeviceProbe&) = delete;
+
+  // Leaves the bus, draining the staged events first: the read barrier
+  // before the counters below are read. Idempotent.
+  void Detach() { bus_.Unsubscribe(this); }
 
   void OnEvent(const obs::TraceEvent& event) override;
   void OnBatch(const obs::TraceEvent* events, std::size_t count) override;
@@ -75,10 +88,8 @@ class DeviceProbe : public obs::EventSink {
   std::int64_t ipc_calls() const { return ipc_calls_; }
   std::int64_t jgr_adds() const { return jgr_adds_; }
   std::uint64_t peak_jgr() const { return peak_jgr_; }
-  // Weak-table counters; only advance when the victim runtime opts into
-  // weak-event emission (they ride the same kJgr category).
-  std::int64_t weak_adds() const { return weak_adds_; }
-  std::int64_t weak_removes() const { return weak_removes_; }
+  // Weak-table high-water mark; only advances when the victim runtime opts
+  // into weak-event emission (weak events ride the same kJgr category).
   std::uint64_t peak_weak_jgr() const { return peak_weak_jgr_; }
   const detect::JgrActivity& jgr_activity() const { return activity_; }
 
@@ -88,13 +99,12 @@ class DeviceProbe : public obs::EventSink {
  private:
   void Retain(const obs::TraceEvent& event);
 
+  obs::EventBus& bus_;
   std::int32_t victim_pid_;
   std::size_t ring_capacity_;
   std::int64_t ipc_calls_ = 0;
   std::int64_t jgr_adds_ = 0;
   std::uint64_t peak_jgr_ = 0;
-  std::int64_t weak_adds_ = 0;
-  std::int64_t weak_removes_ = 0;
   std::uint64_t peak_weak_jgr_ = 0;
   detect::JgrActivity activity_;
   bool saw_jgr_ = false;
@@ -133,6 +143,9 @@ class FleetAggregator {
     QuantileSketch peak_jgr;  // high-water mark of every device
     // Per-hunt detection counts (additive; ordered for stable JSON).
     std::map<std::string, std::uint64_t> hunt_hits;
+
+    // Folds `other` in: counters add, sketches merge bin-wise.
+    void Add(const ClassStats& other);
   };
 
   static harness::Json StatsJson(const ClassStats& stats);

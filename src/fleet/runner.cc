@@ -3,7 +3,10 @@
 #include <set>
 #include <stdexcept>
 
+#include "attack/strategy.h"
+#include "defense/mitigation.h"
 #include "detect/registry.h"
+#include "experiment/experiment.h"
 #include "obs/event_bus.h"
 
 namespace jgre::fleet {
@@ -17,55 +20,67 @@ constexpr std::size_t kHuntWindowCapacity = 2048;
 
 }  // namespace
 
-DeviceRun::DeviceRun(const FleetDeviceSpec& spec, sim::DeviceSim& device)
-    : spec_(spec),
-      device_(device),
-      probe_(device.system().system_server_pid().value(),
-             kHuntWindowCapacity) {
-  out_.index = spec.index;
-  out_.scenario_class = spec.scenario_class;
-  device.bus().Subscribe(&probe_,
-                         obs::MaskOf(obs::Category::kJgr) |
-                             obs::MaskOf(obs::Category::kIpc),
-                         /*pid_filter=*/-1, obs::Delivery::kBuffered);
-}
+DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
+                                sim::DeviceSim& device,
+                                const detect::InterfaceCatalog* catalog) {
+  core::AndroidSystem& system = device.system();
+  attack::AttackStrategy* attacker = device.attacker();
+  DeviceOutcome out;
+  out.index = spec.index;
+  out.scenario_class = spec.scenario_class;
 
-DeviceRun::~DeviceRun() { device_.bus().Unsubscribe(&probe_); }
-
-DeviceOutcome& DeviceRun::Drive(attack::AttackStrategy* attacker,
-                                experiment::StopRule rule) {
-  const experiment::DriveResult drive = experiment::Drive(
-      device_, attacker, rule,
-      device_.system().clock().NowUs() + spec_.horizon_us);
-  out_.exhausted = drive.soft_rebooted;
-  if (out_.exhausted) {
-    out_.time_to_exhaustion_us = drive.virtual_duration_us;
-    out_.exhausted_within_horizon =
-        out_.time_to_exhaustion_us <= spec_.horizon_us;
+  DeviceProbe probe(device.bus(), system.system_server_pid().value(),
+                    kHuntWindowCapacity);
+  const experiment::DriveResult drive =
+      experiment::Drive(device, attacker, spec.stop,
+                        system.clock().NowUs() + spec.horizon_us);
+  out.exhausted = drive.soft_rebooted;
+  if (out.exhausted) {
+    out.time_to_exhaustion_us = drive.virtual_duration_us;
+    out.exhausted_within_horizon =
+        out.time_to_exhaustion_us <= spec.horizon_us;
   }
-  out_.incident = drive.incident;
-  out_.attacker_killed = drive.attacker_killed;
-  out_.stopped_by_denial =
-      attacker != nullptr && attacker->stats().stopped_by_denial;
-  out_.virtual_duration_us = drive.virtual_duration_us;
-  return out_;
-}
-
-DeviceOutcome DeviceRun::Finish(const detect::InterfaceCatalog* catalog) {
-  core::AndroidSystem& system = device_.system();
+  out.incident = drive.incident;
+  out.attacker_killed = drive.attacker_killed;
+  out.virtual_duration_us = drive.virtual_duration_us;
 
   // Settle the runtimes before reducing the probe: a final collection strips
   // in-flight transient references, so the hunts below see *retention* — the
   // paper's exploitability criterion — rather than garbage the next GC would
   // have reclaimed anyway.
   system.CollectAllGarbage();
+  probe.Detach();
+  out.ipc_calls = probe.ipc_calls();
+  out.jgr_adds = probe.jgr_adds();
+  out.peak_jgr = probe.peak_jgr();
+  out.peak_weak_jgr = probe.peak_weak_jgr();
 
-  // Unsubscribe drains the probe's staged events first — the read barrier.
-  device_.bus().Unsubscribe(&probe_);
-  out_.ipc_calls = probe_.ipc_calls();
-  out_.jgr_adds = probe_.jgr_adds();
-  out_.peak_jgr = probe_.peak_jgr();
-  out_.peak_weak_jgr = probe_.peak_weak_jgr();
+  // Collateral: what the stack denied and the defender killed that was not
+  // the attacker's.
+  std::vector<Uid> attacker_uids;
+  std::set<std::string> attacker_packages;
+  if (attacker != nullptr) {
+    out.attacker = attacker->stats();
+    attacker_uids = attacker->attacker_uids();
+    const std::vector<std::string> packages = attacker->attacker_packages();
+    attacker_packages.insert(packages.begin(), packages.end());
+  }
+  if (const defense::MitigationStack* stack = device.mitigations();
+      stack != nullptr) {
+    for (const Uid uid : attacker_uids) {
+      out.denied_attacker_calls += stack->DeniedForUid(uid);
+    }
+    out.denied_benign_calls = stack->total_denied() - out.denied_attacker_calls;
+    out.denied_by_policy = stack->denied_by_policy();
+  }
+  if (const defense::JgreDefender* defender = device.defender();
+      defender != nullptr) {
+    for (const auto& incident : defender->incidents()) {
+      for (const std::string& package : incident.killed_packages) {
+        if (attacker_packages.count(package) == 0) ++out.benign_kills;
+      }
+    }
+  }
 
   // The per-device hunt pass: every trace-driven hunt in the standard
   // battery over what the probe observed (the static and fuzz hunts skip
@@ -73,31 +88,23 @@ DeviceOutcome DeviceRun::Finish(const detect::InterfaceCatalog* catalog) {
   static const detect::HuntRegistry& registry = *[] {
     return new detect::HuntRegistry(detect::HuntRegistry::WithDefaultHunts());
   }();
-  const std::vector<obs::TraceEvent> window = probe_.Window();
+  const std::vector<obs::TraceEvent> window = probe.Window();
   detect::DataSources sources;
   sources.trace_events = window.data();
   sources.trace_event_count = window.size();
-  sources.jgr_activity = probe_.jgr_activity();
-  sources.victim_pid = probe_.victim_pid();
+  sources.jgr_activity = probe.jgr_activity();
+  sources.victim_pid = probe.victim_pid();
   sources.victim_name = "system_server";
-  sources.defender = device_.defender();
+  sources.defender = device.defender();
   sources.descriptor_name = [&system](std::uint32_t id) {
     return system.driver().DescriptorName(id);
   };
   sources.catalog = catalog;
-  out_.detections = registry.RunAll(sources, detect::Scope{});
-  for (const detect::Detection& detection : out_.detections) {
-    ++out_.hunt_hits[detection.hunt];
+  out.detections = registry.RunAll(sources, detect::Scope{});
+  for (const detect::Detection& detection : out.detections) {
+    ++out.hunt_hits[detection.hunt];
   }
-  return std::move(out_);
-}
-
-DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
-                                sim::DeviceSim& device,
-                                const detect::InterfaceCatalog* catalog) {
-  DeviceRun run(spec, device);
-  run.Drive(device.attacker(), experiment::StopRule::kFirstIncident);
-  return run.Finish(catalog);
+  return out;
 }
 
 FleetRunner::FleetRunner(std::vector<FleetDeviceSpec> fleet,

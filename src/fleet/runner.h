@@ -12,10 +12,12 @@
 //      evicted images on re-use, deterministically). Each device is built
 //      with DeviceFactory::CreateDeviceOn on a system restored to its key's
 //      image (in place over a system an earlier device handed back, when
-//      one is idle), drives its scenario (flood, drip, or benign-only)
-//      through experiment::Drive, and reduces to a DeviceOutcome. Results
-//      land in submission order and the aggregator folds them in that
-//      order, so the census is byte-identical for any --jobs.
+//      one is idle), which also sets up its attacker and mitigation stack;
+//      RunDeviceScenario then drives it through experiment::Drive under
+//      its StopRule and reduces it to a DeviceOutcome. Census devices and
+//      defense-matrix cells run this same path. Results land in submission
+//      order and the aggregator folds them in that order, so the census is
+//      byte-identical for any --jobs.
 #ifndef JGRE_FLEET_RUNNER_H_
 #define JGRE_FLEET_RUNNER_H_
 
@@ -25,20 +27,18 @@
 #include <string>
 #include <vector>
 
-#include "attack/strategy.h"
 #include "common/status.h"
 #include "detect/catalog.h"
-#include "experiment/experiment.h"
 #include "fleet/aggregator.h"
 #include "fleet/spec.h"
 #include "harness/branch_runner.h"
 
 namespace jgre::fleet {
 
-// Replaces RunDeviceScenario for a device: given the resolved spec and a
-// freshly restored device, run the scenario and reduce it to a
-// DeviceOutcome. The arms-race MatrixRunner uses this to run
-// AttackStrategy/MitigationPolicy cells on fleet infrastructure.
+// Runs one device in place of RunDeviceScenario: given the resolved spec
+// and a freshly restored device, run the scenario and reduce it to a
+// DeviceOutcome. A driver wraps RunDeviceScenario, for example to time each
+// device.
 using ScenarioDriver = std::function<DeviceOutcome(
     const FleetDeviceSpec&, sim::DeviceSim&, const detect::InterfaceCatalog*)>;
 
@@ -52,7 +52,7 @@ struct FleetOptions {
   // interface ids the static and fuzz hunts use, so a census consumer can
   // fuse across modalities; without it they key on "<descriptor>#<code>".
   const detect::InterfaceCatalog* catalog = nullptr;
-  // Custom per-device drive loop; default runs RunDeviceScenario.
+  // Wraps RunDeviceScenario for each device; unset runs it directly.
   ScenarioDriver scenario_driver;
 };
 
@@ -65,40 +65,14 @@ struct FleetResult {
   harness::CacheStats cache;
 };
 
-// One device's run, shared by every scenario driver: construction
-// subscribes the census probe, Drive runs experiment::Drive to the spec's
-// horizon, and Finish reduces to a DeviceOutcome. A driver installs its
-// mitigations and strategy before Drive and tallies its own fields into the
-// outcome before Finish.
-class DeviceRun {
- public:
-  DeviceRun(const FleetDeviceSpec& spec, sim::DeviceSim& device);
-  // Unsubscribes the probe if Finish never ran (a driver threw).
-  ~DeviceRun();
-  DeviceRun(const DeviceRun&) = delete;
-  DeviceRun& operator=(const DeviceRun&) = delete;
-
-  // Drives `attacker` (null: benign apps only) and fills the outcome's
-  // exhaustion, incident, kill, denial-stop and duration fields.
-  DeviceOutcome& Drive(attack::AttackStrategy* attacker,
-                       experiment::StopRule rule);
-
-  // Settle-GCs the runtimes, drains and unsubscribes the probe, fills the
-  // stream counters, and runs the trace-driven hunt battery over the
-  // probe's retained window.
-  DeviceOutcome Finish(const detect::InterfaceCatalog* catalog);
-
- private:
-  const FleetDeviceSpec& spec_;
-  sim::DeviceSim& device_;
-  DeviceProbe probe_;
-  DeviceOutcome out_;
-};
-
-// One census device: its own attacker (flood or drip; none for benign-only
-// devices) driven until the first incident, the attacker finishing, a soft
-// reboot, or the horizon. Exposed so tests can drive a single device
-// without a runner.
+// One device, census device or matrix cell alike. Subscribes the census
+// probe, drives the device's own attacker (none for benign-only devices)
+// with experiment::Drive under spec.stop until the horizon, and reduces the
+// run to a DeviceOutcome: the drive's verdicts, the attacker's stats, the
+// mitigation stack's denials split by issuer and by policy, the benign apps
+// the defender killed, the probe's stream counters after a settling GC,
+// and the trace-driven hunt battery over the probe's retained window.
+// Exposed so tests can drive a single device without a runner.
 DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
                                 sim::DeviceSim& device,
                                 const detect::InterfaceCatalog* catalog =
@@ -113,7 +87,8 @@ class FleetRunner {
   Status Prepare();
 
   // Runs every device; throws (from BranchRunner) if a restore fails
-  // mid-campaign, naming the device index.
+  // mid-campaign or a device's attacker cannot be set up, naming the
+  // device index.
   FleetResult Run();
 
   // Distinct prefix keys after Prepare() (0 before).

@@ -2,13 +2,19 @@
 // fleet census.
 //
 // A fleet campaign does not enumerate devices by hand: it declares axes —
-// JGR table caps, defense threshold points, attack scenarios, benign app
-// populations — and ExpandMatrix() takes their cartesian product into a
-// deterministic vector of FleetDeviceSpecs. Every device boots from the same
-// seed (so devices sharing a SystemConfig share one warmed boot image, see
+// JGR table caps, attack plans, defense points, benign app populations —
+// and ExpandMatrix() takes their cartesian product into a deterministic
+// vector of FleetDeviceSpecs. Every device boots from the same seed (so
+// devices sharing a SystemConfig share one warmed boot image, see
 // sim::PrefixKey) but runs a decorrelated scenario via a per-device scenario
 // seed mixed from (matrix seed, device index) — never from --jobs or
 // scheduling order.
+//
+// A FleetDeviceSpec is also a defense-matrix cell (arms::MatrixRunner): its
+// sim::DeviceSpec carries an attack::AttackPlan and a defense::DefenseConfig,
+// DeviceFactory builds the attacker and the mitigation stack, and the
+// StopRule says whether the first incident ends the run (census) or only
+// the horizon does (matrix).
 #ifndef JGRE_FLEET_SPEC_H_
 #define JGRE_FLEET_SPEC_H_
 
@@ -16,40 +22,13 @@
 #include <string>
 #include <vector>
 
-#include "attack/vuln_registry.h"
+#include "attack/strategy.h"
 #include "common/types.h"
+#include "defense/mitigation.h"
+#include "experiment/experiment.h"
 #include "sim/device.h"
 
 namespace jgre::fleet {
-
-// One attack scenario axis point. Class "benign" runs no attacker at all;
-// "flood" steps the attacker back-to-back; "drip" inserts think time between
-// calls (the slow-drip evasion profile from the paper's §VI discussion). The
-// think time rides DeviceSpec::WithAttack into the device's flood strategy.
-struct AttackScenario {
-  std::string scenario_class;  // "benign" | "flood" | "drip" | "churn"
-  int vuln_id = 0;             // registry id (attack::VulnSpec::id); 0 = none
-  DurationUs think_time_us = 0;
-};
-
-// Sentinel vuln_id for the synthetic churn scenario: not a registry
-// vulnerability (replace-single slots are sift rule 4's *non*-exploitable
-// class), but flooding one with fresh binders churns the victim's JGR table
-// — every call adds a reference and evicts the previous one, so net growth
-// stays ~zero while table bandwidth burns. The follow-up death-churn hunt
-// exists to catch exactly this profile.
-inline constexpr int kChurnVulnId = -1;
-
-// The spec behind kChurnVulnId: flood a generic safe service's setCallback
-// (member-variable slot) with a fresh callback binder per call.
-const attack::VulnSpec& ChurnAttackSpec();
-
-// One defense axis point: disabled, or enabled at (alarm, report) thresholds.
-struct DefensePoint {
-  bool enabled = false;
-  std::size_t alarm_threshold = 0;
-  std::size_t report_threshold = 0;
-};
 
 struct FleetMatrix {
   std::uint64_t seed = 42;
@@ -61,27 +40,35 @@ struct FleetMatrix {
   // Axes. Defaults give 4 caps x 9 scenarios x 3 defense points x 3 benign
   // populations = 324 devices from 4 boot images.
   std::vector<std::size_t> jgr_caps = {6'400, 12'800, 25'600, 51'200};
-  std::vector<AttackScenario> scenarios;  // empty = DefaultScenarios()
-  std::vector<DefensePoint> defense = {{false, 0, 0},
-                                       {true, 4'000, 12'000},
-                                       {true, 2'000, 6'000}};
+  std::vector<attack::AttackPlan> scenarios;  // empty = DefaultScenarios()
+  std::vector<defense::DefenseConfig> defense = {
+      {"none"},
+      {"defender", true, 4'000, 12'000},
+      {"defender-2k", true, 2'000, 6'000}};
   std::vector<int> benign_apps = {0, 2, 4};
+  // Caps every plan's max_calls.
   int max_attacker_calls = 15'000;
   // The census window T: "soft-reboot fraction within T" is measured against
   // this horizon, and benign scenarios run until they reach it.
   DurationUs horizon_us = 60'000'000;
 };
 
-// benign + {flood, drip} over four registry vulnerabilities.
-std::vector<AttackScenario> DefaultScenarios();
+// benign (a plan named "") + {flood, drip} over four registry
+// vulnerabilities. The floods never give up on denials, like the paper's
+// attacker; a drip is a flood idling 350 ms after each call.
+std::vector<attack::AttackPlan> DefaultScenarios();
+
+// The census class of a plan: "benign" for no attacker, "churn" for a flood
+// of kChurnVulnId, "drip" for a flood with think time, else the plan's name.
+std::string ScenarioClass(const attack::AttackPlan& plan);
 
 // One fully-resolved device of the fleet.
 struct FleetDeviceSpec {
   std::size_t index = 0;
   std::string scenario_class;
-  std::string scenario_detail;  // e.g. "flood:notification.enqueueToast"
   sim::DeviceSpec device;
   DurationUs horizon_us = 0;
+  experiment::StopRule stop = experiment::StopRule::kFirstIncident;
 };
 
 // The deterministic cartesian expansion (caps outermost, then scenarios,

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
 #include "harness/experiment_runner.h"
 #include "sim/device.h"
 #include "snapshot/snapshot.h"
@@ -95,7 +96,9 @@ class BranchRunner : public sim::SystemPool {
   // Runs `count` branches, at most `jobs` concurrently, results in
   // submission order. Branch i's device is built from spec_of(i) on a
   // system acquired for that spec (a cold prefix under --cold), handed to
-  // task(i, device), and destroyed after, handing its system back.
+  // task(i, device), and destroyed after, handing its system back. A device
+  // that cannot be built (its attacker fails to set up) throws, naming
+  // branch i.
   template <typename Result>
   std::vector<Result> Run(
       std::size_t count,
@@ -107,8 +110,14 @@ class BranchRunner : public sim::SystemPool {
     return RunOrdered<Result>(
         count, options_.jobs, [this, &spec_of, &task](std::size_t i) {
           const sim::DeviceFactory factory(spec_of(i));
-          std::unique_ptr<sim::DeviceSim> device =
-              factory.CreateDeviceOn(AcquireSystem(factory.spec(), i));
+          sim::PooledSystem system = AcquireSystem(factory.spec(), i);
+          std::unique_ptr<sim::DeviceSim> device;
+          try {
+            device = factory.CreateDeviceOn(std::move(system));
+          } catch (const std::runtime_error& error) {
+            throw std::runtime_error(
+                StrCat("BranchRunner (branch ", i, "): ", error.what()));
+          }
           return task(i, *device);
         });
   }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
+#include "common/strings.h"
 #include "obs/chrome_trace.h"
 #include "snapshot/serializer.h"
 
@@ -57,7 +59,9 @@ void ReturnToPool::operator()(core::AndroidSystem* system) const {
 
 std::unique_ptr<DeviceSim> DeviceFactory::CreateDeviceOn(
     PooledSystem system) const {
-  return std::unique_ptr<DeviceSim>(new DeviceSim(spec_, std::move(system)));
+  std::unique_ptr<DeviceSim> device(new DeviceSim(spec_, std::move(system)));
+  device->InstallAttacker();
+  return device;
 }
 
 DeviceSim::DeviceSim(const DeviceSpec& spec, PooledSystem system)
@@ -95,6 +99,10 @@ DeviceSim::DeviceSim(const DeviceSpec& spec, PooledSystem system)
     }
   }
 
+  mitigations_ = defense::InstallMitigations(*system_, spec_.mitigations());
+}
+
+void DeviceSim::InstallAttacker() {
   if (spec_.vuln().has_value()) {
     attack::AttackPlan plan;
     plan.max_calls = spec_.max_attacker_calls();
@@ -102,7 +110,17 @@ DeviceSim::DeviceSim(const DeviceSpec& spec, PooledSystem system)
     plan.think_time_us = spec_.attack_think_time_us();
     attacker_ =
         attack::MakeFlood(plan, *spec_.vuln(), spec_.attack_package());
-    if (!attacker_->Setup(*system_).ok()) attacker_.reset();
+  } else if (const attack::AttackPlan& plan = spec_.attack_plan();
+             !plan.name.empty()) {
+    attacker_ = attack::MakeStrategy(plan);
+    if (attacker_ == nullptr) {
+      throw std::runtime_error(StrCat("unknown strategy '", plan.name, "'"));
+    }
+  }
+  if (attacker_ == nullptr) return;
+  if (Status setup = attacker_->Setup(*system_); !setup.ok()) {
+    throw std::runtime_error(StrCat(attacker_->id(), ": setup failed: ",
+                                    setup.ToString()));
   }
 }
 

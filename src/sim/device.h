@@ -9,13 +9,20 @@
 //   sim::DeviceFactory factory(spec);
 //   std::unique_ptr<sim::DeviceSim> device = factory.CreateDevice();
 //
+// A census device or a matrix cell describes its attacker and its defense
+// as data instead: WithAttack(attack::AttackPlan) names a registry strategy
+// and WithDefense(defense::DefenseConfig) sets the defender's thresholds and
+// a mitigation stack, so every attacker and every stack of a grid is built
+// here too.
+//
 // A DeviceSim owns ALL per-device state: the AndroidSystem (and with it the
 // per-device kernel, binder driver, EventBus, and label interner), the
 // installed defender, the trace/metrics sinks, the benign workload plus its
-// interaction schedule, and the attacker. Nothing is aliased between two
-// DeviceSims — two devices can be built, run, and destroyed on different
-// threads with no shared mutable state, which is what lets the fleet layer
-// run hundreds of heterogeneous devices across the work-stealing pool.
+// interaction schedule, the mitigation stack, and the attacker. Nothing is
+// aliased between two DeviceSims — two devices can be built, run, and
+// destroyed on different threads with no shared mutable state, which is
+// what lets the fleet layer run hundreds of heterogeneous devices across
+// the work-stealing pool.
 //
 // Seed derivation (identical to the historical builder): the system boots
 // with `seed`, the warmup workload draws from `seed + 3`; the scenario phase
@@ -32,9 +39,10 @@
 // checkpoint. CreateDevice() is CreateDeviceOn(BootPrefix()).
 //
 // A DeviceSim runs one scenario. Destroying it tears down everything it
-// installed (defender, sinks, workloads, attacker) and then hands its system
-// to the SystemPool it came from, which restores that system in place for
-// the next device of the same prefix key; a system from no pool is deleted.
+// installed (attacker, mitigation stack, workloads, sinks, defender) and
+// then hands its system to the SystemPool it came from, which restores that
+// system in place for the next device of the same prefix key; a system from
+// no pool is deleted.
 #ifndef JGRE_SIM_DEVICE_H_
 #define JGRE_SIM_DEVICE_H_
 
@@ -51,6 +59,7 @@
 #include "common/types.h"
 #include "core/android_system.h"
 #include "defense/jgre_defender.h"
+#include "defense/mitigation.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
@@ -82,15 +91,36 @@ class DeviceSpec {
     return *this;
   }
   // The device's own attacker: a flood of `vuln` from attack_package(),
-  // idling `think_time_us` after each call (the census's drip profile).
+  // idling `think_time_us` after each call, for max_attacker_calls() calls
+  // and never giving up on denials.
   DeviceSpec& WithAttack(const attack::VulnSpec& vuln,
                          DurationUs think_time_us = 0) {
     vuln_ = vuln;
     attack_think_time_us_ = think_time_us;
+    attack_plan_.name.clear();
+    return *this;
+  }
+  // The device's own attacker built by attack::MakeStrategy(plan), or none
+  // for a plan named "". Device construction throws if the registry has no
+  // such strategy or its Setup fails.
+  DeviceSpec& WithAttack(const attack::AttackPlan& plan) {
+    vuln_.reset();
+    attack_plan_ = plan;
     return *this;
   }
   DeviceSpec& WithDefense(bool enabled = true) {
     defense_ = enabled;
+    return *this;
+  }
+  // One defense point: the defender at the config's thresholds if it has
+  // one, plus its mitigation stack.
+  DeviceSpec& WithDefense(const defense::DefenseConfig& config) {
+    defense_ = config.defender;
+    if (config.defender) {
+      defender_config_.monitor.alarm_threshold = config.alarm_threshold;
+      defender_config_.monitor.report_threshold = config.report_threshold;
+    }
+    mitigations_ = config.mitigations;
     return *this;
   }
   DeviceSpec& WithDefenderConfig(const defense::JgreDefender::Config& config) {
@@ -141,10 +171,17 @@ class DeviceSpec {
   int benign_apps() const { return benign_apps_; }
   const std::optional<attack::VulnSpec>& vuln() const { return vuln_; }
   DurationUs attack_think_time_us() const { return attack_think_time_us_; }
-  std::string attack_package() const { return "com.evil.app"; }
+  // Named "" unless WithAttack(plan) set a strategy.
+  const attack::AttackPlan& attack_plan() const { return attack_plan_; }
+  std::string attack_package() const {
+    return std::string(attack::kFloodPackage);
+  }
   bool defense() const { return defense_; }
   const defense::JgreDefender::Config& defender_config() const {
     return defender_config_;
+  }
+  const defense::MitigationSettings& mitigations() const {
+    return mitigations_;
   }
   int max_attacker_calls() const { return max_attacker_calls_; }
   bool trace() const { return trace_; }
@@ -163,8 +200,10 @@ class DeviceSpec {
   int benign_apps_ = 0;
   std::optional<attack::VulnSpec> vuln_;
   DurationUs attack_think_time_us_ = 0;
+  attack::AttackPlan attack_plan_{.name = ""};
   bool defense_ = false;
   defense::JgreDefender::Config defender_config_;
+  defense::MitigationSettings mitigations_;
   int max_attacker_calls_ = 60'000;
   bool trace_ = false;
   obs::CategoryMask trace_mask_ = obs::kAllCategories;
@@ -215,9 +254,12 @@ class DeviceSim {
   core::AndroidSystem& system() { return *system_; }
   obs::EventBus& bus() { return system_->kernel().bus(); }
   const DeviceSpec& spec() const { return spec_; }
-  // Null unless the corresponding With* was configured. The attacker is a
-  // flood strategy, already set up (its app installed).
+  // Null unless the corresponding With* was configured. The attacker is
+  // already set up (its apps installed).
   defense::JgreDefender* defender() { return defender_.get(); }
+  const defense::MitigationStack* mitigations() const {
+    return mitigations_.get();
+  }
   attack::AttackStrategy* attacker() { return attacker_.get(); }
   attack::BenignWorkload* benign() { return benign_.get(); }
   // Trace/metrics sinks ride the bus's buffered (batched) delivery; these
@@ -240,6 +282,9 @@ class DeviceSim {
  private:
   friend class DeviceFactory;
   DeviceSim(const DeviceSpec& spec, PooledSystem system);
+  // The last setup step, run on a constructed device so that a throw
+  // destroys it whole.
+  void InstallAttacker();
 
   DeviceSpec spec_;
   Rng rng_;
@@ -252,12 +297,15 @@ class DeviceSim {
   std::unique_ptr<obs::MetricsSink> metrics_sink_;
   std::unique_ptr<attack::BenignWorkload> benign_;
   std::vector<TimeUs> next_benign_;  // index-aligned with benign_->packages()
+  std::unique_ptr<defense::MitigationStack> mitigations_;
   std::unique_ptr<attack::AttackStrategy> attacker_;
 };
 
 // THE construction path. Fixes the setup order once (boot → warmup →
-// defense install → observability subscriptions → benign workload + schedule
-// → attacker install) so every consumer shares it byte-for-byte.
+// defender install → observability subscriptions → benign workload +
+// schedule → mitigation stack → attacker setup) so every consumer shares it
+// byte-for-byte. A census probe or any other sink a caller subscribes comes
+// after all of it.
 class DeviceFactory {
  public:
   explicit DeviceFactory(DeviceSpec spec) : spec_(std::move(spec)) {}
@@ -271,6 +319,7 @@ class DeviceFactory {
   // BootPrefix(), or a system restored from a checkpoint of one. The system
   // must have been built from this spec's boot seed and system config. A
   // pooled system goes back to its pool when the device is destroyed.
+  // Throws std::runtime_error if the spec's attacker cannot be set up.
   std::unique_ptr<DeviceSim> CreateDeviceOn(PooledSystem system) const;
   std::unique_ptr<DeviceSim> CreateDeviceOn(
       std::unique_ptr<core::AndroidSystem> system) const {

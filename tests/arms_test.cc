@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "arms/matrix.h"
-#include "arms/mitigation.h"
 #include "attack/strategy.h"
 #include "attack/vuln_registry.h"
 #include "common/clock.h"
 #include "core/android_system.h"
+#include "defense/mitigation.h"
 #include "fleet/runner.h"
 #include "fleet/spec.h"
 #include "runtime/runtime.h"
@@ -25,6 +25,12 @@
 
 namespace jgre::arms {
 namespace {
+
+using defense::MitigationRequest;
+using defense::MitigationStack;
+using defense::PerInterfaceRateLimit;
+using defense::PerUidQuota;
+using defense::TableGrowthBackoff;
 
 MitigationRequest RequestAt(TimeUs now, std::size_t live, SimClock* clock,
                             Uid uid = Uid{10100}) {
@@ -353,8 +359,9 @@ TEST(MatrixRunnerTest, GridIsByteIdenticalAcrossJobsAndImageBudgets) {
 }
 
 TEST(MatrixRunnerTest, UnknownStrategyThrowsNamingTheCell) {
-  // The throw leaves the cell's device mid-run: its census probe is still
-  // subscribed and must be released before the device goes away.
+  // The throw comes from building the cell's device, after its defender,
+  // benign apps and stack are installed: the device must be torn down whole
+  // and hand its system back.
   ArmsMatrix matrix = TinyMatrix();
   attack::AttackPlan bogus;
   bogus.name = "no_such_strategy";
@@ -367,6 +374,8 @@ TEST(MatrixRunnerTest, UnknownStrategyThrowsNamingTheCell) {
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("unknown strategy"),
               std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("(branch 0)"), std::string::npos)
         << error.what();
   }
 }
@@ -387,10 +396,16 @@ void ExpectSameOutcome(const fleet::DeviceOutcome& a,
   EXPECT_EQ(a.jgr_adds, b.jgr_adds);
   EXPECT_EQ(a.peak_jgr, b.peak_jgr);
   EXPECT_EQ(a.peak_weak_jgr, b.peak_weak_jgr);
+  EXPECT_EQ(a.attacker.calls_issued, b.attacker.calls_issued);
+  EXPECT_EQ(a.attacker.calls_ok, b.attacker.calls_ok);
+  EXPECT_EQ(a.attacker.calls_denied, b.attacker.calls_denied);
+  EXPECT_EQ(a.attacker.calls_failed, b.attacker.calls_failed);
+  EXPECT_EQ(a.attacker.consecutive_denied, b.attacker.consecutive_denied);
+  EXPECT_EQ(a.attacker.stopped_by_denial, b.attacker.stopped_by_denial);
   EXPECT_EQ(a.denied_attacker_calls, b.denied_attacker_calls);
   EXPECT_EQ(a.denied_benign_calls, b.denied_benign_calls);
+  EXPECT_EQ(a.denied_by_policy, b.denied_by_policy);
   EXPECT_EQ(a.benign_kills, b.benign_kills);
-  EXPECT_EQ(a.stopped_by_denial, b.stopped_by_denial);
   EXPECT_EQ(a.virtual_duration_us, b.virtual_duration_us);
   EXPECT_EQ(a.hunt_hits, b.hunt_hits);
   ASSERT_EQ(a.detections.size(), b.detections.size());
@@ -412,7 +427,6 @@ void ExpectSameCell(const MatrixCell& a, const MatrixCell& b) {
   EXPECT_EQ(a.attacker.calls_failed, b.attacker.calls_failed);
   EXPECT_EQ(a.attacker.consecutive_denied, b.attacker.consecutive_denied);
   EXPECT_EQ(a.attacker.stopped_by_denial, b.attacker.stopped_by_denial);
-  EXPECT_EQ(a.denied_by_policy, b.denied_by_policy);
   ExpectSameOutcome(a.device, b.device);
 }
 
@@ -459,8 +473,9 @@ TEST(MatrixRunnerTest, CellsOnHandedBackSystemsMatchFreshRestores) {
 }
 
 // A defended census device with benign apps and a flood, on the system a
-// weakref_churn run behind a quota stack handed back, matches the device on
-// a fresh restore.
+// weakref_churn cell behind a defender and a quota stack handed back,
+// matches the device on a fresh restore. Both devices are plain specs:
+// DeviceFactory builds the churn's strategy and stack.
 TEST(FleetRunnerCacheTest, CensusDeviceOnAHandedBackSystemMatchesAFreshRestore) {
   const attack::VulnSpec& toast =
       *attack::FindVulnerability("notification", "enqueueToast");
@@ -483,36 +498,32 @@ TEST(FleetRunnerCacheTest, CensusDeviceOnAHandedBackSystemMatchesAFreshRestore) 
         .WithMaxAttackerCalls(4'000);
     return spec;
   };
-  fleet::FleetOptions options;
-  options.scenario_driver = [](const fleet::FleetDeviceSpec& spec,
-                               sim::DeviceSim& device,
-                               const detect::InterfaceCatalog* catalog) {
-    if (spec.index == 1) return fleet::RunDeviceScenario(spec, device, catalog);
-    fleet::DeviceRun run(spec, device);
-    MitigationStack::Config config;
-    config.victim = device.system().system_server_pid();
-    MitigationStack stack(&device.system(), config);
-    stack.Add(std::make_unique<PerUidQuota>());
-    stack.Install();
-    attack::AttackPlan plan;
-    plan.name = "weakref_churn";
-    plan.max_calls = 2'000;
-    std::unique_ptr<attack::AttackStrategy> strategy =
-        attack::MakeStrategy(plan);
-    EXPECT_TRUE(strategy->Setup(device.system()).ok());
-    run.Drive(strategy.get(), experiment::StopRule::kHorizon);
-    return run.Finish(catalog);
+  const auto churn_at = [&device_at](std::size_t cap) {
+    fleet::FleetDeviceSpec spec = device_at(0, cap);
+    spec.scenario_class = "weakref_churn";
+    spec.stop = experiment::StopRule::kHorizon;
+    DefenseConfig quota;
+    quota.name = "defender+quota";
+    quota.defender = true;
+    quota.alarm_threshold = 500;
+    quota.report_threshold = 1'000;
+    quota.mitigations.per_uid_quota = true;
+    attack::AttackPlan weakref;
+    weakref.name = "weakref_churn";
+    weakref.max_calls = 2'000;
+    spec.device.WithDefense(quota).WithAttack(weakref);
+    return spec;
   };
-  fleet::FleetRunner reused_runner({device_at(0, 6'400), device_at(1, 6'400)},
-                                   options);
+  fleet::FleetRunner reused_runner({churn_at(6'400), device_at(1, 6'400)},
+                                   fleet::FleetOptions{});
   const fleet::FleetResult reused = reused_runner.Run();
-  fleet::FleetRunner fresh_runner({device_at(0, 3'200), device_at(1, 6'400)},
-                                  options);
+  fleet::FleetRunner fresh_runner({churn_at(3'200), device_at(1, 6'400)},
+                                  fleet::FleetOptions{});
   const fleet::FleetResult fresh = fresh_runner.Run();
   EXPECT_EQ(reused.cache.in_place_restores, 1u);
   EXPECT_EQ(fresh.cache.in_place_restores, 0u);
   EXPECT_GT(reused.outcomes[0].peak_weak_jgr, 0u);  // the churn ran
-  EXPECT_TRUE(reused.outcomes[1].incident);          // so did the flood
+  EXPECT_TRUE(reused.outcomes[1].incident);  // so did the flood
   ExpectSameOutcome(reused.outcomes[1], fresh.outcomes[1]);
 }
 

@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "analysis/pipeline.h"
+#include "attack/strategy.h"
+#include "attack/vuln_registry.h"
 #include "core/android_system.h"
 #include "detect/catalog.h"
 #include "detect/detection.h"
@@ -529,6 +531,15 @@ TEST(DeathChurnHuntTest, FiresOnBalancedConcentratedChurn) {
 
 // --- Fleet integration -------------------------------------------------------
 
+// A flood of kChurnVulnId that paces itself so the 2s periodic GC keeps the
+// table oscillating instead of monotonically climbing.
+attack::AttackPlan ChurnPlan() {
+  attack::AttackPlan churn = fleet::DefaultScenarios()[1];
+  churn.vuln_id = attack::kChurnVulnId;
+  churn.think_time_us = 4'000;
+  return churn;
+}
+
 fleet::FleetMatrix HuntMatrix() {
   fleet::FleetMatrix matrix;
   matrix.warmup_apps = 2;
@@ -536,18 +547,14 @@ fleet::FleetMatrix HuntMatrix() {
   matrix.jgr_caps = {12'800};
   // The flood device exists for the alarm hunt (defense on), the drip and
   // churn devices for the follow-up hunts.
-  matrix.scenarios = {fleet::DefaultScenarios()[1],  // flood enqueueToast
-                      fleet::AttackScenario{"drip",
-                                            fleet::DefaultScenarios()[1].vuln_id,
-                                            40'000},
-                      // Churn paces itself so the 2s periodic GC keeps the
-                      // table oscillating instead of monotonically climbing.
-                      fleet::AttackScenario{"churn", fleet::kChurnVulnId,
-                                            4'000}};
+  const attack::AttackPlan flood = fleet::DefaultScenarios()[1];  // toast
+  attack::AttackPlan drip = flood;
+  drip.think_time_us = 40'000;
+  matrix.scenarios = {flood, drip, ChurnPlan()};
   // Alarm above the churn oscillation peak (~2.2k) but low enough that the
   // flood's retained climb (~1.8 refs/call at ~6ms/call) crosses it with
   // time left to fill the report tape: floods alarm, churn and drip do not.
-  matrix.defense = {{false, 0, 0}, {true, 3'200, 400}};
+  matrix.defense = {{"none"}, {"defender", true, 3'200, 400}};
   matrix.benign_apps = {1};
   matrix.max_attacker_calls = 4'000;
   matrix.horizon_us = 10'000'000;
@@ -597,8 +604,8 @@ TEST(DetectFleetTest, CatalogResolvesFleetDetectionsToCensusIdentity) {
   // "<service>.<method>" identity the static hunts use — the fusion join.
   const detect::InterfaceCatalog catalog = detect::BuildDefaultCatalog();
   fleet::FleetMatrix matrix = HuntMatrix();
-  matrix.scenarios = {fleet::AttackScenario{"churn", fleet::kChurnVulnId, 4'000}};
-  matrix.defense = {{false, 0, 0}};
+  matrix.scenarios = {ChurnPlan()};
+  matrix.defense = {{"none"}};
   fleet::FleetOptions options;
   options.jobs = 1;
   options.catalog = &catalog;

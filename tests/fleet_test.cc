@@ -1,16 +1,22 @@
 // Fleet-campaign tests: QuantileSketch merge-order invariance (the property
 // that makes the census independent of how devices were sharded across
 // workers), deterministic FleetMatrix expansion with decorrelated per-device
-// scenario seeds, and an end-to-end small fleet — byte-identical census for
-// any --jobs, cloned from one warmed boot image per JGR-cap point.
+// scenario seeds and plan-derived classes, and an end-to-end small fleet —
+// byte-identical census for any --jobs, cloned from one warmed boot image
+// per JGR-cap point, with the defender's collateral counted and an
+// unresolvable attacker refused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "attack/strategy.h"
+#include "attack/vuln_registry.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "fleet/aggregator.h"
 #include "fleet/runner.h"
 #include "fleet/sketch.h"
@@ -233,6 +239,13 @@ TEST(FleetAggregatorTest, ShardedMergeMatchesSequentialAbsorb) {
 
 // --- FleetMatrix expansion --------------------------------------------------
 
+// The attack a device runs, seed aside.
+std::string AttackShape(const fleet::FleetDeviceSpec& spec) {
+  const attack::AttackPlan& plan = spec.device.attack_plan();
+  return StrCat(plan.name, ":", plan.vuln_id, ":", plan.think_time_us, ":",
+                plan.max_calls, ":", plan.stop_after_consecutive_denials);
+}
+
 TEST(FleetMatrixTest, ExpansionIsDeterministicAndDecorrelated) {
   fleet::FleetMatrix matrix;
   const std::vector<fleet::FleetDeviceSpec> first =
@@ -249,7 +262,8 @@ TEST(FleetMatrixTest, ExpansionIsDeterministicAndDecorrelated) {
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].index, i);
     EXPECT_EQ(first[i].scenario_class, second[i].scenario_class);
-    EXPECT_EQ(first[i].scenario_detail, second[i].scenario_detail);
+    EXPECT_EQ(AttackShape(first[i]), AttackShape(second[i]));
+    EXPECT_EQ(first[i].stop, experiment::StopRule::kFirstIncident);
     EXPECT_EQ(first[i].device.scenario_seed(), second[i].device.scenario_seed());
     EXPECT_EQ(sim::PrefixKey(first[i].device),
               sim::PrefixKey(second[i].device));
@@ -272,10 +286,47 @@ TEST(FleetMatrixTest, SeedChangesScenarioStreamsButNotShape) {
   const auto fleet_b = fleet::ExpandMatrix(b);
   ASSERT_EQ(fleet_a.size(), fleet_b.size());
   for (std::size_t i = 0; i < fleet_a.size(); ++i) {
-    EXPECT_EQ(fleet_a[i].scenario_detail, fleet_b[i].scenario_detail);
+    EXPECT_EQ(fleet_a[i].scenario_class, fleet_b[i].scenario_class);
+    EXPECT_EQ(AttackShape(fleet_a[i]), AttackShape(fleet_b[i]));
     EXPECT_NE(fleet_a[i].device.scenario_seed(),
               fleet_b[i].device.scenario_seed());
   }
+}
+
+TEST(FleetMatrixTest, ScenarioClassesComeFromThePlans) {
+  const std::vector<attack::AttackPlan> defaults = fleet::DefaultScenarios();
+  ASSERT_EQ(defaults.size(), 9u);
+  EXPECT_EQ(fleet::ScenarioClass(defaults[0]), "benign");
+  for (std::size_t i = 1; i < defaults.size(); ++i) {
+    EXPECT_EQ(fleet::ScenarioClass(defaults[i]), i % 2 == 1 ? "flood" : "drip");
+    // The toast cap answers kLimitExceeded like a mitigation would; a census
+    // flood keeps calling through it, as the paper's attacker does.
+    EXPECT_EQ(defaults[i].stop_after_consecutive_denials, 0) << i;
+  }
+  attack::AttackPlan churn = defaults[1];
+  churn.vuln_id = attack::kChurnVulnId;
+  churn.think_time_us = 4'000;
+  EXPECT_EQ(fleet::ScenarioClass(churn), "churn");
+  attack::AttackPlan rotation;
+  rotation.name = "uid_rotation_colluders";
+  rotation.think_time_us = 1'000;
+  EXPECT_EQ(fleet::ScenarioClass(rotation), "uid_rotation_colluders");
+
+  // A device's plan is the scenario's, with its own seed and the matrix's
+  // call cap.
+  fleet::FleetMatrix matrix;
+  matrix.jgr_caps = {6'400};
+  matrix.scenarios = {defaults[0], defaults[1]};
+  matrix.defense = {{"none"}};
+  matrix.benign_apps = {0};
+  const std::vector<fleet::FleetDeviceSpec> fleet = fleet::ExpandMatrix(matrix);
+  ASSERT_EQ(fleet.size(), 2u);
+  EXPECT_EQ(fleet[0].device.attack_plan().name, "");
+  const attack::AttackPlan& plan = fleet[1].device.attack_plan();
+  EXPECT_EQ(plan.name, "flood");
+  EXPECT_EQ(plan.vuln_id, defaults[1].vuln_id);
+  EXPECT_EQ(plan.max_calls, matrix.max_attacker_calls);
+  EXPECT_EQ(plan.seed, fleet::MixFleetSeed(matrix.seed, 1));
 }
 
 // --- End-to-end fleet -------------------------------------------------------
@@ -285,12 +336,12 @@ fleet::FleetMatrix TinyMatrix() {
   matrix.warmup_apps = 2;
   matrix.warmup_foreground_us = 500'000;
   matrix.jgr_caps = {6'400, 12'800};
-  matrix.scenarios = {fleet::AttackScenario{"benign", 0, 0},
+  matrix.scenarios = {fleet::DefaultScenarios()[0],   // benign
                       fleet::DefaultScenarios()[1]};  // flood enqueueToast
   // Aggressive thresholds: enqueueToast's per-call cost grows linearly
   // (Fig 5), so the 10 s horizon only fits ~700 calls — detection must
   // trigger within that budget for the activity check below.
-  matrix.defense = {{false, 0, 0}, {true, 500, 1'000}};
+  matrix.defense = {{"none"}, {"defender", true, 500, 1'000}};
   matrix.benign_apps = {0, 1};
   matrix.max_attacker_calls = 4'000;
   matrix.horizon_us = 10'000'000;
@@ -341,6 +392,58 @@ TEST(FleetRunnerTest, CensusIsByteIdenticalAcrossJobs) {
     if (outcome.exhausted || outcome.incident) any_activity = true;
   }
   EXPECT_TRUE(any_activity);
+}
+
+// The defender's recovery kills benign apps along with the attacker; the
+// census counts them, per device and per class.
+TEST(FleetRunnerTest, CensusCountsBenignAppsTheDefenderKills) {
+  fleet::FleetMatrix matrix;
+  matrix.warmup_apps = 2;
+  matrix.warmup_foreground_us = 500'000;
+  matrix.jgr_caps = {51'200};
+  matrix.scenarios = {fleet::DefaultScenarios()[1]};  // flood enqueueToast
+  matrix.defense = {{"defender", true, 4'000, 12'000}};
+  matrix.benign_apps = {40};
+  matrix.max_attacker_calls = 200'000;
+  matrix.horizon_us = 600'000'000;
+  fleet::FleetRunner runner(fleet::ExpandMatrix(matrix), fleet::FleetOptions{});
+  const fleet::FleetResult result = runner.Run();
+
+  ASSERT_EQ(result.outcomes.size(), 1u);
+  const fleet::DeviceOutcome& outcome = result.outcomes[0];
+  EXPECT_TRUE(outcome.incident);
+  EXPECT_TRUE(outcome.attacker_killed);
+  EXPECT_FALSE(outcome.exhausted);
+  EXPECT_EQ(outcome.benign_kills, 2);
+  EXPECT_GT(outcome.attacker.calls_issued, 0);
+  const std::string census = result.aggregator.ToJson().Dump();
+  const std::size_t flood =
+      census.find("\"flood\": {", census.find("\"scenario_classes\""));
+  ASSERT_NE(flood, std::string::npos) << census;
+  EXPECT_NE(census.find("\"benign_kills\": 2,", flood), std::string::npos)
+      << census;
+}
+
+// A census device whose plan names no vulnerability cannot run its
+// attacker: the run fails naming the device instead of running it as a
+// benign-only device under its attack label.
+TEST(FleetRunnerTest, UnresolvableAttackTargetThrowsNamingTheDevice) {
+  fleet::FleetMatrix matrix = TinyMatrix();
+  attack::AttackPlan nowhere = fleet::DefaultScenarios()[1];
+  nowhere.vuln_id = 9'999;
+  matrix.jgr_caps = {6'400};
+  matrix.scenarios = {fleet::DefaultScenarios()[0], nowhere};
+  matrix.defense = {{"none"}};
+  matrix.benign_apps = {1};
+  fleet::FleetRunner runner(fleet::ExpandMatrix(matrix), fleet::FleetOptions{});
+  try {
+    (void)runner.Run();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("branch 1)"), std::string::npos) << what;
+    EXPECT_NE(what.find("9999"), std::string::npos) << what;
+  }
 }
 
 TEST(FleetRunnerTest, ImageBudgetEvictsLruInsteadOfRejecting) {
