@@ -9,7 +9,7 @@
 //     * attack_mint        attack-shaped minting loop (fresh binder per call
 //                          into a replaceable slot + periodic full GC)
 //     * gc_scan            GC sweep over a large held population
-//     * event_delivery     bus fan-out into trace/metrics/tap sinks
+//     * event_delivery     bus fan-out into trace/metrics/probe sinks
 //     * monitor_ingest     JgrMonitor recording through the monitor hub
 //     * scoring            Algorithm 1 over an IPC window
 //
@@ -215,20 +215,20 @@ void GcScan(std::vector<PathResult>* results, harness::Json* sections) {
 }
 
 // Event delivery through the bus into three sinks (trace ring, metrics fold,
-// second ring standing in for the defender's tap), all on buffered delivery;
-// the closing Flush is inside the timed region so staged work is charged.
+// second ring standing in for a probe), all on buffered delivery; the
+// closing Flush is inside the timed region so staged work is charged.
 void EventDelivery(std::vector<PathResult>* results, harness::Json* sections) {
   constexpr int kEvents = 2'000'000;
   obs::EventBus bus;
   obs::TraceBuffer trace(1 << 16);
-  obs::TraceBuffer tap(1 << 16);
+  obs::TraceBuffer probe(1 << 16);
   obs::MetricsRegistry registry;
   obs::MetricsSink metrics(&registry);
   const obs::CategoryMask mask =
       obs::MaskOf(obs::Category::kIpc) | obs::MaskOf(obs::Category::kJgr);
   bus.Subscribe(&trace, mask, /*pid_filter=*/-1, obs::Delivery::kBuffered);
   bus.Subscribe(&metrics, mask, /*pid_filter=*/-1, obs::Delivery::kBuffered);
-  bus.Subscribe(&tap, mask, /*pid_filter=*/-1, obs::Delivery::kBuffered);
+  bus.Subscribe(&probe, mask, /*pid_filter=*/-1, obs::Delivery::kBuffered);
   const auto start = Clock::now();
   for (int i = 0; i < kEvents; ++i) {
     const bool ipc = (i & 1) == 0;

@@ -10,8 +10,9 @@ writes it and the sha256 of that JSON. This script runs each command from
 DIR/bench/ at --jobs 2, hashes the JSON it writes, and names every report
 whose digest differs from the pinned one. An entry marked "stdout": true is
 a bench that takes no --jobs or --json and whose stdout is its report: it
-runs as listed and its stdout is hashed instead. Exit status: 0 when all
-match, 1 when any differs or a bench fails to run.
+runs as listed and its stdout is hashed instead. A command with a directory
+part (examples/quickstart) runs from DIR itself rather than DIR/bench/.
+Exit status: 0 when all match, 1 when any differs or a bench fails to run.
 
 --update rewrites the ledger with the digests just measured. Use it only
 for a deliberate behaviour change, in the same change that makes it, and
@@ -68,7 +69,10 @@ def measure(build, entry, scratch):
     """Runs one report's command; returns the sha256 of its JSON (or of its
     stdout, for a "stdout" entry), or None (after printing why) if the bench
     failed."""
-    binary = os.path.join(build, "bench", entry["command"][0])
+    binary = entry["command"][0]
+    if "/" not in binary:
+        binary = os.path.join("bench", binary)
+    binary = os.path.join(build, binary)
     argv = [binary] + entry["command"][1:]
     out = os.path.join(scratch, entry["name"] + ".json")
     to_stdout = entry.get("stdout", False)

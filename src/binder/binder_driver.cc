@@ -357,7 +357,7 @@ Status BinderDriver::Transact(Pid caller, NodeId target, std::uint32_t code,
   if (obs::EventBus& bus = kernel_->bus();
       bus.Wants(obs::Category::kIpc)) {
     // arg1 packs (descriptor_id, code) exactly like defense::MakeIpcTypeKey,
-    // so the defender can score straight off the event stream.
+    // the interface type the hunts and fuzz coverage key on.
     bus.Emit(obs::MakeEvent(
         obs::Category::kIpc, DescriptorLabel(node->descriptor_id),
         kernel_->clock().NowUs(), caller.value(), caller_proc->uid.value(),

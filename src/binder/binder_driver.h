@@ -159,16 +159,16 @@ class BinderDriver {
 
   // Reads log records with seq >= since_seq, at most `max_records` of them
   // (oldest first). Permission mirrors the procfs file mode: only
-  // root/system may read (§V.B). The window is located in O(1) via the ring
-  // buffer's logical indices; only the returned records are copied.
+  // root/system may read (§V.B). The window is located in O(1) from the
+  // log's logical indices; only the returned records are copied.
   Result<std::vector<IpcRecord>> ReadIpcLog(
       Uid caller, std::uint64_t since_seq,
       std::size_t max_records = kNoRecordLimit) const;
 
   // Zero-copy variant: invokes `visitor` on every retained record with
   // seq >= since_seq, oldest first, up to `max_records`. Returns the number
-  // of records visited. This is the defender's poll path — the seed
-  // implementation copied the entire log vector on every poll.
+  // of records visited. The defender ranks through this, from the first
+  // record no incident has scored (see ipc_log_next_seq).
   Result<std::size_t> VisitIpcLogSince(
       Uid caller, std::uint64_t since_seq,
       const std::function<void(const IpcRecord&)>& visitor,

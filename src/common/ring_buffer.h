@@ -1,13 +1,10 @@
 // Fixed-capacity ring buffer with monotonically growing logical indices.
 //
-// Backs the binder driver's IPC log: records are appended forever, the
-// buffer retains only the newest `capacity` of them, and readers address
-// records by their *logical* index (0-based, never reused), so a reader that
-// kept a watermark can resume exactly where it left off even after old
-// records were overwritten. Storage grows lazily up to the capacity — an
-// idle log costs nothing — and never reallocates once full, unlike the
-// std::deque the seed implementation used (which both allocated per block
-// and was copied wholesale on every read).
+// Backs obs::TraceBuffer: values are appended forever, the buffer retains
+// only the newest `capacity` of them, and readers address values by their
+// *logical* index (0-based, never reused), so the count that fell off the
+// front is end_index() - size(). Storage grows lazily up to the capacity —
+// an idle buffer costs nothing — and never reallocates once full.
 #ifndef JGRE_COMMON_RING_BUFFER_H_
 #define JGRE_COMMON_RING_BUFFER_H_
 
@@ -17,8 +14,6 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "snapshot/serializer.h"
 
 namespace jgre {
 
@@ -96,82 +91,6 @@ class RingBuffer {
     storage_.clear();
     head_ = 0;
     // total_pushed_ keeps counting: logical indices are never reused.
-  }
-
-  // Result of a DrainSince pass: where the reader's watermark should move,
-  // how many values it visited, and how many it missed because they were
-  // overwritten before it caught up (reader overrun).
-  struct DrainStats {
-    std::uint64_t next = 0;     // new watermark (== end_index() at drain time)
-    std::uint64_t visited = 0;  // values delivered through the callback
-    std::uint64_t dropped = 0;  // values lost to overwrite before the drain
-  };
-
-  // Visits every retained value with logical index >= `since`, oldest first,
-  // as at most two contiguous chunks `chunk(const T* data, size_t count)`.
-  // A watermark older than first_index() has been overrun: the missing
-  // values are counted in `dropped` and the visit starts at the oldest
-  // retained value. The per-sink staging buffers in obs::EventBus drain
-  // through this — one virtual batch call per chunk instead of one per event.
-  template <typename ChunkFn>
-  DrainStats DrainSince(std::uint64_t since, ChunkFn&& chunk) const {
-    DrainStats stats;
-    stats.next = end_index();
-    const std::uint64_t first = first_index();
-    if (since > stats.next) since = stats.next;  // future watermark: clamp
-    if (since < first) {
-      stats.dropped = first - since;
-      since = first;
-    }
-    stats.visited = stats.next - since;
-    if (stats.visited == 0) return stats;
-    // Physical layout: oldest lives at head_, wrapping at storage_.size().
-    std::size_t pos = head_ + static_cast<std::size_t>(since - first);
-    if (pos >= storage_.size()) pos -= storage_.size();
-    const std::size_t run =
-        std::min(static_cast<std::size_t>(stats.visited),
-                 storage_.size() - pos);
-    chunk(storage_.data() + pos, run);
-    if (run < stats.visited) {
-      chunk(storage_.data(), static_cast<std::size_t>(stats.visited) - run);
-    }
-    return stats;
-  }
-
-  // Checkpointing. Retained values are written oldest-to-newest through
-  // `save_value(out, v)`; restore linearizes the storage (head_ = 0) but
-  // preserves every logical index, so readers' watermarks stay valid and a
-  // re-saved buffer produces identical bytes. The capacity is the
-  // constructor's configuration: an image with another one fails the stream.
-  template <typename SaveValueFn>
-  void SaveState(snapshot::Serializer& out, SaveValueFn save_value) const {
-    out.U64(capacity_);
-    out.U64(total_pushed_);
-    out.U64(size());
-    for (std::uint64_t i = first_index(); i < end_index(); ++i) {
-      save_value(out, At(i));
-    }
-  }
-  template <typename LoadValueFn>
-  void RestoreState(snapshot::Deserializer& in, LoadValueFn load_value) {
-    const std::uint64_t capacity = in.U64();
-    const std::uint64_t total = in.U64();
-    const std::uint64_t retained = in.U64();
-    storage_.clear();
-    head_ = 0;
-    total_pushed_ = 0;
-    if (capacity != capacity_ || retained > capacity_ || retained > total) {
-      in.Fail("corrupt ring buffer header");
-      return;
-    }
-    for (std::uint64_t i = 0; i < retained && in.ok(); ++i) {
-      storage_.push_back(load_value(in));
-    }
-    if (!in.ok()) {
-      storage_.clear();
-      return;
-    }
-    total_pushed_ = total;
   }
 
  private:

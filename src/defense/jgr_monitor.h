@@ -24,7 +24,6 @@
 #include "common/types.h"
 #include "obs/event.h"
 #include "obs/event_bus.h"
-#include "snapshot/serializer.h"
 
 namespace jgre::defense {
 
@@ -75,38 +74,6 @@ class JgrMonitor final : public obs::EventSink {
 
   // Clears state after recovery so the monitor can re-arm.
   void Reset();
-
-  // Checkpointing: the recording phase (armed/reported flags, timestamps)
-  // and the captured event tape. Config, victim name, and the bus source
-  // are wiring and belong to whoever reconstructs the monitor.
-  void SaveState(snapshot::Serializer& out) const {
-    out.Bool(recording_);
-    out.Bool(reported_);
-    out.U64(alarm_at_);
-    out.U64(reported_at_);
-    out.U64(adds_since_alarm_);
-    out.U64(tape_t_.size());
-    for (std::size_t i = 0; i < tape_t_.size(); ++i) {
-      out.U64(tape_t_[i]);
-      out.Bool(tape_is_add_[i] != 0);
-      out.U64(tape_count_after_[i]);
-    }
-  }
-  void RestoreState(snapshot::Deserializer& in) {
-    recording_ = in.Bool();
-    reported_ = in.Bool();
-    alarm_at_ = in.U64();
-    reported_at_ = in.U64();
-    adds_since_alarm_ = in.U64();
-    tape_t_.clear();
-    tape_is_add_.clear();
-    tape_count_after_.clear();
-    for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
-      tape_t_.push_back(in.U64());
-      tape_is_add_.push_back(in.Bool() ? 1 : 0);
-      tape_count_after_.push_back(in.U64());
-    }
-  }
 
  private:
   SimClock* clock_;

@@ -24,7 +24,6 @@ JgreDefender::~JgreDefender() {
     // Restore keeps procfs providers, and this one captures `this`.
     system_->kernel().procfs().Unregister(kIpcLogPath);
     hub_.reset();  // unsubscribes its kJgr route
-    if (tap_ != nullptr) system_->kernel().bus().Unsubscribe(tap_.get());
   }
 }
 
@@ -54,14 +53,7 @@ void JgreDefender::Install() {
   defender_pid_ =
       system_->kernel().CreateProcess("jgre_defender", kSystemUid, pc);
 
-  // The defender's IPC tap: every kernel-side transaction record arrives as
-  // a bus event — no more polling the procfs log. The tap is a pure log, so
-  // it rides the bus's buffered (batched) delivery; RankApps flushes the bus
-  // before reading it.
-  tap_ = std::make_unique<IpcTap>(config_.ipc_event_capacity);
-  system_->kernel().bus().Subscribe(tap_.get(),
-                                    obs::MaskOf(obs::Category::kIpc),
-                                    /*pid_filter=*/-1, obs::Delivery::kBuffered);
+  unscored_seq_ = system_->driver().ipc_log_next_seq();
 
   // One kJgr subscription for all monitors, routed by victim pid.
   hub_ = std::make_unique<JgrMonitorHub>(&system_->kernel().bus());
@@ -141,26 +133,22 @@ std::vector<JgreDefender::ScoreEntry> JgreDefender::RankApps(
     window_start = reference - params.analysis_window_us;
   }
 
-  // Phase 2, step 1: replay the captured IPC records. Per-app IPC events
-  // targeting the victim since the alarm; system uids are exempt: the
-  // defender only ever kills apps (LMK-style policy). The ranking reads the
-  // defender's own bus-fed tap (kIpc events carry the exact MakeIpcTypeKey
-  // packing in arg1), so Install() is a precondition. The tap is on
-  // buffered delivery; drain staged events before reading the ring.
-  if (tap_ == nullptr) return {};
-  system_->kernel().bus().Flush();
+  // Phase 2, step 1: read the kernel's IPC log as a system service would
+  // read /proc/jgre_ipc_log, from the first record no incident has scored.
+  // Per-app calls targeting the victim since the alarm; system uids are
+  // exempt: the defender only ever kills apps (LMK-style policy). Install()
+  // turns the logging on, so it is a precondition.
+  if (!installed_) return {};
   std::map<Uid, std::vector<IpcEvent>> calls_by_app;
-  std::size_t parsed_records = 0;
-  const RingBuffer<obs::TraceEvent>& ring = tap_->ring();
-  for (std::uint64_t i = ring.first_index(); i < ring.end_index(); ++i) {
-    const obs::TraceEvent& e = ring.At(i);
-    ++parsed_records;
-    if (e.ts_us < window_start) continue;
-    if (e.arg0 != victim_pid.value()) continue;
-    if (e.uid < kFirstAppUid.value()) continue;
-    calls_by_app[Uid{e.uid}].push_back(
-        IpcEvent{e.ts_us, static_cast<IpcTypeKey>(e.arg1)});
-  }
+  auto parsed = system_->driver().VisitIpcLogSince(
+      kSystemUid, unscored_seq_, [&](const binder::IpcRecord& r) {
+        if (r.timestamp_us < window_start) return;
+        if (r.to_pid != victim_pid) return;
+        if (r.from_uid < kFirstAppUid) return;
+        calls_by_app[r.from_uid].push_back(IpcEvent{
+            r.timestamp_us, MakeIpcTypeKey(r.descriptor_id, r.code)});
+      });
+  const std::size_t parsed_records = parsed.ok() ? parsed.value() : 0;
   // Reading + parsing the records costs real time (part of the response
   // delay).
   system_->clock().AdvanceUs(static_cast<DurationUs>(parsed_records) *
@@ -274,56 +262,14 @@ void JgreDefender::RunIncident(const std::string& victim_name,
                  static_cast<std::int64_t>(report.jgr_after_recovery),
                  report.recovered ? 1 : 0));
   monitor->Reset();
-  // Drop the consumed window (including events staged during the recovery
-  // kills): the next incident scores fresh records only.
-  if (tap_ != nullptr) {
-    system_->kernel().bus().Flush();
-    tap_->Clear();
-  }
+  // Skip the scored window (and the recovery kills' own calls): the next
+  // incident scores fresh records only.
+  unscored_seq_ = system_->driver().ipc_log_next_seq();
   JGRE_LOG(kWarning, "JgreDefender")
       << victim_name << ": incident handled, killed "
       << report.killed_packages.size() << " app(s), JGR "
       << report.jgr_at_report << " -> " << report.jgr_after_recovery;
   incidents_.push_back(std::move(report));
-}
-
-void JgreDefender::SaveState(snapshot::Serializer& out) const {
-  out.Marker(0x44454631);  // "DEF1"
-  out.Bool(installed_);
-  if (!installed_) return;
-  out.U64(monitors_.size());
-  for (const auto& [name, monitor] : monitors_) {  // map: name order
-    out.Str(name);
-    monitor->SaveState(out);
-  }
-  tap_->SaveState(out);
-}
-
-void JgreDefender::RestoreState(snapshot::Deserializer& in) {
-  in.Marker(0x44454631);
-  const bool was_installed = in.Bool();
-  if (!in.ok()) return;
-  if (was_installed != installed_) {
-    in.Fail("checkpoint and restore target disagree on defender install");
-    return;
-  }
-  if (!installed_) return;
-  const std::uint64_t monitor_count = in.U64();
-  if (monitor_count != monitors_.size()) {
-    in.Fail("checkpoint monitor census differs from the installed defender");
-    return;
-  }
-  for (std::uint64_t i = 0; i < monitor_count && in.ok(); ++i) {
-    const std::string name = in.Str();
-    auto it = monitors_.find(name);
-    if (it == monitors_.end()) {
-      in.Fail(StrCat("checkpoint has a monitor for '", name,
-                     "' this defender lacks"));
-      return;
-    }
-    it->second->RestoreState(in);
-  }
-  tap_->RestoreState(in);
 }
 
 }  // namespace jgre::defense

@@ -17,18 +17,16 @@
 #ifndef JGRE_DEFENSE_JGRE_DEFENDER_H_
 #define JGRE_DEFENSE_JGRE_DEFENDER_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/ring_buffer.h"
 #include "core/android_system.h"
 #include "defense/jgr_monitor.h"
 #include "defense/monitor_hub.h"
 #include "defense/scoring.h"
-#include "obs/event.h"
-#include "snapshot/serializer.h"
 
 namespace jgre::defense {
 
@@ -49,10 +47,6 @@ class JgreDefender {
     DurationUs ipc_record_parse_us = 2;
     DurationUs jgr_event_transfer_ns = 500;
     DurationUs pair_cost_ns = 400;
-    // Capacity of the defender's bus-fed IPC tap. Defaults to the binder
-    // driver's ipc_log_capacity so the tap retains exactly the window the
-    // kernel-side log retains.
-    std::size_t ipc_event_capacity = 1 << 21;
   };
 
   struct ScoreEntry {
@@ -90,7 +84,8 @@ class JgreDefender {
   // Ranks apps against the given victim monitor state without killing
   // anything (used by benches that only need Fig 8/9 scores). `params`
   // overrides the configured scoring parameters. Requires Install(): the
-  // ranking reads the defender's bus-fed IPC tap.
+  // ranking reads the kernel's IPC log (/proc/jgre_ipc_log, system-readable
+  // only) from the first record no incident has scored yet.
   std::vector<ScoreEntry> RankApps(const JgrMonitor& monitor,
                                    Pid victim_pid,
                                    const ScoringParams& params,
@@ -100,59 +95,6 @@ class JgreDefender {
   const Config& config() const { return config_; }
   JgrMonitor* MonitorFor(const std::string& victim_name);
   bool installed() const { return installed_; }
-
-  // The defender's bus subscription: buffers every kIpc event since install
-  // (or the last handled incident) so ranking never re-reads the kernel log.
-  class IpcTap : public obs::EventSink {
-   public:
-    explicit IpcTap(std::size_t capacity) : ring_(capacity) {}
-    void OnEvent(const obs::TraceEvent& event) override { ring_.Push(event); }
-    void OnBatch(const obs::TraceEvent* events, std::size_t count) override {
-      ring_.PushBulk(events, count);
-    }
-    const RingBuffer<obs::TraceEvent>& ring() const { return ring_; }
-    void Clear() { ring_.Clear(); }
-
-    void SaveState(snapshot::Serializer& out) const {
-      ring_.SaveState(out, [](snapshot::Serializer& s,
-                              const obs::TraceEvent& e) {
-        s.U64(e.ts_us);
-        s.U64(e.dur_us);
-        s.I64(e.arg0);
-        s.I64(e.arg1);
-        s.I64(e.pid);
-        s.I64(e.uid);
-        s.U32(e.name);
-        s.U8(static_cast<std::uint8_t>(e.category));
-      });
-    }
-    void RestoreState(snapshot::Deserializer& in) {
-      ring_.RestoreState(in, [](snapshot::Deserializer& d) {
-        obs::TraceEvent e;
-        e.ts_us = d.U64();
-        e.dur_us = d.U64();
-        e.arg0 = d.I64();
-        e.arg1 = d.I64();
-        e.pid = static_cast<std::int32_t>(d.I64());
-        e.uid = static_cast<std::int32_t>(d.I64());
-        e.name = d.U32();
-        e.category = static_cast<obs::Category>(d.U8());
-        return e;
-      });
-    }
-
-   private:
-    RingBuffer<obs::TraceEvent> ring_;
-  };
-
-  const IpcTap* ipc_tap() const { return tap_.get(); }
-
-  // Checkpointing: monitor tapes (keyed by victim name) and the IPC tap.
-  // Requires Install() on both sides — monitors and tap are created there,
-  // and restore patches their recorded state in place. Incident history is
-  // harness-side reporting output and is intentionally not captured.
-  void SaveState(snapshot::Serializer& out) const;
-  void RestoreState(snapshot::Deserializer& in);
 
  private:
   void AttachMonitors();
@@ -171,7 +113,10 @@ class JgreDefender {
   std::map<std::string, std::unique_ptr<JgrMonitor>> monitors_;
   // One kJgr subscription routing to the monitors by pid (see monitor_hub.h).
   std::unique_ptr<JgrMonitorHub> hub_;
-  std::unique_ptr<IpcTap> tap_;
+  // Seq of the first kernel IPC log record no incident has scored: set at
+  // Install() and moved past each handled incident, so the next ranking
+  // never re-reads a scored window (nor the recovery kills' own calls).
+  std::uint64_t unscored_seq_ = 0;
   std::vector<IncidentReport> incidents_;
   // Reusable scoring buffers (vote column, grouping scratch) shared across
   // apps and incidents.

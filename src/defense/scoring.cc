@@ -228,8 +228,8 @@ std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
   const auto by_type_then_time = [](const IpcEvent& a, const IpcEvent& b) {
     return a.type != b.type ? a.type < b.type : a.t < b.t;
   };
-  // Single-type recordings arrive already time-ordered (the tap preserves
-  // emission order), so the common case is one linear is_sorted pass.
+  // Single-type recordings arrive already time-ordered (the IPC log is in
+  // transaction order), so the common case is one linear is_sorted pass.
   if (!std::is_sorted(events.begin(), events.end(), by_type_then_time)) {
     std::sort(events.begin(), events.end(), by_type_then_time);
   }

@@ -5,8 +5,8 @@
 // observe: JGR table mutations, binder transactions, GC runs, LMK/process
 // kills, and defense actions. Subsystems publish TraceEvents into a
 // per-simulation EventBus (see event_bus.h); consumers — the defense's
-// JgrMonitor, the defender's IPC tap, trace ring buffers, metrics sinks —
-// implement EventSink and subscribe by category. This replaces the three
+// JgrMonitor, trace ring buffers, metrics sinks, the fleet probe and fuzz
+// coverage — implement EventSink and subscribe by category. This replaces the three
 // bespoke observation hooks the seed grew (rt::JgrObserver, direct IPC-log
 // polling, and per-bench counters) with one shape.
 #ifndef JGRE_OBS_EVENT_H_
@@ -25,8 +25,8 @@ namespace jgre::obs {
 enum class Category : std::uint8_t {
   kJgr = 0,  // JNI global reference add/remove/overflow (functional: the
              // defense's monitors consume these)
-  kIpc,      // binder transactions (functional: the defender's tap consumes
-             // these)
+  kIpc,      // binder transactions (functional: the fleet probe, the hunts
+             // and fuzz coverage consume these)
   kGc,       // garbage collection runs (trace-only)
   kLmk,      // process kills, LMK decisions, soft reboots (trace-only)
   kDefense,  // monitor alarms/reports, incident handling (trace-only)
@@ -135,8 +135,7 @@ constexpr const char* WellKnownLabelName(Label label) {
 // flat store into a ring, no allocation. Per-category argument meanings:
 //   kJgr:     arg0 = JGR count after the operation, arg1 = object id
 //   kIpc:     arg0 = callee pid, arg1 = (descriptor_id << 32) | code — the
-//             exact defense::MakeIpcTypeKey packing, so the defender's tap
-//             scores straight off the event
+//             defense::MakeIpcTypeKey packing Algorithm 1 groups by
 //   kGc:      arg0 = JGRs released, arg1 = JGR count after; dur = pause
 //   kLmk:     arg0 = oom_score_adj (kills) / free kB, arg1 = critical flag
 //   kDefense: see the emission sites in defense/
@@ -179,7 +178,7 @@ constexpr TraceEvent MakeEvent(Category category, Label label, TimeUs ts_us,
 }
 
 // The one observation interface. Implementations: defense::JgrMonitorHub,
-// the defender's IPC tap, obs::TraceBuffer, obs::MetricsSink.
+// obs::TraceBuffer, obs::MetricsSink, the fleet probe, fuzz coverage.
 //
 // Sinks subscribed for buffered delivery receive their events through
 // OnBatch — one virtual call per drained staging chunk instead of one per

@@ -19,11 +19,11 @@
 //   flat staging buffer and returns; the sink sees the events later as one
 //   contiguous OnBatch chunk when the bus flushes. Buffering replaces the
 //   seed's per-event virtual dispatch on the hot path for every sink that
-//   merely folds or copies events (trace rings, metrics, coverage, the
-//   defender's IPC tap): staging an event is an indexed store plus a
-//   capacity check. A staging buffer that fills mid-emission is drained in
-//   place, so no event is ever lost; explicit Flush() calls are the read
-//   barrier every consumer needs before inspecting a buffered sink's state.
+//   merely folds or copies events (trace rings, metrics, coverage): staging
+//   an event is an indexed store plus a capacity check. A staging buffer
+//   that fills mid-emission is drained in place, so no event is ever lost;
+//   explicit Flush() calls are the read barrier every consumer needs before
+//   inspecting a buffered sink's state.
 #ifndef JGRE_OBS_EVENT_BUS_H_
 #define JGRE_OBS_EVENT_BUS_H_
 
@@ -74,8 +74,8 @@ class EventBus {
 
   // Drains every buffered subscription's staging buffer, in subscription
   // order, as OnBatch chunks. The read barrier before any code inspects a
-  // buffered sink (defender ranking, coverage element harvest, trace/metrics
-  // export, snapshot capture). No-op when nothing is staged.
+  // buffered sink (coverage element harvest, trace/metrics export, snapshot
+  // capture). No-op when nothing is staged.
   void Flush();
 
   // Total events currently staged across buffered subscriptions (test/debug

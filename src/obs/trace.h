@@ -1,7 +1,8 @@
 // JGRE_TRACE — compile-time-disableable emission for trace-only categories.
 //
-// Functional events (kJgr, kIpc — the defense consumes them) are emitted
-// unconditionally behind a Wants() branch. Trace-only annotations (kGc,
+// Functional events (kJgr, kIpc — the defense's monitors, the fleet probe,
+// the hunts and fuzz coverage consume them) are emitted unconditionally
+// behind a Wants() branch. Trace-only annotations (kGc,
 // kLmk, kDefense) go through this macro so a -DJGRE_OBS_TRACING=OFF build
 // removes them entirely: the acceptance bar is that bench_micro_hotpaths
 // stays within 2% of the PR-1 envelope with tracing compiled out.

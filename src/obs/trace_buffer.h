@@ -1,10 +1,9 @@
 // TraceBuffer — a bounded EventSink retaining the newest events.
 //
-// One per traced simulation. Built on the same logical-index RingBuffer as
-// the binder IPC log: events are appended forever, only the newest
-// `capacity` are retained, and dropped() reports how many fell off the
-// front — exporters surface that count so a truncated trace never silently
-// reads as complete.
+// One per traced simulation. Built on the logical-index RingBuffer: events
+// are appended forever, only the newest `capacity` are retained, and
+// dropped() reports how many fell off the front — exporters surface that
+// count so a truncated trace never silently reads as complete.
 #ifndef JGRE_OBS_TRACE_BUFFER_H_
 #define JGRE_OBS_TRACE_BUFFER_H_
 

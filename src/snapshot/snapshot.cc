@@ -5,16 +5,15 @@
 
 #include "common/strings.h"
 #include "core/android_system.h"
-#include "defense/jgre_defender.h"
 
 namespace jgre::snapshot {
 
 namespace {
 
-// Payload framing marker ("SNP2": the payload carries the config
-// fingerprint): guards against handing RestoreInto a buffer that is not a
-// snapshot payload of this layout.
-constexpr std::uint32_t kPayloadMarker = 0x534E5032;
+// Payload framing marker ("SNP3": the config fingerprint, then the system
+// state): guards against handing RestoreInto a buffer that is not a snapshot
+// payload of this layout.
+constexpr std::uint32_t kPayloadMarker = 0x534E5033;
 
 void PutU32(std::ofstream& out, std::uint32_t v) {
   std::uint8_t bytes[4];
@@ -58,8 +57,7 @@ std::string SystemSnapshot::DescribeSource() const {
                 manifest_.virtual_time_us, " us)");
 }
 
-Result<SystemSnapshot> SystemSnapshot::Capture(
-    core::AndroidSystem& system, const defense::JgreDefender* defender) {
+Result<SystemSnapshot> SystemSnapshot::Capture(core::AndroidSystem& system) {
   if (system.soft_reboots() != 0) {
     return FailedPrecondition(
         "cannot checkpoint after a soft reboot: re-registered services sit "
@@ -76,9 +74,7 @@ Result<SystemSnapshot> SystemSnapshot::Capture(
   Serializer out;
   out.Marker(kPayloadMarker);
   out.U64(core::ConfigFingerprint(system.config()));
-  out.Bool(defender != nullptr);
   system.SaveState(out);
-  if (defender != nullptr) defender->SaveState(out);
 
   SystemSnapshot snap;
   snap.manifest_.version = kSnapshotVersion;
@@ -90,8 +86,7 @@ Result<SystemSnapshot> SystemSnapshot::Capture(
   return snap;
 }
 
-Status SystemSnapshot::RestoreInto(core::AndroidSystem* system,
-                                   defense::JgreDefender* defender) const {
+Status SystemSnapshot::RestoreInto(core::AndroidSystem* system) const {
   if (system->config().seed != manifest_.seed) {
     return InvalidArgument(
         StrCat("checkpoint was captured from seed ", manifest_.seed,
@@ -109,13 +104,7 @@ Status SystemSnapshot::RestoreInto(core::AndroidSystem* system,
         "checkpoint was captured under a different system configuration "
         "than the restore target booted with [", DescribeSource(), "]"));
   }
-  const bool has_defender = in.Bool();
-  if (has_defender && defender == nullptr) {
-    return InvalidArgument(
-        "checkpoint carries defender state: pass the installed defender");
-  }
   system->RestoreState(in);
-  if (has_defender && in.ok()) defender->RestoreState(in);
   if (!in.ok()) {
     return Internal(
         StrCat("corrupt checkpoint: ", in.error(), " [", DescribeSource(), "]"));

@@ -3,8 +3,10 @@
 // A checkpoint is the byte-stable serialization of every piece of mutable
 // simulation state (virtual clock, RNG streams, heap + strong-hold graph,
 // IRT/JGR tables, kernel process table + LMK, binder node table + IPC log +
-// death links, service retention state, defender monitor tapes), produced by
-// the per-module SaveState hooks in a fixed module order. Restoring into a
+// death links, service retention state), produced by the per-module
+// SaveState hooks in a fixed module order. A defender is not part of an
+// image: the one that guards a restored system is installed after the
+// restore, and reads the kernel IPC log from that point on. Restoring into a
 // Boot()ed AndroidSystem built from the same SystemConfig (fresh, or one
 // that ran anything since short of a soft reboot) yields a simulation whose
 // subsequent event stream is byte-identical to the original: the property
@@ -30,9 +32,6 @@
 namespace jgre::core {
 class AndroidSystem;
 }
-namespace jgre::defense {
-class JgreDefender;
-}
 
 namespace jgre::snapshot {
 
@@ -55,25 +54,20 @@ class SystemSnapshot {
  public:
   SystemSnapshot() = default;
 
-  // Captures a booted, quiescent system (and, when given, the installed
-  // defender). Preconditions: the system has never soft-rebooted (re-booted
-  // services sit at post-boot node ids, which restore as loud placeholder
-  // binders) and no virtual timers are pending.
-  static Result<SystemSnapshot> Capture(
-      core::AndroidSystem& system,
-      const defense::JgreDefender* defender = nullptr);
+  // Captures a booted, quiescent system. Preconditions: the system has never
+  // soft-rebooted (re-booted services sit at post-boot node ids, which
+  // restore as loud placeholder binders) and no virtual timers are pending.
+  static Result<SystemSnapshot> Capture(core::AndroidSystem& system);
 
   // Restores into a Boot()ed AndroidSystem with the SAME SystemConfig:
   // freshly booted, or reused after anything short of a soft reboot (the
   // restore is exact either way). A target booted with another seed or
   // config fails with InvalidArgument, untouched. Returns a non-OK Status,
   // leaving the system half-restored and fit only for destruction, for a
-  // corrupt image, a soft-rebooted system, or one whose boot-time binder
+  // corrupt image (one written under an older payload layout fails on a
+  // marker mismatch), a soft-rebooted system, or one whose boot-time binder
   // died since boot.
-  // When the checkpoint carries defender state, `defender` must be an
-  // Install()ed defender on that same system.
-  Status RestoreInto(core::AndroidSystem* system,
-                     defense::JgreDefender* defender = nullptr) const;
+  Status RestoreInto(core::AndroidSystem* system) const;
 
   // Binary checkpoint at `path` plus the JSON manifest sidecar at
   // `path` + ".manifest.json".

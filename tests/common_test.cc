@@ -275,67 +275,6 @@ TEST(RingBufferTest, PushBulkMatchesRepeatedPush) {
   }
 }
 
-TEST(RingBufferTest, DrainSinceDeliversWrappedChunksInOrder) {
-  RingBuffer<int> ring(4);
-  for (int i = 0; i < 6; ++i) ring.Push(i);  // retains 2..5, wrapped
-  std::vector<int> seen;
-  std::size_t chunks = 0;
-  const auto stats =
-      ring.DrainSince(ring.first_index(), [&](const int* data, std::size_t n) {
-        ++chunks;
-        seen.insert(seen.end(), data, data + n);
-      });
-  EXPECT_EQ(stats.next, ring.end_index());
-  EXPECT_EQ(stats.visited, 4u);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(chunks, 2u);  // the physical wrap point splits the visit
-  EXPECT_EQ(seen, (std::vector<int>{2, 3, 4, 5}));
-}
-
-TEST(RingBufferTest, DrainSinceWhileFillingResumesAtWatermark) {
-  RingBuffer<int> ring(8);
-  for (int i = 0; i < 3; ++i) ring.Push(i);
-  std::vector<int> seen;
-  const auto chunk = [&](const int* data, std::size_t n) {
-    seen.insert(seen.end(), data, data + n);
-  };
-  const auto first = ring.DrainSince(0, chunk);
-  EXPECT_EQ(first.visited, 3u);
-  for (int i = 3; i < 7; ++i) ring.Push(i);
-  const auto second = ring.DrainSince(first.next, chunk);
-  EXPECT_EQ(second.visited, 4u);
-  EXPECT_EQ(second.dropped, 0u);
-  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
-  // Nothing new since the watermark: visit nothing, keep it put.
-  const auto third = ring.DrainSince(second.next, chunk);
-  EXPECT_EQ(third.visited, 0u);
-  EXPECT_EQ(third.next, second.next);
-}
-
-TEST(RingBufferTest, DrainSinceReaderOverrunCountsDropped) {
-  RingBuffer<int> ring(4);
-  for (int i = 0; i < 10; ++i) ring.Push(i);  // retains 6..9
-  std::vector<int> seen;
-  const auto stats = ring.DrainSince(2, [&](const int* data, std::size_t n) {
-    seen.insert(seen.end(), data, data + n);
-  });
-  EXPECT_EQ(stats.dropped, 4u);  // logical 2..5 were overwritten
-  EXPECT_EQ(stats.visited, 4u);
-  EXPECT_EQ(stats.next, 10u);
-  EXPECT_EQ(seen, (std::vector<int>{6, 7, 8, 9}));
-}
-
-TEST(RingBufferTest, DrainSinceFutureWatermarkClampsToEnd) {
-  RingBuffer<int> ring(4);
-  ring.Push(1);
-  const auto stats = ring.DrainSince(99, [](const int*, std::size_t) {
-    ADD_FAILURE() << "a clamped future watermark must visit nothing";
-  });
-  EXPECT_EQ(stats.visited, 0u);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.next, ring.end_index());
-}
-
 TEST(RingBufferTest, PushBulkAfterClearKeepsLogicalIndicesMonotone) {
   RingBuffer<int> ring(4);
   for (int i = 0; i < 6; ++i) ring.Push(i);

@@ -1,12 +1,11 @@
 // Experiment-builder and EventSink tests.
 //
-// The observation paths all run through the unified EventBus: the monitor
-// subscribes with a pid-filtered kJgr subscription, the defender's tap
-// buffers kIpc events, and the benches build scenarios through the
-// sim::DeviceFactory builder. These tests pin the behavior of those paths:
-// monitors record through the bus, the tap feeds the ranking, identical
-// configurations yield identical simulation results and byte-identical
-// traces.
+// The monitor observes through the unified EventBus (a pid-filtered kJgr
+// subscription), the defender ranks from the kernel's IPC log, and the
+// benches build scenarios through the sim::DeviceFactory builder. These
+// tests pin the behavior of those paths: monitors record through the bus,
+// the log feeds the ranking, identical configurations yield identical
+// simulation results and byte-identical traces.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -18,6 +17,7 @@
 #include "attack/benign_workload.h"
 #include "attack/strategy.h"
 #include "attack/vuln_registry.h"
+#include "binder/ipc_log.h"
 #include "common/rng.h"
 #include "core/android_system.h"
 #include "defense/jgr_monitor.h"
@@ -95,14 +95,14 @@ TEST(BusMonitorTest, RecordsAndReportsDeterministically) {
   }
 }
 
-TEST(IpcTapTest, RankingReadsTheTapAndRequiresInstall) {
+TEST(IpcLogTest, RankingReadsTheKernelLogAndRequiresInstall) {
   sim::DeviceSpec spec;
   spec.WithSeed(21).WithBenignApps(3).WithAttack(Toast()).WithDefense();
   auto device = sim::DeviceFactory(spec).CreateDevice();
   core::AndroidSystem& system = device->system();
   defense::JgreDefender& installed = *device->defender();
-  // Drive the monitor past its alarm but not its report threshold: the tap
-  // keeps its recording (no incident clears it).
+  // Drive the monitor past its alarm but not its report threshold: no
+  // incident moves the defender past the recorded window.
   for (int call = 0; call < 4000; ++call) {
     ASSERT_TRUE(device->attacker()->Step(system));
   }
@@ -110,29 +110,58 @@ TEST(IpcTapTest, RankingReadsTheTapAndRequiresInstall) {
   defense::JgrMonitor* monitor = installed.MonitorFor("system_server");
   ASSERT_NE(monitor, nullptr);
   ASSERT_TRUE(monitor->recording());
-  ASSERT_NE(installed.ipc_tap(), nullptr);
+  ASSERT_TRUE(system.driver().defense_logging());
 
   defense::ScoringParams params;
   params.delta_us = 1800;
   params.analysis_window_us = 0;  // window = alarm..now
-  const auto via_tap =
+  const auto via_log =
       installed.RankApps(*monitor, system.system_server_pid(), params);
-  ASSERT_FALSE(via_tap.empty());
-  EXPECT_EQ(via_tap.front().package, "com.evil.app");
-  // Ranking is a pure function of the tap + monitor: re-ranking the same
+  ASSERT_FALSE(via_log.empty());
+  EXPECT_EQ(via_log.front().package, "com.evil.app");
+  // The attacker's call count is its share of the kernel log: records from
+  // its uid to system_server, stamped at or after the alarm.
+  auto log = system.driver().ReadIpcLog(kSystemUid, 0);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  std::int64_t logged = 0;
+  for (const binder::IpcRecord& record : log.value()) {
+    if (record.from_uid == via_log.front().uid &&
+        record.to_pid == system.system_server_pid() &&
+        record.timestamp_us >= monitor->alarm_at()) {
+      ++logged;
+    }
+  }
+  EXPECT_GT(logged, 0);
+  EXPECT_EQ(via_log.front().ipc_calls, logged);
+  // Ranking is a pure function of the log + monitor: re-ranking the same
   // recording yields the same scores.
   const auto again =
       installed.RankApps(*monitor, system.system_server_pid(), params);
-  ASSERT_EQ(via_tap.size(), again.size());
-  for (std::size_t i = 0; i < via_tap.size(); ++i) {
-    EXPECT_EQ(via_tap[i].uid.value(), again[i].uid.value());
-    EXPECT_EQ(via_tap[i].score, again[i].score);
+  ASSERT_EQ(via_log.size(), again.size());
+  for (std::size_t i = 0; i < via_log.size(); ++i) {
+    EXPECT_EQ(via_log[i].uid.value(), again[i].uid.value());
+    EXPECT_EQ(via_log[i].score, again[i].score);
   }
-  // An uninstalled defender has no tap and therefore no ranking.
+  // An uninstalled defender reads no log and therefore ranks nothing.
   defense::JgreDefender uninstalled(&system);
   EXPECT_TRUE(
       uninstalled.RankApps(*monitor, system.system_server_pid(), params)
           .empty());
+}
+
+// The defense subscribes to no IPC events: on a defended device that nobody
+// traces, meters or probes, the driver emits no kIpc event at all, and the
+// defender still catches the flood from the kernel log.
+TEST(IpcLogTest, UntracedDefendedDeviceWantsNoIpcEventsAndStillRanksTheFlood) {
+  sim::DeviceSpec spec;
+  spec.WithSeed(21).WithBenignApps(3).WithAttack(Toast()).WithDefense();
+  auto device = sim::DeviceFactory(spec).CreateDevice();
+  EXPECT_FALSE(device->bus().Wants(obs::Category::kIpc));
+  const experiment::DefendedAttackResult result =
+      experiment::Experiment(*device).RunDefendedAttack();
+  ASSERT_TRUE(result.incident);
+  ASSERT_FALSE(result.report.ranking.empty());
+  EXPECT_EQ(result.report.ranking.front().package, "com.evil.app");
 }
 
 TEST(DeviceFactoryTest, MatchesHandRolledSetupByteForByte) {

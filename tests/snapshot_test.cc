@@ -1,5 +1,5 @@
 // Snapshot subsystem tests: per-module save/restore round-trips (RNG
-// streams, IRT free lists, ring buffers), whole-system checkpoint
+// streams, IRT free lists, heap arenas), whole-system checkpoint
 // stability, the on-disk format, and the headline determinism contract —
 // a restored simulation continues byte-identically to a cold run.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "binder/binder_driver.h"
 #include "binder/ipc_log.h"
 #include "binder/service_manager.h"
-#include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "core/android_system.h"
 #include "experiment/experiment.h"
@@ -112,35 +111,6 @@ TEST(SnapshotPropertyTest, IrtRoundTripPreservesFreeListOrder) {
     }
     ASSERT_EQ(original.Size(), restored.Size());
   }
-}
-
-// --- RingBuffer -------------------------------------------------------------
-
-TEST(SnapshotPropertyTest, RingBufferRoundTripKeepsIndicesAndTail) {
-  RingBuffer<std::int64_t> original(8);
-  for (std::int64_t i = 0; i < 21; ++i) original.Push(i * 3);  // wrapped twice
-
-  snapshot::Serializer out;
-  original.SaveState(
-      out, [](snapshot::Serializer& s, const std::int64_t& v) { s.I64(v); });
-  RingBuffer<std::int64_t> restored(8);
-  snapshot::Deserializer in(out.buffer());
-  restored.RestoreState(in,
-                        [](snapshot::Deserializer& d) { return d.I64(); });
-  ASSERT_TRUE(in.ok()) << in.error();
-
-  ASSERT_EQ(original.first_index(), restored.first_index());
-  ASSERT_EQ(original.end_index(), restored.end_index());
-  for (std::uint64_t i = restored.first_index(); i < restored.end_index();
-       ++i) {
-    EXPECT_EQ(original.At(i), restored.At(i));
-  }
-  // Subsequent pushes see the same logical indices and evictions.
-  original.Push(777);
-  restored.Push(777);
-  EXPECT_EQ(original.first_index(), restored.first_index());
-  EXPECT_EQ(original.At(original.end_index() - 1),
-            restored.At(restored.end_index() - 1));
 }
 
 // --- Hostile length prefixes -------------------------------------------------
@@ -360,25 +330,6 @@ TEST(SnapshotPropertyTest, RestoreCountsAndIdsPastTheirTablesFailWithoutThrowing
          return error_of(in);
        },
        "truncated"},
-      {"ring buffer capacity",
-       [&] {
-         RingBuffer<std::int64_t> saved(8);
-         snapshot::Serializer out;
-         saved.SaveState(out,
-                         [](snapshot::Serializer& o, const std::int64_t& v) {
-                           o.I64(v);
-                         });
-         std::vector<std::uint8_t> bytes = out.buffer();
-         PatchU64(&bytes, 0, kHuge);   // capacity
-         PatchU64(&bytes, 8, kHuge);   // total pushed
-         PatchU64(&bytes, 16, kHuge);  // retained
-         RingBuffer<std::int64_t> target(8);
-         snapshot::Deserializer in(bytes);
-         target.RestoreState(in,
-                             [](snapshot::Deserializer& d) { return d.I64(); });
-         return error_of(in);
-       },
-       "corrupt ring buffer header"},
       {"runtime proxy node id",
        [&] {
          SimClock clock;
@@ -712,9 +663,8 @@ TEST(SystemSnapshotTest, TruncatedImagesFailAndLeaveADestroyableSystem) {
   auto captured = snapshot::SystemSnapshot::Capture(*prefix);
   ASSERT_TRUE(captured.ok()) << captured.status().ToString();
   const std::vector<std::uint8_t>& payload = captured.value().payload();
-  // The system state follows the payload marker, the config fingerprint
-  // and the defender flag.
-  constexpr std::size_t kSystemStart = 4 + 8 + 1;
+  // The system state follows the payload marker and the config fingerprint.
+  constexpr std::size_t kSystemStart = 4 + 8;
   core::SystemConfig sys_config = config.system_config();
   sys_config.seed = config.seed();
   for (int cut = 0; cut < 16; ++cut) {
@@ -731,11 +681,19 @@ TEST(SystemSnapshotTest, TruncatedImagesFailAndLeaveADestroyableSystem) {
   }
 }
 
+// Markers (little-endian in the payload) that changed with the layout they
+// frame: heap sections went "HEA3" -> "HEA4" when the heap dropped its label
+// column, and the payload "SNP2" -> "SNP3" when it dropped its defender flag.
+constexpr std::uint32_t kHea3 = 0x48454133;
+constexpr std::uint32_t kHea4 = 0x48454134;
+constexpr std::uint32_t kSnp2 = 0x534E5032;
+constexpr std::uint32_t kSnp3 = 0x534E5033;
+
 // Writes the checkpoint of a booted seed-42 system to `path` as an image
-// from before the heap dropped its label column: every heap section carries
-// the "HEA3" marker instead of "HEA4", under a valid content hash, so only
-// the restore can reject it.
-void WriteOldHeapImage(const std::string& path) {
+// from an older layout: every `current` marker in the payload becomes `old`,
+// under a valid content hash, so only the restore can reject it.
+void WriteOldMarkerImage(const std::string& path, std::uint32_t current,
+                         std::uint32_t old) {
   core::SystemConfig config;
   config.seed = 42;
   core::AndroidSystem system(config);
@@ -752,16 +710,20 @@ void WriteOldHeapImage(const std::string& path) {
   constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;  // magic .. payload size
   ASSERT_GT(bytes.size(), kHeader + 8);
   const std::size_t payload_end = bytes.size() - 8;  // FNV-1a trailer
-  const std::uint8_t hea4[] = {'4', 'A', 'E', 'H'};  // 0x48454134, LE
-  int heaps = 0;
+  std::uint8_t from[4], to[4];
+  for (int b = 0; b < 4; ++b) {
+    from[b] = static_cast<std::uint8_t>(current >> (8 * b));
+    to[b] = static_cast<std::uint8_t>(old >> (8 * b));
+  }
+  int rewritten = 0;
   for (std::size_t i = kHeader; i + 4 <= payload_end; ++i) {
-    if (std::equal(hea4, hea4 + 4,
+    if (std::equal(from, from + 4,
                    bytes.begin() + static_cast<std::ptrdiff_t>(i))) {
-      bytes[i] = '3';
-      ++heaps;
+      std::copy(to, to + 4, bytes.begin() + static_cast<std::ptrdiff_t>(i));
+      ++rewritten;
     }
   }
-  ASSERT_GT(heaps, 0);
+  ASSERT_GT(rewritten, 0);
   const std::uint64_t hash =
       snapshot::Fnv1a(bytes.data() + kHeader, payload_end - kHeader);
   for (int i = 0; i < 8; ++i) {
@@ -772,29 +734,40 @@ void WriteOldHeapImage(const std::string& path) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-// A checkpoint written before the heap lost its labels loads (its hash is
-// intact), but restoring it over a used system fails with a marker-mismatch
-// Status naming the file, and the half-restored system can be destroyed.
+// A checkpoint written before the heap lost its labels, or before the
+// payload lost its defender flag, loads (its hash is intact), but restoring
+// it over a used system fails with a marker-mismatch Status naming the file,
+// and the half-restored system can be destroyed.
 TEST(SystemSnapshotTest, OldHeapMarkerFailsRestoreAndLeavesADestroyableSystem) {
-  const std::string path = "snapshot_test_hea3.ckpt";
-  ASSERT_NO_FATAL_FAILURE(WriteOldHeapImage(path));
-  auto old = snapshot::SystemSnapshot::ReadFile(path);
-  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  struct OldImage {
+    const char* path;
+    std::uint32_t current;
+    std::uint32_t old;
+  };
+  for (const OldImage& image :
+       {OldImage{"snapshot_test_hea3.ckpt", kHea4, kHea3},
+        OldImage{"snapshot_test_snp2.ckpt", kSnp3, kSnp2}}) {
+    const std::string path = image.path;
+    ASSERT_NO_FATAL_FAILURE(
+        WriteOldMarkerImage(path, image.current, image.old));
+    auto old = snapshot::SystemSnapshot::ReadFile(path);
+    ASSERT_TRUE(old.ok()) << old.status().ToString();
 
-  core::SystemConfig config;
-  config.seed = 42;
-  auto system = std::make_unique<core::AndroidSystem>(config);
-  system->Boot();
-  system->InstallApp("com.example.used")->NewBinder("test.IUsed");
-  Status restored = old.value().RestoreInto(system.get());
-  EXPECT_FALSE(restored.ok());
-  EXPECT_NE(restored.ToString().find("marker mismatch"), std::string::npos)
-      << restored.ToString();
-  EXPECT_NE(restored.ToString().find(path), std::string::npos)
-      << restored.ToString();
-  EXPECT_NO_THROW(system.reset());
-  std::remove(path.c_str());
-  std::remove((path + snapshot::SystemSnapshot::kManifestSuffix).c_str());
+    core::SystemConfig config;
+    config.seed = 42;
+    auto system = std::make_unique<core::AndroidSystem>(config);
+    system->Boot();
+    system->InstallApp("com.example.used")->NewBinder("test.IUsed");
+    Status restored = old.value().RestoreInto(system.get());
+    EXPECT_FALSE(restored.ok()) << path;
+    EXPECT_NE(restored.ToString().find("marker mismatch"), std::string::npos)
+        << restored.ToString();
+    EXPECT_NE(restored.ToString().find(path), std::string::npos)
+        << restored.ToString();
+    EXPECT_NO_THROW(system.reset()) << path;
+    std::remove(path.c_str());
+    std::remove((path + snapshot::SystemSnapshot::kManifestSuffix).c_str());
+  }
 }
 
 // The same image handed to a harness bench through --resume fails
@@ -803,7 +776,7 @@ TEST(SystemSnapshotTest, OldHeapMarkerFailsRestoreAndLeavesADestroyableSystem) {
 // leaves the config fingerprint alone, so the heap marker is what fails.
 TEST(SystemSnapshotTest, ResumingAnOldHeapImageExitsOneWithTheError) {
   const std::string path = "snapshot_test_hea3_resume.ckpt";
-  ASSERT_NO_FATAL_FAILURE(WriteOldHeapImage(path));
+  ASSERT_NO_FATAL_FAILURE(WriteOldMarkerImage(path, kHea4, kHea3));
 
   const std::string command = std::string(JGRE_RESPONSE_DELAY_BENCH) +
                               " --seed 42 --no-json --resume " + path +
