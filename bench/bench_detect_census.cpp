@@ -23,7 +23,6 @@
 // byte-identical for any --jobs value.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -45,21 +44,6 @@
 using namespace jgre;
 
 namespace {
-
-bool IntFlag(const harness::HarnessOptions& opts, std::string_view name,
-             int* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative integer, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
 
 // The fleet slice of the census: one JGR cap, the three scenario profiles
 // the trace hunts exist for, defense off and on. The alarm point sits above
@@ -125,7 +109,7 @@ int main(int argc, char** argv) {
   SetLogLevel(LogLevel::kNone);
 
   int budget = 48;
-  if (!IntFlag(opts, "--budget", &budget)) return 2;
+  if (!harness::IntFlag(opts, "--budget", &budget)) return 2;
 
   bench::PrintBanner("DETECTION CENSUS",
                      "Hunt battery over static, fuzz, and fleet evidence");

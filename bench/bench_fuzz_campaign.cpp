@@ -14,7 +14,6 @@
 // and consistency blocks of BENCH_fuzz.json are byte-identical across runs
 // and across --jobs, which CI asserts with scripts/validate_fuzz_findings.py.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,38 +30,6 @@
 using namespace jgre;
 
 namespace {
-
-// Strict numeric parsing, matching the shared CLI's contract: a malformed
-// value is a usage error (exit 2), never a silent zero.
-bool IntFlag(const harness::HarnessOptions& opts, std::string_view name,
-             int* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative integer, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool DoubleFlag(const harness::HarnessOptions& opts, std::string_view name,
-                double* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative number, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
 
 harness::Json StringArray(const std::vector<std::string>& values) {
   harness::Json arr = harness::Json::Array();
@@ -94,9 +61,9 @@ int main(int argc, char** argv) {
   int budget = 240;
   int min_refound = 10;
   double min_speedup = 3.0;
-  if (!IntFlag(opts, "--budget", &budget) ||
-      !IntFlag(opts, "--min-refound", &min_refound) ||
-      !DoubleFlag(opts, "--min-speedup", &min_speedup)) {
+  if (!harness::IntFlag(opts, "--budget", &budget) ||
+      !harness::IntFlag(opts, "--min-refound", &min_refound) ||
+      !harness::DoubleFlag(opts, "--min-speedup", &min_speedup)) {
     return 2;
   }
   const harness::BranchOptions branch =

@@ -16,7 +16,6 @@
 // the marker CI's byte-compare keys on), so no wall-clock numbers are
 // emitted.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,21 +36,6 @@
 using namespace jgre;
 
 namespace {
-
-bool IntFlag(const harness::HarnessOptions& opts, std::string_view name,
-             int* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative integer, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
 
 std::string ChainPath(const analysis::protocol::ProtocolChain& chain,
                       const analysis::AnalysisReport& report) {
@@ -90,8 +74,8 @@ int main(int argc, char** argv) {
 
   int budget = 240;
   int min_refound = 54;
-  if (!IntFlag(opts, "--budget", &budget) ||
-      !IntFlag(opts, "--min-refound", &min_refound)) {
+  if (!harness::IntFlag(opts, "--budget", &budget) ||
+      !harness::IntFlag(opts, "--min-refound", &min_refound)) {
     return 2;
   }
   const harness::BranchOptions branch = harness::BranchOptionsFromHarness(opts);

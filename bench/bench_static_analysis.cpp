@@ -2,9 +2,6 @@
 // engine (src/analysis/taint) against the simulated AOSP image and reports:
 //   * engine workload: methods, call edges, SCC structure, fixpoint
 //     iterations, summary-computation runtime (console only),
-//   * the zero-divergence cross-check against the legacy entry-local
-//     detector: every interface must get the identical verdict, sift reason
-//     and protection class,
 //   * precision/recall of the candidate set against the paper's
 //     57-interface census (the attack registry ground truth),
 //   * the witness-path length histogram over all surviving candidates.
@@ -13,11 +10,11 @@
 // additionally writes the full per-interface witness report. Neither holds
 // a wall-clock field, so two runs at any --jobs are byte-identical, which CI
 // asserts with cmp; scripts/validate_analysis_report.py validates the
-// witness report.
+// witness report. Verdict-for-verdict agreement with the entry-local
+// detector's frozen verdicts is taint_engine_test's census gate.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -37,46 +34,6 @@
 using namespace jgre;
 
 namespace {
-
-bool DoubleFlag(const harness::HarnessOptions& opts, std::string_view name,
-                double* out) {
-  const std::string* value = harness::FlagValue(opts, name);
-  if (value == nullptr) return true;
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  if (end == value->c_str() || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "error: %.*s wants a non-negative number, got '%s'\n",
-                 static_cast<int>(name.size()), name.data(), value->c_str());
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-std::string_view ProtectionName(analysis::ProtectionClass protection) {
-  switch (protection) {
-    case analysis::ProtectionClass::kUnprotected:
-      return "unprotected";
-    case analysis::ProtectionClass::kHelperGuard:
-      return "helper_guard";
-    case analysis::ProtectionClass::kServerConstraint:
-      return "server_constraint";
-  }
-  return "unknown";
-}
-
-// The fields the verdict equivalence check compares; anything that differs
-// here is a divergence the census gate must fail on.
-bool SameVerdict(const analysis::AnalyzedInterface& a,
-                 const analysis::AnalyzedInterface& b) {
-  return a.id == b.id && a.risky == b.risky &&
-         a.reaches_jgr_entry == b.reaches_jgr_entry &&
-         a.takes_binder == b.takes_binder && a.sifted_out == b.sifted_out &&
-         a.sift_reason == b.sift_reason &&
-         a.sift_reason_text() == b.sift_reason_text() &&
-         a.protection == b.protection &&
-         a.constraint_trusts_caller == b.constraint_trusts_caller;
-}
 
 harness::Json WitnessJson(const analysis::taint::WitnessPath& witness) {
   harness::Json steps = harness::Json::Array();
@@ -113,8 +70,8 @@ int main(int argc, char** argv) {
 
   double min_precision = 0.9;
   double min_recall = 1.0;
-  if (!DoubleFlag(opts, "--min-precision", &min_precision) ||
-      !DoubleFlag(opts, "--min-recall", &min_recall)) {
+  if (!harness::DoubleFlag(opts, "--min-precision", &min_precision) ||
+      !harness::DoubleFlag(opts, "--min-recall", &min_recall)) {
     return 2;
   }
 
@@ -132,12 +89,6 @@ int main(int argc, char** argv) {
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - engine_start)
           .count();
-  const auto legacy_start = std::chrono::steady_clock::now();
-  const analysis::AnalysisReport legacy = analysis::RunAnalysisLegacy(model);
-  const double legacy_wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - legacy_start)
-          .count();
 
   const analysis::taint::EngineStats& stats = report.engine_stats;
   std::printf("\nengine: %d java methods, %d call edges, %d SCCs "
@@ -145,25 +96,9 @@ int main(int argc, char** argv) {
               stats.java_methods, stats.call_edges, stats.sccs,
               stats.nontrivial_sccs, stats.max_scc_size);
   std::printf("fixpoint: %d member passes, %d summary updates, "
-              "%.2f ms summaries; full pipeline %.1f ms (legacy %.1f ms)\n",
+              "%.2f ms summaries; full pipeline %.1f ms\n",
               stats.fixpoint_iterations, stats.summary_updates,
-              stats.runtime_ms, engine_wall_ms, legacy_wall_ms);
-
-  // --- zero-divergence cross-check vs the legacy detector -------------------
-  int divergence = 0;
-  const std::size_t interfaces =
-      std::min(report.interfaces.size(), legacy.interfaces.size());
-  for (std::size_t i = 0; i < interfaces; ++i) {
-    if (!SameVerdict(report.interfaces[i], legacy.interfaces[i])) {
-      ++divergence;
-      std::printf("  DIVERGENCE: %s\n", report.interfaces[i].id.c_str());
-    }
-  }
-  divergence += static_cast<int>(report.interfaces.size() - interfaces) +
-                static_cast<int>(legacy.interfaces.size() - interfaces);
-  std::printf("\ncross-check vs legacy detector: %zu interfaces, "
-              "%d divergent (must be 0)\n",
-              report.interfaces.size(), divergence);
+              stats.runtime_ms, engine_wall_ms);
 
   // --- precision/recall vs the paper's census (attack registry) -------------
   std::set<std::pair<std::string, std::uint32_t>> census;
@@ -185,7 +120,7 @@ int main(int argc, char** argv) {
   const double recall =
       census.empty() ? 0.0
                      : static_cast<double>(true_positives) / census.size();
-  std::printf("census: %zu candidates vs %zu known-vulnerable interfaces -> "
+  std::printf("\ncensus: %zu candidates vs %zu known-vulnerable interfaces -> "
               "precision %.3f (floor %.2f), recall %.3f (floor %.2f)\n",
               candidates.size(), census.size(), precision, min_precision,
               recall, min_recall);
@@ -221,8 +156,9 @@ int main(int argc, char** argv) {
                               .Set("candidates", count));
     }
     // v2: host times (summary and pipeline ms) stay on the console, so the
-    // report is byte-identical across runs and --jobs values.
-    harness::BenchReport bench_report(spec.name, opts, /*schema_version=*/2);
+    // report is byte-identical across runs and --jobs values. v3: verdict
+    // agreement is taint_engine_test's census gate, not a report block.
+    harness::BenchReport bench_report(spec.name, opts, /*schema_version=*/3);
     bench_report.Set("engine",
              harness::Json::Object()
                  .Set("java_methods", stats.java_methods)
@@ -232,10 +168,6 @@ int main(int argc, char** argv) {
                  .Set("nontrivial_sccs", stats.nontrivial_sccs)
                  .Set("fixpoint_iterations", stats.fixpoint_iterations)
                  .Set("summary_updates", stats.summary_updates))
-        .Set("cross_check",
-             harness::Json::Object()
-                 .Set("interfaces", report.interfaces.size())
-                 .Set("divergence_from_legacy", divergence))
         .Set("census",
              harness::Json::Object()
                  .Set("candidates", static_cast<int>(candidates.size()))
@@ -269,7 +201,8 @@ int main(int argc, char** argv) {
               .Set("retention_via", iface.retention_via)
               .Set("links_to_death", iface.links_to_death)
               .Set("mints_session", iface.mints_session)
-              .Set("protection", ProtectionName(iface.protection))
+              .Set("protection",
+                   analysis::ProtectionClassName(iface.protection))
               .Set("permission", iface.permission)
               .Set("app_hosted", iface.app_hosted);
       if (iface.risky && !iface.sifted_out) {
@@ -297,11 +230,6 @@ int main(int argc, char** argv) {
   }
 
   bool ok = true;
-  if (divergence != 0) {
-    std::fprintf(stderr, "FAIL: %d divergences from the legacy detector\n",
-                 divergence);
-    ok = false;
-  }
   if (missing_witness != 0) {
     std::fprintf(stderr, "FAIL: %d candidates without a sink witness\n",
                  missing_witness);

@@ -8,7 +8,7 @@ Checks the BenchReport envelope (jobs-invariant marker required), then
 recomputes the fusion contract from the ranked findings themselves:
 
 * Census consistency — sift_detections == pipeline_candidates (the hunt
-  must match the legacy pipeline verdict for verdict), ranked_findings and
+  accuses exactly the analysis report's candidates), ranked_findings and
   multi_modal_findings recompute from ranked[], hunt_hits recompute from
   the per-finding detections, by_certainty recomputes from the lattice.
 * Lattice law — every finding's certainty equals its base_certainty raised
@@ -117,8 +117,8 @@ def main():
             fail(f"census.{field} is negative")
     if census["sift_detections"] != census["pipeline_candidates"]:
         fail(f"sift hunt found {census['sift_detections']} detections but "
-             f"the legacy pipeline has {census['pipeline_candidates']} "
-             "candidates — the hunt must match it verdict for verdict")
+             f"the analysis report has {census['pipeline_candidates']} "
+             "candidates — the hunt must accuse exactly those")
     if census["oracle_detections"] > census["fuzz_findings"]:
         fail(f"oracle_detections {census['oracle_detections']} > "
              f"fuzz_findings {census['fuzz_findings']}")

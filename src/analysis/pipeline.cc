@@ -1,11 +1,10 @@
 #include "analysis/pipeline.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
+#include <tuple>
 
 #include "analysis/taint/engine.h"
-#include "common/log.h"
 #include "common/strings.h"
 
 namespace jgre::analysis {
@@ -94,6 +93,18 @@ JgrEntrySet ExtractJgrEntries(const CodeModel& model) {
 
 // --- Step 3 -------------------------------------------------------------------
 
+std::string_view ProtectionClassName(ProtectionClass protection) {
+  switch (protection) {
+    case ProtectionClass::kUnprotected:
+      return "unprotected";
+    case ProtectionClass::kHelperGuard:
+      return "helper_guard";
+    case ProtectionClass::kServerConstraint:
+      return "server_constraint";
+  }
+  return "unknown";
+}
+
 std::string_view SiftReasonName(SiftReason reason) {
   switch (reason) {
     case SiftReason::kNone:
@@ -150,120 +161,63 @@ std::string SiftReasonText(SiftReason reason, std::string_view via) {
 
 namespace {
 
-// BFS over Java call edges; returns the set of JGR entry methods reachable
-// from `start` (inclusive). Legacy detector only — the engine gets the same
-// set from the method's summary.
-std::set<std::string> ReachableJgrEntries(const CodeModel& model,
-                                          const std::string& start,
-                                          const JgrEntrySet& entries) {
-  std::set<std::string> reached;
-  std::set<std::string> visited;
-  std::deque<std::string> queue{start};
-  while (!queue.empty()) {
-    const std::string current = queue.front();
-    queue.pop_front();
-    if (!visited.insert(current).second) continue;
-    if (entries.java_entries.count(current) > 0) reached.insert(current);
-    if (const JavaMethodModel* m = model.FindJavaMethod(current)) {
-      for (const std::string& callee : m->callees) queue.push_back(callee);
-    }
+// The sifter (§III.C, Fig 1 step 3) over a risky interface's taint summary:
+// rule 1, then rules 2-4 over the transitive retention kind, then the
+// signature-permission filter. kNone leaves the interface a candidate.
+SiftReason Sift(const AnalyzedInterface& iface,
+                const taint::MethodSummary& summary) {
+  // Rule 1: thread creation is the only JGR entry reached (its native side
+  // releases the reference before returning), and no binder is received.
+  if (summary.reaches_only_thread_create() && !iface.takes_binder) {
+    return SiftReason::kRule1ThreadOnly;
   }
-  return reached;
-}
-
-// Legacy sifter: keys on the entry method's own BodyFacts.
-void ApplySifter(AnalyzedInterface* iface, const JavaMethodModel& method,
-                 const std::set<std::string>& reached_entries) {
-  // Rule 1: the only JGR entry on the path is thread creation, whose native
-  // side releases the reference before returning.
-  iface->only_creates_thread =
-      !reached_entries.empty() &&
-      std::all_of(reached_entries.begin(), reached_entries.end(),
-                  [](const std::string& e) {
-                    return e == model::kThreadCreateEntry;
-                  });
-  if (iface->only_creates_thread && !iface->takes_binder) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule1ThreadOnly;
-    return;
-  }
-  const bool retains_collection =
-      method.HasFact(BodyFact::kStoresParamInCollection);
-  if (retains_collection) return;  // genuinely retained: stays a candidate
-  if (method.HasFact(BodyFact::kUsesParamTransiently)) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule2Transient;
-    return;
-  }
-  if (method.HasFact(BodyFact::kUsesParamAsReadOnlyKey)) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule3ReadOnlyKey;
-    return;
-  }
-  if (method.HasFact(BodyFact::kStoresParamInMemberSlot)) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule4MemberSlot;
-    return;
-  }
-}
-
-// Engine sifter: the same four rules as predicates over the method's
-// interprocedural summary. When the deciding retention came from a callee
-// rather than the entry's own body, `retention_via` names the provenance in
-// the derived reason text — on the AOSP corpus (facts on the entry) the
-// texts are byte-identical to legacy.
-void ApplySummarySifter(AnalyzedInterface* iface,
-                        const taint::MethodSummary& summary) {
-  if (summary.only_creates_thread && !iface->takes_binder) {
-    iface->sifted_out = true;
-    iface->sift_reason = SiftReason::kRule1ThreadOnly;
-    return;
-  }
-  const auto sift = [&](SiftReason reason) {
-    iface->sifted_out = true;
-    iface->sift_reason = reason;
-  };
   switch (summary.retention) {
+    case taint::Retention::kTransient:
+      return SiftReason::kRule2Transient;
+    case taint::Retention::kReadOnlyKey:
+      return SiftReason::kRule3ReadOnlyKey;
+    case taint::Retention::kMemberSlot:
+      return SiftReason::kRule4MemberSlot;
     case taint::Retention::kCollection:
     case taint::Retention::kNone:
-      return;  // retained (or nothing known): stays a candidate
-    case taint::Retention::kTransient:
-      sift(SiftReason::kRule2Transient);
-      return;
-    case taint::Retention::kReadOnlyKey:
-      sift(SiftReason::kRule3ReadOnlyKey);
-      return;
-    case taint::Retention::kMemberSlot:
-      sift(SiftReason::kRule4MemberSlot);
-      return;
+      break;  // retained (or nothing known): not discharged by rules 2-4
   }
+  // Permission filter: interfaces third-party apps cannot call at all.
+  if (iface.permission_level == model::PermissionLevel::kSignature) {
+    return SiftReason::kSignaturePermission;
+  }
+  return SiftReason::kNone;
 }
 
-// Service/app metadata, permission mapping and protection classification
-// shared by the engine and legacy paths.
-struct AnalysisContext {
-  const CodeModel* model;
-  std::map<std::string, const model::AppServiceModel*> app_by_service;
-  std::map<std::string, const model::HelperGuard*> guard_by_method;
+}  // namespace
 
-  explicit AnalysisContext(const CodeModel& m) : model(&m) {
-    for (const model::AppServiceModel& app : m.app_services) {
-      app_by_service[app.service_name] = &app;
-    }
-    for (const model::HelperGuard& guard : m.helper_guards) {
-      guard_by_method[guard.guarded_method] = &guard;
-    }
+AnalysisReport RunAnalysis(const CodeModel& model) {
+  AnalysisReport report;
+  report.ipc_methods = ExtractIpcMethods(model);
+  report.jgr_entries = ExtractJgrEntries(model);
+
+  taint::TaintEngine engine(&model, report.jgr_entries.java_entries);
+  engine.Run();
+  report.engine_stats = engine.stats();
+
+  std::map<std::string, const model::AppServiceModel*> app_by_service;
+  for (const model::AppServiceModel& app : model.app_services) {
+    app_by_service[app.service_name] = &app;
+  }
+  std::map<std::string, const model::HelperGuard*> guard_by_method;
+  for (const model::HelperGuard& guard : model.helper_guards) {
+    guard_by_method[guard.guarded_method] = &guard;
   }
 
-  AnalyzedInterface MakeBase(const std::string& id, bool app_hosted) const {
-    const JavaMethodModel& method = *model->FindJavaMethod(id);
+  auto analyze = [&](const std::string& id, bool app_hosted) {
+    const JavaMethodModel& method = *model.FindJavaMethod(id);
     AnalyzedInterface iface;
     iface.id = id;
     iface.service = method.service;
     iface.method = method.name;
     iface.transaction_code = method.transaction_code;
     iface.permission = method.permission;
-    iface.permission_level = model->LevelOf(method.permission);
+    iface.permission_level = model.LevelOf(method.permission);
     iface.app_hosted = app_hosted;
     if (app_hosted) {
       if (auto it = app_by_service.find(method.service);
@@ -278,62 +232,27 @@ struct AnalysisContext {
     // that *receives* a Binder/IInterface (directly, in a container, array or
     // list) is treated as reaching it.
     iface.takes_binder = method.HasBinderParam();
-    return iface;
-  }
 
-  void Finish(AnalyzedInterface* iface, const JavaMethodModel& method) const {
-    // Permission filter: interfaces third-party apps cannot call at all.
-    if (iface->risky && !iface->sifted_out &&
-        iface->permission_level == model::PermissionLevel::kSignature) {
-      iface->sifted_out = true;
-      iface->sift_reason = SiftReason::kSignaturePermission;
+    const taint::MethodSummary& summary = *engine.SummaryOf(id);
+    iface.reaches_jgr_entry = summary.reaches_jgr_entry();
+    iface.risky = iface.reaches_jgr_entry || iface.takes_binder;
+    iface.retention = summary.retention;
+    iface.retention_via = summary.retention_via;
+    iface.links_to_death = summary.links_to_death;
+    iface.mints_session = summary.mints_session;
+    if (iface.risky) {
+      iface.sift_reason = Sift(iface, summary);
+      iface.sifted_out = iface.sift_reason != SiftReason::kNone;
     }
     // Protection classification (§IV.C) — from code-level guard facts.
-    if (auto it = guard_by_method.find(iface->id);
-        it != guard_by_method.end()) {
-      iface->protection = ProtectionClass::kHelperGuard;
-      iface->helper_class = it->second->helper_class;
+    if (auto it = guard_by_method.find(id); it != guard_by_method.end()) {
+      iface.protection = ProtectionClass::kHelperGuard;
+      iface.helper_class = it->second->helper_class;
     } else if (method.HasFact(BodyFact::kPerProcessConstraint)) {
-      iface->protection = ProtectionClass::kServerConstraint;
-      iface->constraint_trusts_caller =
+      iface.protection = ProtectionClass::kServerConstraint;
+      iface.constraint_trusts_caller =
           method.HasFact(BodyFact::kConstraintTrustsCallerInput);
     }
-  }
-};
-
-void SortInterfaces(AnalysisReport* report) {
-  std::sort(report->interfaces.begin(), report->interfaces.end(),
-            [](const AnalyzedInterface& a, const AnalyzedInterface& b) {
-              return std::tie(a.service, a.transaction_code) <
-                     std::tie(b.service, b.transaction_code);
-            });
-}
-
-}  // namespace
-
-AnalysisReport RunAnalysis(const CodeModel& model) {
-  AnalysisReport report;
-  report.ipc_methods = ExtractIpcMethods(model);
-  report.jgr_entries = ExtractJgrEntries(model);
-
-  taint::TaintEngine engine(&model, report.jgr_entries.java_entries);
-  engine.Run();
-  report.engine_stats = engine.stats();
-
-  const AnalysisContext ctx(model);
-  auto analyze = [&](const std::string& id, bool app_hosted) {
-    const JavaMethodModel& method = *model.FindJavaMethod(id);
-    AnalyzedInterface iface = ctx.MakeBase(id, app_hosted);
-    const taint::MethodSummary* summary = engine.SummaryOf(id);
-    iface.reaches_jgr_entry = summary->reaches_jgr_entry();
-    iface.risky = iface.reaches_jgr_entry || iface.takes_binder;
-    iface.retention = summary->retention;
-    iface.retention_via = summary->retention_via;
-    iface.links_to_death = summary->links_to_death;
-    iface.mints_session = summary->mints_session;
-    iface.only_creates_thread = summary->only_creates_thread;
-    if (iface.risky) ApplySummarySifter(&iface, *summary);
-    ctx.Finish(&iface, method);
     if (iface.risky && !iface.sifted_out) {
       iface.witness = engine.WitnessFor(id, iface.takes_binder);
     }
@@ -345,34 +264,11 @@ AnalysisReport RunAnalysis(const CodeModel& model) {
   for (const std::string& id : report.ipc_methods.app_methods) {
     analyze(id, /*app_hosted=*/true);
   }
-  SortInterfaces(&report);
-  return report;
-}
-
-AnalysisReport RunAnalysisLegacy(const CodeModel& model) {
-  AnalysisReport report;
-  report.ipc_methods = ExtractIpcMethods(model);
-  report.jgr_entries = ExtractJgrEntries(model);
-
-  const AnalysisContext ctx(model);
-  auto analyze = [&](const std::string& id, bool app_hosted) {
-    const JavaMethodModel& method = *model.FindJavaMethod(id);
-    AnalyzedInterface iface = ctx.MakeBase(id, app_hosted);
-    const std::set<std::string> reached =
-        ReachableJgrEntries(model, id, report.jgr_entries);
-    iface.reaches_jgr_entry = !reached.empty();
-    iface.risky = iface.reaches_jgr_entry || iface.takes_binder;
-    if (iface.risky) ApplySifter(&iface, method, reached);
-    ctx.Finish(&iface, method);
-    report.interfaces.push_back(std::move(iface));
-  };
-  for (const std::string& id : report.ipc_methods.service_methods) {
-    analyze(id, /*app_hosted=*/false);
-  }
-  for (const std::string& id : report.ipc_methods.app_methods) {
-    analyze(id, /*app_hosted=*/true);
-  }
-  SortInterfaces(&report);
+  std::sort(report.interfaces.begin(), report.interfaces.end(),
+            [](const AnalyzedInterface& a, const AnalyzedInterface& b) {
+              return std::tie(a.service, a.transaction_code) <
+                     std::tie(b.service, b.transaction_code);
+            });
   return report;
 }
 

@@ -8,9 +8,9 @@
 // the Java call graph to a fixpoint and stitched through the JNI bridge into
 // the native graph, so retention annotated on a helper deep in the call
 // chain surfaces at the IPC entry, and every risky verdict carries a
-// concrete witness path down to IndirectReferenceTable::Add. The original
-// entry-local detector is kept as RunAnalysisLegacy — the golden cross-check
-// the census gate compares the engine against.
+// concrete witness path down to IndirectReferenceTable::Add. One sifter
+// decides each risky interface's SiftReason from its summary: rule 1, rules
+// 2-4, then the signature-permission filter.
 #ifndef JGRE_ANALYSIS_PIPELINE_H_
 #define JGRE_ANALYSIS_PIPELINE_H_
 
@@ -60,6 +60,9 @@ enum class ProtectionClass {
   kServerConstraint,  // per-process constraint in the service (Table III)
 };
 
+// Short machine-readable slug ("unprotected", "helper_guard", ...).
+std::string_view ProtectionClassName(ProtectionClass protection);
+
 // Why the sifter discharged a risky interface. Typed so downstream
 // consumers (the detect hunts, the fuser, tests) key on the enum; the
 // free-form report text is derived via SiftReasonText and never compared.
@@ -94,12 +97,10 @@ struct AnalyzedInterface {
   bool risky = false;
   bool sifted_out = false;
   SiftReason sift_reason = SiftReason::kNone;
-  // Every JGR entry reached is thread creation (sift rule 1's predicate).
-  bool only_creates_thread = false;
 
-  // Summary-derived facts (engine path only; legacy leaves the defaults):
-  // the interface's transitive retention kind, the callee that supplied it
-  // ("" = the entry's own body), and the evidence chain for risky verdicts.
+  // Summary-derived facts: the interface's transitive retention kind, the
+  // callee that supplied it ("" = the entry's own body), and the evidence
+  // chain for risky verdicts.
   taint::Retention retention = taint::Retention::kNone;
   std::string retention_via;
   bool links_to_death = false;
@@ -124,7 +125,7 @@ struct AnalysisReport {
   IpcMethodSet ipc_methods;
   JgrEntrySet jgr_entries;
   std::vector<AnalyzedInterface> interfaces;  // every IPC method, annotated
-  taint::EngineStats engine_stats;  // zero-filled on the legacy path
+  taint::EngineStats engine_stats;
 
   // Risky, unsifted interfaces — the candidates for dynamic verification —
   // as indices into `interfaces`. Indices (not pointers) so the result stays
@@ -141,12 +142,6 @@ struct AnalysisReport {
 // Summary-based engine analysis: every risky, unsifted interface carries a
 // witness path ending at the JGR sink.
 AnalysisReport RunAnalysis(const model::CodeModel& model);
-
-// The original entry-local detector (single hand-annotated BodyFact on the
-// entry, per-entry BFS, no witnesses). Kept as the golden cross-check: the
-// census gate asserts RunAnalysis produces identical verdicts on the AOSP
-// corpus before trusting the engine's extra expressiveness.
-AnalysisReport RunAnalysisLegacy(const model::CodeModel& model);
 
 // §VI extension: IPC methods that retain *other* exhaustible resources
 // (file descriptors) — invisible to the JGR-centric pipeline above, but

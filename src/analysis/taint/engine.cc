@@ -191,12 +191,6 @@ void TaintEngine::Run() {
       s.mints_session |= cs.mints_session;
       s.jgr_entries.insert(cs.jgr_entries.begin(), cs.jgr_entries.end());
     }
-    s.only_creates_thread =
-        !s.jgr_entries.empty() &&
-        std::all_of(s.jgr_entries.begin(), s.jgr_entries.end(),
-                    [](const std::string& e) {
-                      return e == model::kThreadCreateEntry;
-                    });
     return s;
   };
 
@@ -377,7 +371,8 @@ WitnessPath TaintEngine::WitnessFor(const std::string& entry_id,
     // entry at all when the thread-create rule applies.
     const std::string& target = *summary->jgr_entries.begin();
     if (java_segment(target)) {
-      path.reason = summary->only_creates_thread ? "thread-create" : "jgr-entry";
+      path.reason =
+          summary->reaches_only_thread_create() ? "thread-create" : "jgr-entry";
       AppendNative(target, &path);
       return path;
     }

@@ -1,23 +1,20 @@
 // TaintEngine — summary-based interprocedural dataflow over the CodeModel.
 //
-// The legacy detector re-ran a whole-graph BFS per IPC entry and read the
-// sift facts off the entry method alone. The engine instead computes one
-// MethodSummary per Java method, bottom-up over the condensation of the call
-// graph (Tarjan SCCs; mutually recursive helpers share a component iterated
-// to a local fixpoint), so:
+// The engine computes one MethodSummary per Java method, bottom-up over the
+// condensation of the call graph (Tarjan SCCs; mutually recursive helpers
+// share a component iterated to a local fixpoint), so:
 //
 //   * retention annotated on a helper three hops down the call chain
 //     surfaces at the entry (multi-hop retention, read-only-key lookups
 //     behind a call hop);
-//   * JGR-entry reachability is O(V+E) once for the whole model instead of
-//     per entry;
+//   * JGR-entry reachability is O(V+E) once for the whole model;
 //   * every verdict can be explained: WitnessFor() reconstructs the concrete
 //     frame chain entry → java callees… → JNI bridge → native frames… →
 //     art::IndirectReferenceTable::Add.
 //
-// The engine is verdict-free: it computes summaries and witnesses; the four
-// sift rules stay in src/analysis/pipeline.cc, re-expressed as predicates
-// over summaries.
+// The engine is verdict-free: it computes summaries and witnesses; the one
+// sifter (four rules plus the permission filter) reads them in
+// src/analysis/pipeline.cc.
 #ifndef JGRE_ANALYSIS_TAINT_ENGINE_H_
 #define JGRE_ANALYSIS_TAINT_ENGINE_H_
 

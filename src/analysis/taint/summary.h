@@ -3,18 +3,17 @@
 // A summary answers, for one Java method, "what ultimately happens to a
 // binder-typed argument handed to it, and which JGR entry points does it
 // reach?" — derived from the BodyFacts *at the method where they occur* and
-// joined bottom-up over the call graph, instead of read off a single
-// hand-annotated fact on the IPC entry.
+// joined bottom-up over the call graph.
 //
 // The retention lattice is a small severity order:
 //
 //   kNone < kTransient < kReadOnlyKey < kMemberSlot < kCollection
 //
 // Join picks the more severe kind, so a transient entry calling a helper
-// that retains in a collection summarizes to kCollection (the multi-hop case
-// the entry-local scheme missed). One deliberate exception, matching the
-// paper's sift rule 4: a local kStoresParamInMemberSlot fact *caps* the
-// summary at kMemberSlot regardless of callee retention. The annotation
+// that retains in a collection summarizes to kCollection (multi-hop
+// retention). One deliberate exception, matching the paper's sift rule 4: a
+// local kStoresParamInMemberSlot fact *caps* the summary at kMemberSlot
+// regardless of callee retention. The annotation
 // states the method's net storage discipline — each call replaces the
 // previous binder, so whatever register/unregister pair implements the slot,
 // the retained population stays one entry.
@@ -47,8 +46,7 @@ inline Retention JoinRetention(Retention a, Retention b) {
 
 // The retention kind a method's own body facts state, using the sifter's
 // precedence (collection dominates; transient before read-only-key before
-// member-slot) so entry-local and summary-based verdicts agree wherever the
-// annotation sits on the entry itself.
+// member-slot).
 Retention LocalRetention(const model::JavaMethodModel& method);
 
 struct MethodSummary {
@@ -63,13 +61,16 @@ struct MethodSummary {
 
   bool links_to_death = false;   // self or any callee links to death
   bool mints_session = false;    // self or any callee mints+retains a session
-  bool only_creates_thread = false;  // every reached entry is thread creation
 
-  // Java-level JGR entry methods reachable from this method (inclusive):
-  // the summary analogue of the legacy per-entry BFS.
+  // Java-level JGR entry methods reachable from this method (inclusive).
   std::set<std::string> jgr_entries;
 
   bool reaches_jgr_entry() const { return !jgr_entries.empty(); }
+  // Thread creation is the only JGR entry reached (sift rule 1's predicate).
+  bool reaches_only_thread_create() const {
+    return jgr_entries.size() == 1 &&
+           *jgr_entries.begin() == model::kThreadCreateEntry;
+  }
 
   bool operator==(const MethodSummary&) const = default;
 };

@@ -87,12 +87,6 @@ class RingBuffer {
     return storage_[pos];
   }
 
-  void Clear() {
-    storage_.clear();
-    head_ = 0;
-    // total_pushed_ keeps counting: logical indices are never reused.
-  }
-
  private:
   std::size_t capacity_;
   std::vector<T> storage_;

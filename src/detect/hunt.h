@@ -28,7 +28,6 @@
 #include "detect/catalog.h"
 #include "detect/detection.h"
 #include "fuzz/campaign.h"
-#include "fuzz/oracle.h"
 #include "model/code_model.h"
 #include "obs/event.h"
 
@@ -118,7 +117,6 @@ struct DataSources {
   std::string victim_name;
 
   const std::vector<fuzz::Finding>* fuzz_findings = nullptr;
-  const fuzz::Oracle* oracle = nullptr;  // the bars findings were judged at
 
   const defense::JgreDefender* defender = nullptr;
 

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "fuzz/oracle.h"
 
 namespace jgre::detect {
 
@@ -122,41 +123,13 @@ std::size_t AlarmThresholdOf(const DataSources& sources) {
 
 // --- SiftRuleHunt ------------------------------------------------------------
 
-analysis::SiftReason SiftRuleHunt::Classify(
-    const analysis::AnalyzedInterface& iface) {
-  using analysis::SiftReason;
-  if (!iface.risky) return SiftReason::kNone;
-  // Rule 1: every reached JGR entry is thread creation, and no binder is
-  // received — the reference dies with the started thread.
-  if (iface.only_creates_thread && !iface.takes_binder) {
-    return SiftReason::kRule1ThreadOnly;
-  }
-  // Rules 2-4 over the interface's transitive retention kind.
-  switch (iface.retention) {
-    case analysis::taint::Retention::kTransient:
-      return SiftReason::kRule2Transient;
-    case analysis::taint::Retention::kReadOnlyKey:
-      return SiftReason::kRule3ReadOnlyKey;
-    case analysis::taint::Retention::kMemberSlot:
-      return SiftReason::kRule4MemberSlot;
-    case analysis::taint::Retention::kCollection:
-    case analysis::taint::Retention::kNone:
-      break;  // retained (or unknown): stays a candidate
-  }
-  // Permission filter: unreachable from third-party apps.
-  if (iface.permission_level == model::PermissionLevel::kSignature) {
-    return SiftReason::kSignaturePermission;
-  }
-  return SiftReason::kNone;
-}
-
 std::vector<Detection> SiftRuleHunt::Run(const DataSources& sources,
                                          const Scope& scope) const {
+  const analysis::AnalysisReport& report = *sources.analysis;
   std::vector<Detection> out;
-  for (const analysis::AnalyzedInterface& iface :
-       sources.analysis->interfaces) {
-    if (!iface.risky || !scope.AdmitsService(iface.service)) continue;
-    if (Classify(iface) != analysis::SiftReason::kNone) continue;
+  for (const std::size_t index : report.Candidates()) {
+    const analysis::AnalyzedInterface& iface = report.interfaces[index];
+    if (!scope.AdmitsService(iface.service)) continue;
     Detection d;
     d.hunt = std::string(id());
     d.interface_id = iface.id;
@@ -178,55 +151,20 @@ std::vector<Detection> SiftRuleHunt::Run(const DataSources& sources,
 
 std::vector<Detection> ExhaustionOracleHunt::Run(const DataSources& sources,
                                                  const Scope& scope) const {
-  // The campaign's bars when the run hands us its oracle; the shared default
-  // growth thresholds otherwise.
-  static const fuzz::Oracle kDefaultOracle;
-  const fuzz::Oracle& oracle =
-      sources.oracle != nullptr ? *sources.oracle : kDefaultOracle;
-  const fuzz::OracleBar confirm = oracle.ConfirmBar();
-  const fuzz::OracleBar screen = oracle.ScreenBar();
-
   std::vector<Detection> out;
   for (const fuzz::Finding& finding : *sources.fuzz_findings) {
     if (!scope.AdmitsService(finding.service)) continue;
-    double confirm_rate = 0.0;
-    double screen_rate = 0.0;
-    switch (finding.kind) {
-      case fuzz::ExhaustionKind::kJgr:
-        confirm_rate = confirm.jgr_rate;
-        screen_rate = screen.jgr_rate;
-        break;
-      case fuzz::ExhaustionKind::kFd:
-        confirm_rate = confirm.fd_rate;
-        screen_rate = screen.fd_rate;
-        break;
-      case fuzz::ExhaustionKind::kAbort:
-      case fuzz::ExhaustionKind::kNone:
-        break;
-    }
     Detection d;
     d.hunt = std::string(id());
     d.interface_id = finding.id;
     d.service = finding.service;
     d.method = finding.method;
     d.growth_per_call = finding.growth_per_call;
-    if (finding.victim_aborted ||
-        finding.kind == fuzz::ExhaustionKind::kAbort) {
-      d.certainty = Certainty::kConfirmed;
-      d.note = "victim aborted during the confirmation probe";
-    } else if (finding.kind == fuzz::ExhaustionKind::kNone) {
-      continue;  // a campaign never emits these; nothing to accuse
-    } else if (finding.growth_per_call >= confirm_rate) {
-      d.certainty = Certainty::kConfirmed;
-      d.note = StrCat(fuzz::ExhaustionKindName(finding.kind),
-                      " at the confirm bar");
-    } else if (finding.growth_per_call >= screen_rate) {
-      d.certainty = Certainty::kStrong;
-      d.note = StrCat(fuzz::ExhaustionKindName(finding.kind),
-                      " at the screen bar only");
-    } else {
-      continue;  // below even the screen bar: not a finding we stand behind
-    }
+    d.certainty = Certainty::kConfirmed;
+    d.note = finding.kind == fuzz::ExhaustionKind::kAbort
+                 ? std::string("victim aborted during the confirmation probe")
+                 : StrCat(fuzz::ExhaustionKindName(finding.kind),
+                          " at the confirm bar");
     // The minimized homogeneous witness, replayable as-is.
     const int calls = std::max(finding.minimized_calls, 1);
     d.reproducer.calls.assign(static_cast<std::size_t>(calls),

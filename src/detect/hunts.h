@@ -1,11 +1,10 @@
 // The standard hunt battery.
 //
-// Three port the pipeline's existing verdict logic behind the Hunt interface
-// (the four sift rules, the fuzz oracle's screen/confirm bars, the
-// defender's alarm-report check) — each is pinned by tests to reproduce the
-// legacy verdicts exactly on the 57-interface census. Two are new detectors
-// for the follow-up work's evasion patterns (arXiv 2405.00526): slow-drip
-// retention that stays under the monitor's alarm threshold, and
+// Three read verdicts the pipeline has already reached, behind the Hunt
+// interface: the analysis report's sift verdicts, the fuzz campaign's
+// confirmed findings and the defender's incident reports. Two are new
+// detectors for the follow-up work's evasion patterns (arXiv 2405.00526):
+// slow-drip retention that stays under the monitor's alarm threshold, and
 // death-recipient/weak-reference churn that grows nothing net but burns the
 // victim's table bandwidth through one interface.
 #ifndef JGRE_DETECT_HUNTS_H_
@@ -18,11 +17,10 @@
 
 namespace jgre::detect {
 
-// Port of the static sifter: re-derives the four sift rules plus the
-// signature-permission filter from the analyzed interfaces' typed facts and
-// accuses every risky interface the rules leave standing. Candidates with a
-// taint witness are kStrong; a legacy (witness-free) report yields
-// kHypothetical.
+// The static sifter's verdicts: accuses every candidate the analysis report
+// left standing (AnalysisReport::Candidates(), risky and unsifted), in that
+// order. Candidates with a taint witness are kStrong; a witness-free one
+// yields kHypothetical.
 class SiftRuleHunt : public Hunt {
  public:
   std::string_view id() const override { return "static.sift-rules"; }
@@ -34,21 +32,17 @@ class SiftRuleHunt : public Hunt {
   }
   std::vector<Detection> Run(const DataSources& sources,
                              const Scope& scope) const override;
-
-  // The rule evaluation itself, exposed for the golden cross-check: on every
-  // risky interface this must agree with AnalyzedInterface::sift_reason.
-  static analysis::SiftReason Classify(const analysis::AnalyzedInterface&);
 };
 
-// Port of the two-stage fuzz oracle: re-judges each campaign finding's
-// confirmed growth rate against the oracle's confirm bar (kConfirmed) or, if
-// it only clears the permissive screen bar, kStrong. The reproducer is the
-// finding's minimized homogeneous witness sequence.
+// The fuzz oracle's verdicts: a campaign creates a finding only after the
+// oracle's confirm stage passed, so every finding is accused kConfirmed — a
+// victim abort during the confirmation probe, or growth at the confirm bar.
+// The reproducer is the finding's minimized homogeneous witness sequence.
 class ExhaustionOracleHunt : public Hunt {
  public:
   std::string_view id() const override { return "fuzz.exhaustion-oracle"; }
   std::string_view description() const override {
-    return "fuzz findings re-judged at the oracle's confirm bar";
+    return "fuzz findings confirmed at the oracle's confirm bar";
   }
   SourceMask required_sources() const override {
     return MaskOf(DataSource::kFuzzFindings);
@@ -57,8 +51,8 @@ class ExhaustionOracleHunt : public Hunt {
                              const Scope& scope) const override;
 };
 
-// Port of the defender's alarm-report check: one detection per incident
-// report, carrying the victim's JGR trace window between alarm and report as
+// The defender's alarm-report check: one detection per incident report,
+// carrying the victim's JGR trace window between alarm and report as
 // provenance and attributing the interface via the top-ranked caller's
 // dominant IPC type.
 class AlarmReportHunt : public Hunt {

@@ -82,8 +82,8 @@ class Oracle {
     return Judge(obs, ConfirmBar());
   }
 
-  // The one judging code path. Exposed (with the stage bars) so callers that
-  // re-derive verdicts — the detect oracle hunt — run the exact same logic.
+ private:
+  // The one judging code path, at either stage's bar.
   OracleVerdict Judge(const Observation& obs, const OracleBar& bar) const;
   OracleBar ScreenBar() const {
     return {options_.growth.bounded_jgr_per_call,
@@ -95,9 +95,6 @@ class Oracle {
             options_.growth.exploitable_fd_per_call, -1, -1};
   }
 
-  const OracleOptions& options() const { return options_; }
-
- private:
   OracleOptions options_;
 };
 

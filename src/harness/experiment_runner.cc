@@ -1,6 +1,7 @@
 #include "harness/experiment_runner.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -168,6 +169,33 @@ const std::string* FlagValue(const HarnessOptions& options,
     if (options.extra[i] == name) return &options.extra[i + 1];
   }
   return nullptr;
+}
+
+bool IntFlag(const HarnessOptions& options, std::string_view name, int* out) {
+  const std::string* value = FlagValue(options, name);
+  if (value == nullptr) return true;
+  int parsed = 0;
+  if (!ParseNumber(*value, &parsed) || parsed < 0) {
+    std::cerr << "error: " << name << " wants a non-negative integer, got '"
+              << *value << "'\n";
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+bool DoubleFlag(const HarnessOptions& options, std::string_view name,
+                double* out) {
+  const std::string* value = FlagValue(options, name);
+  if (value == nullptr) return true;
+  double parsed = 0.0;
+  if (!ParseNumber(*value, &parsed) || !std::isfinite(parsed) || parsed < 0) {
+    std::cerr << "error: " << name << " wants a non-negative number, got '"
+              << *value << "'\n";
+    return false;
+  }
+  *out = parsed;
+  return true;
 }
 
 }  // namespace jgre::harness

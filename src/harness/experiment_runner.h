@@ -75,6 +75,15 @@ bool HasFlag(const HarnessOptions& options, std::string_view name);
 const std::string* FlagValue(const HarnessOptions& options,
                              std::string_view name);
 
+// Strict numeric readers for value-taking extra flags: a non-negative int
+// (parsed like --jobs, so nothing past INT_MAX is narrowed) or a finite
+// non-negative number. An absent flag leaves `*out` as is and returns true; a
+// malformed value prints "error: <name> wants ..." to stderr and returns
+// false, on which benches exit 2.
+bool IntFlag(const HarnessOptions& options, std::string_view name, int* out);
+bool DoubleFlag(const HarnessOptions& options, std::string_view name,
+                double* out);
+
 // 0 -> std::thread::hardware_concurrency (min 1); otherwise clamped >= 1.
 int ResolveJobs(int jobs);
 

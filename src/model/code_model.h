@@ -24,9 +24,8 @@ namespace jgre::model {
 
 // Canonical frame names the analyses key on: the native JGR sink every
 // witness path must terminate at, and the Java-level JGR entry methods with
-// special sift/witness semantics. Single source of truth for src/analysis
-// (legacy pipeline and taint engine alike) — the corpus spells them out
-// because it *is* the modeled code.
+// special sift/witness semantics. Single source of truth for src/analysis —
+// the corpus spells them out because it *is* the modeled code.
 inline constexpr std::string_view kJgrSinkFunction =
     "art::IndirectReferenceTable::Add";
 inline constexpr std::string_view kThreadCreateEntry =

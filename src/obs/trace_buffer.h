@@ -37,8 +37,6 @@ class TraceBuffer : public EventSink {
   std::uint64_t total_seen() const { return ring_.total_pushed(); }
   std::uint64_t dropped() const { return ring_.total_pushed() - ring_.size(); }
 
-  void Clear() { ring_.Clear(); }
-
  private:
   RingBuffer<TraceEvent> ring_;
 };

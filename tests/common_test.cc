@@ -275,19 +275,5 @@ TEST(RingBufferTest, PushBulkMatchesRepeatedPush) {
   }
 }
 
-TEST(RingBufferTest, PushBulkAfterClearKeepsLogicalIndicesMonotone) {
-  RingBuffer<int> ring(4);
-  for (int i = 0; i < 6; ++i) ring.Push(i);
-  ring.Clear();
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.end_index(), 6u);  // indices are never reused
-  const int tail[] = {10, 11, 12};
-  ring.PushBulk(tail, 3);
-  EXPECT_EQ(ring.first_index(), 6u);
-  EXPECT_EQ(ring.end_index(), 9u);
-  EXPECT_EQ(ring.At(6), 10);
-  EXPECT_EQ(ring.At(8), 12);
-}
-
 }  // namespace
 }  // namespace jgre

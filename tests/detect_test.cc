@@ -1,17 +1,15 @@
 // Detection-registry tests.
 //
-// The load-bearing one is the golden cross-check: the hunt-ported verdict
-// logic (sift rules, oracle bars) must agree byte-for-byte with the legacy
-// pipeline's own verdicts on the full derived census — porting detection
-// behind the Hunt interface must not change a single answer. The rest cover
-// the registry's source-gated scheduling, the fuser's monotone certainty
+// The sift and oracle hunts read verdicts the pipeline already reached: the
+// sift hunt accuses exactly the analysis report's candidates, in report
+// order, and the oracle hunt accuses every confirmed fuzz finding. The rest
+// cover the registry's source-gated scheduling, the fuser's monotone certainty
 // upgrades and rank stability, and the two follow-up hunts (slow-drip,
 // death-recipient churn) on synthetic traces and on real fleet devices.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -248,7 +246,7 @@ TEST(DetectionFuserTest, NeverDowngradesAndRankIsAddOrderIndependent) {
   }
 }
 
-// --- Golden cross-check: sift rules ------------------------------------------
+// --- Sift hunt over the derived census ---------------------------------------
 
 class DetectGoldenTest : public ::testing::Test {
  protected:
@@ -276,19 +274,6 @@ core::AndroidSystem* DetectGoldenTest::system_ = nullptr;
 model::CodeModel* DetectGoldenTest::model_ = nullptr;
 analysis::AnalysisReport* DetectGoldenTest::report_ = nullptr;
 
-TEST_F(DetectGoldenTest, SiftRuleHuntMatchesPipelineVerdictsOnEveryInterface) {
-  // The ported rule evaluation must reproduce the pipeline's sift_reason on
-  // every risky interface of the derived census — same rules, same order.
-  int risky = 0;
-  for (const analysis::AnalyzedInterface& iface : report_->interfaces) {
-    if (!iface.risky) continue;
-    ++risky;
-    EXPECT_EQ(detect::SiftRuleHunt::Classify(iface), iface.sift_reason)
-        << iface.id;
-  }
-  EXPECT_GT(risky, 57);  // candidates + everything the rules sift out
-}
-
 TEST_F(DetectGoldenTest, SiftRuleHuntEmitsExactlyTheCensusCandidates) {
   detect::DataSources sources;
   sources.analysis = report_;
@@ -296,19 +281,19 @@ TEST_F(DetectGoldenTest, SiftRuleHuntEmitsExactlyTheCensusCandidates) {
   const std::vector<Detection> detections =
       registry.RunAll(sources, detect::Scope{});
 
-  std::set<std::string> hunted;
+  std::vector<std::string> hunted;
   for (const Detection& d : detections) {
     EXPECT_EQ(d.hunt, "static.sift-rules");
     EXPECT_TRUE(d.has_witness()) << d.interface_id;
     EXPECT_EQ(d.certainty, Certainty::kStrong) << d.interface_id;
-    hunted.insert(d.interface_id);
+    hunted.push_back(d.interface_id);
   }
-  std::set<std::string> census;
+  std::vector<std::string> census;
   for (const std::size_t i : report_->Candidates()) {
-    census.insert(report_->interfaces[i].id);
+    census.push_back(report_->interfaces[i].id);
   }
   // 57 system-side + the display/input natives + 3 prebuilt-app interfaces
-  // (the count analysis_pipeline_test pins).
+  // (the count analysis_pipeline_test pins), accused in report order.
   EXPECT_EQ(census.size(), 60u);
   EXPECT_EQ(hunted, census);
 }
@@ -340,68 +325,66 @@ TEST_F(DetectGoldenTest, DefaultCatalogResolvesCensusInterfaces) {
   EXPECT_EQ(catalog.Resolve("no.such.Descriptor", 1), nullptr);
 }
 
-// --- Golden cross-check: oracle bars -----------------------------------------
+// --- Oracle hunt -------------------------------------------------------------
 
-TEST(ExhaustionOracleHuntTest, ReJudgesFindingsAtTheOracleBars) {
-  const fuzz::Oracle oracle;
+// A campaign creates a finding only after the oracle's confirm stage passed,
+// so the hunt accuses every finding kConfirmed, says which signal confirmed
+// it, and hands on the minimized witness as the reproducer.
+TEST(ExhaustionOracleHuntTest, AccusesEveryFindingAsConfirmed) {
   std::vector<fuzz::Finding> findings;
-  fuzz::Finding confirmed;
-  confirmed.id = "svc.confirmed";
-  confirmed.service = "svc";
-  confirmed.method = "confirmed";
-  confirmed.kind = fuzz::ExhaustionKind::kJgr;
-  confirmed.growth_per_call = oracle.ConfirmBar().jgr_rate + 0.1;
-  confirmed.minimized_calls = 3;
-  confirmed.witness.service = "svc";
-  findings.push_back(confirmed);
+  fuzz::Finding jgr;
+  jgr.id = "svc.jgr";
+  jgr.service = "svc";
+  jgr.method = "jgr";
+  jgr.kind = fuzz::ExhaustionKind::kJgr;
+  jgr.growth_per_call = 1.0;
+  jgr.minimized_calls = 3;
+  jgr.witness.service = "svc";
+  findings.push_back(jgr);
 
-  fuzz::Finding screened = confirmed;
-  screened.id = "svc.screened";
-  screened.method = "screened";
-  // Above the screen (bounded) rate but below the confirm (exploitable) one.
-  screened.growth_per_call =
-      (oracle.ScreenBar().jgr_rate + oracle.ConfirmBar().jgr_rate) / 2;
-  findings.push_back(screened);
+  fuzz::Finding fd = jgr;
+  fd.id = "svc.fd";
+  fd.method = "fd";
+  fd.kind = fuzz::ExhaustionKind::kFd;
+  fd.minimized_calls = 0;  // never minimized: one call still reproduces
+  findings.push_back(fd);
 
-  fuzz::Finding aborted = confirmed;
+  fuzz::Finding aborted = jgr;
   aborted.id = "svc.aborted";
   aborted.method = "aborted";
+  aborted.kind = fuzz::ExhaustionKind::kAbort;
   aborted.growth_per_call = 0.0;
   aborted.victim_aborted = true;
   findings.push_back(aborted);
 
-  fuzz::Finding bounded = confirmed;
-  bounded.id = "svc.bounded";
-  bounded.method = "bounded";
-  bounded.growth_per_call = oracle.ScreenBar().jgr_rate / 2;
-  findings.push_back(bounded);
-
   detect::DataSources sources;
   sources.fuzz_findings = &findings;
-  sources.oracle = &oracle;
   const detect::ExhaustionOracleHunt hunt;
   const std::vector<Detection> detections =
       hunt.Run(sources, detect::Scope{});
 
-  std::map<std::string, Certainty> by_id;
+  ASSERT_EQ(detections.size(), findings.size());
+  std::map<std::string, const Detection*> by_id;
   for (const Detection& d : detections) {
-    by_id[d.interface_id] = d.certainty;
+    EXPECT_EQ(d.hunt, "fuzz.exhaustion-oracle");
+    EXPECT_EQ(d.certainty, Certainty::kConfirmed) << d.interface_id;
     EXPECT_TRUE(d.has_reproducer()) << d.interface_id;
-  }
-  ASSERT_EQ(by_id.size(), 3u);  // the bounded finding is dropped
-  EXPECT_EQ(by_id.at("svc.confirmed"), Certainty::kConfirmed);
-  EXPECT_EQ(by_id.at("svc.screened"), Certainty::kStrong);
-  EXPECT_EQ(by_id.at("svc.aborted"), Certainty::kConfirmed);
-  EXPECT_EQ(by_id.count("svc.bounded"), 0u);
-
-  // The reproducer is the minimized homogeneous witness sequence.
-  for (const Detection& d : detections) {
-    if (d.interface_id != "svc.confirmed") continue;
-    EXPECT_EQ(d.reproducer.calls.size(), 3u);
     for (const fuzz::IpcCall& call : d.reproducer.calls) {
       EXPECT_EQ(call.service, "svc");
     }
+    by_id[d.interface_id] = &d;
   }
+  EXPECT_EQ(by_id.at("svc.jgr")->note, "jgr_exhaustion at the confirm bar");
+  EXPECT_EQ(by_id.at("svc.jgr")->reproducer.calls.size(), 3u);
+  EXPECT_DOUBLE_EQ(by_id.at("svc.jgr")->growth_per_call, 1.0);
+  EXPECT_EQ(by_id.at("svc.fd")->note, "fd_exhaustion at the confirm bar");
+  EXPECT_EQ(by_id.at("svc.fd")->reproducer.calls.size(), 1u);
+  EXPECT_EQ(by_id.at("svc.aborted")->note,
+            "victim aborted during the confirmation probe");
+
+  detect::Scope other;
+  other.services = {"other"};
+  EXPECT_TRUE(hunt.Run(sources, other).empty());
 }
 
 // --- Follow-up hunts on synthetic traces -------------------------------------

@@ -193,6 +193,51 @@ TEST(HarnessCliTest, BadNumbersAreErrors) {
   EXPECT_FALSE(Parse({"--curves=yes"}).error.empty());
 }
 
+// The strict readers benches use for their own value flags: an absent flag
+// keeps the default; a bad value returns false (the bench exits 2) and
+// leaves the default in place.
+TEST(HarnessCliTest, IntFlagReadsANonNegativeInt) {
+  int budget = 48;
+  EXPECT_TRUE(IntFlag(Parse({}), "--top", &budget));
+  EXPECT_EQ(budget, 48);
+  EXPECT_TRUE(IntFlag(Parse({"--top", "240"}), "--top", &budget));
+  EXPECT_EQ(budget, 240);
+  EXPECT_TRUE(IntFlag(Parse({"--top=0"}), "--top", &budget));
+  EXPECT_EQ(budget, 0);
+  EXPECT_TRUE(IntFlag(Parse({"--top", "2147483647"}), "--top", &budget));
+  EXPECT_EQ(budget, std::numeric_limits<int>::max());
+}
+
+TEST(HarnessCliTest, IntFlagRejectsOutOfRangeNegativeAndTrailingGarbage) {
+  // 4294967356 is 2^32 + 60: narrowed to int it would read as 60.
+  for (const char* bad : {"2147483648", "4294967356", "9223372036854775808",
+                          "-1", "12abc", "1.5", "banana"}) {
+    int budget = 48;
+    EXPECT_FALSE(IntFlag(Parse({"--top", bad}), "--top", &budget)) << bad;
+    EXPECT_EQ(budget, 48) << bad;
+  }
+}
+
+TEST(HarnessCliTest, DoubleFlagReadsAFiniteNonNegativeNumber) {
+  double floor = 0.9;
+  EXPECT_TRUE(DoubleFlag(Parse({}), "--top", &floor));
+  EXPECT_EQ(floor, 0.9);
+  EXPECT_TRUE(DoubleFlag(Parse({"--top", "0.75"}), "--top", &floor));
+  EXPECT_EQ(floor, 0.75);
+  EXPECT_TRUE(DoubleFlag(Parse({"--top=3"}), "--top", &floor));
+  EXPECT_EQ(floor, 3.0);
+}
+
+TEST(HarnessCliTest, DoubleFlagRejectsNonFiniteNegativeAndTrailingGarbage) {
+  // NaN would pass a "< 0" check and then fail no floor comparison.
+  for (const char* bad :
+       {"nan", "NaN", "inf", "infinity", "-inf", "-0.5", "0.9x", "banana"}) {
+    double floor = 0.9;
+    EXPECT_FALSE(DoubleFlag(Parse({"--top", bad}), "--top", &floor)) << bad;
+    EXPECT_EQ(floor, 0.9) << bad;
+  }
+}
+
 // --- Json -------------------------------------------------------------------------
 
 TEST(JsonTest, DumpIsStableAndOrdered) {
