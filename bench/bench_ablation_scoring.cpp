@@ -1,7 +1,7 @@
 // bench_ablation_scoring — the design-choice ablation DESIGN.md calls out:
-// Algorithm 1's two interchangeable engines measured against each other —
-// the batched difference-array engine (default) and the naive
-// O(interval-length) vote array that serves as its oracle. Synthetic
+// Algorithm 1's two scorers measured against each other — the batched
+// difference-array engine (JgreScoreForApp) and the naive O(interval-length)
+// vote array that serves as its oracle (NaiveJgreScoreForApp). Synthetic
 // incident data of growing size; the naive engine's cost grows with Δ
 // (wider vote intervals), the batched engine's flat passes do not.
 //
@@ -64,10 +64,9 @@ struct Check {
   bool agree = false;
 };
 
-defense::ScoringParams ParamsFor(const Case& c, defense::ScoreEngine engine) {
+defense::ScoringParams ParamsFor(const Case& c) {
   defense::ScoringParams params;
   params.delta_us = c.delta_us;
-  params.engine = engine;
   return params;
 }
 
@@ -76,13 +75,14 @@ bool SameCost(const defense::ScoringCost& a, const defense::ScoringCost& b) {
          a.pairs == b.pairs && a.range_ops == b.range_ops;
 }
 
-// Mean wall-clock milliseconds per JgreScoreForApp call.
-double TimeEngineMs(const Workload& w, const defense::ScoringParams& params) {
+// Mean wall-clock milliseconds per `score()` pass.
+template <typename Score>
+double TimeEngineMs(const Score& score) {
   int runs = 0;
   const Clock::time_point start = Clock::now();
   double elapsed = 0;
   while (runs < kMinRuns || elapsed < kMinTimedSeconds) {
-    (void)defense::JgreScoreForApp(w.calls, w.adds, params);
+    (void)score();
     ++runs;
     elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   }
@@ -112,15 +112,13 @@ int main(int argc, char** argv) {
   const std::vector<Check> checks = harness::RunOrdered<Check>(
       cases.size(), opts.jobs, [&](std::size_t i) {
         const Workload& w = workloads[i];
+        const defense::ScoringParams params = ParamsFor(cases[i]);
         Check batched;
-        batched.score = defense::JgreScoreForApp(
-            w.calls, w.adds,
-            ParamsFor(cases[i], defense::ScoreEngine::kBatched),
-            &batched.cost);
+        batched.score = defense::JgreScoreForApp(w.calls, w.adds, params,
+                                                 &batched.cost);
         Check naive;
-        naive.score = defense::JgreScoreForApp(
-            w.calls, w.adds, ParamsFor(cases[i], defense::ScoreEngine::kNaive),
-            &naive.cost);
+        naive.score = defense::NaiveJgreScoreForApp(w.calls, w.adds, params,
+                                                    &naive.cost);
         batched.agree =
             batched.score == naive.score && SameCost(batched.cost, naive.cost);
         return batched;
@@ -150,10 +148,12 @@ int main(int argc, char** argv) {
   std::printf("\n%9s %9s %8s %12s %12s %9s\n", "ipc_calls", "delta_us",
               "score", "batched_ms", "naive_ms", "speedup");
   for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Workload& w = workloads[i];
+    const defense::ScoringParams params = ParamsFor(cases[i]);
     const double batched_ms = TimeEngineMs(
-        workloads[i], ParamsFor(cases[i], defense::ScoreEngine::kBatched));
+        [&] { return defense::JgreScoreForApp(w.calls, w.adds, params); });
     const double naive_ms = TimeEngineMs(
-        workloads[i], ParamsFor(cases[i], defense::ScoreEngine::kNaive));
+        [&] { return defense::NaiveJgreScoreForApp(w.calls, w.adds, params); });
     std::printf("%9d %9llu %8lld %12.3f %12.3f %8.1fx\n", cases[i].ipc_calls,
                 static_cast<unsigned long long>(cases[i].delta_us),
                 static_cast<long long>(checks[i].score), batched_ms, naive_ms,

@@ -175,7 +175,8 @@ int main(int argc, char** argv) {
                         .Set("method", f.method)
                         .Set("kind", fuzz::ExhaustionKindName(f.kind))
                         .Set("growth_per_call", f.growth_per_call)
-                        .Set("victim_aborted", f.victim_aborted)
+                        .Set("victim_aborted",
+                             f.kind == fuzz::ExhaustionKind::kAbort)
                         .Set("minimized_calls", f.minimized_calls));
     }
     // Wall-clock bench (execs/sec, speedups): stamp the resolved --jobs.

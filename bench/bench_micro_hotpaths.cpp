@@ -215,8 +215,8 @@ void GcScan(std::vector<PathResult>* results, harness::Json* sections) {
 }
 
 // Event delivery through the bus into three sinks (trace ring, metrics fold,
-// second ring standing in for a probe), all on buffered delivery; the
-// closing Flush is inside the timed region so staged work is charged.
+// second ring standing in for a probe), each called synchronously inside
+// Emit().
 void EventDelivery(std::vector<PathResult>* results, harness::Json* sections) {
   constexpr int kEvents = 2'000'000;
   obs::EventBus bus;
@@ -226,9 +226,9 @@ void EventDelivery(std::vector<PathResult>* results, harness::Json* sections) {
   obs::MetricsSink metrics(&registry);
   const obs::CategoryMask mask =
       obs::MaskOf(obs::Category::kIpc) | obs::MaskOf(obs::Category::kJgr);
-  bus.Subscribe(&trace, mask, /*pid_filter=*/-1, obs::Delivery::kBuffered);
-  bus.Subscribe(&metrics, mask, /*pid_filter=*/-1, obs::Delivery::kBuffered);
-  bus.Subscribe(&probe, mask, /*pid_filter=*/-1, obs::Delivery::kBuffered);
+  bus.Subscribe(&trace, mask);
+  bus.Subscribe(&metrics, mask);
+  bus.Subscribe(&probe, mask);
   const auto start = Clock::now();
   for (int i = 0; i < kEvents; ++i) {
     const bool ipc = (i & 1) == 0;
@@ -238,7 +238,6 @@ void EventDelivery(std::vector<PathResult>* results, harness::Json* sections) {
                             static_cast<TimeUs>(i), 7, 10'000,
                             /*arg0=*/i & 1023, /*arg1=*/i));
   }
-  bus.Flush();
   Record(results, sections, "event_delivery", kEvents, ElapsedNs(start),
          kBaselineEventDelivery, /*aggregated=*/true,
          harness::Json::Object()
@@ -248,7 +247,7 @@ void EventDelivery(std::vector<PathResult>* results, harness::Json* sections) {
 
 // JGR monitor ingest while recording (per-event timestamping at 1 µs virtual
 // cost — the defender's phase-1 overhead), routed through the monitor hub's
-// one kJgr subscription instead of three pid-filtered ones.
+// one kJgr subscription.
 void MonitorIngest(std::vector<PathResult>* results, harness::Json* sections) {
   constexpr int kEvents = 1'000'000;
   SimClock clock;

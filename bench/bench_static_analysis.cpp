@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
               .Set("risky", iface.risky)
               .Set("reaches_jgr_entry", iface.reaches_jgr_entry)
               .Set("takes_binder", iface.takes_binder)
-              .Set("sifted_out", iface.sifted_out)
+              .Set("sifted_out", iface.sifted_out())
               .Set("sift_reason", iface.sift_reason_text())
               .Set("retention",
                    analysis::taint::RetentionName(iface.retention))
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
                    analysis::ProtectionClassName(iface.protection))
               .Set("permission", iface.permission)
               .Set("app_hosted", iface.app_hosted);
-      if (iface.risky && !iface.sifted_out) {
+      if (iface.risky && !iface.sifted_out()) {
         entry.Set("witness", WitnessJson(iface.witness));
       }
       ifaces.Push(std::move(entry));

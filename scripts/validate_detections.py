@@ -8,7 +8,8 @@ Checks the BenchReport envelope (jobs-invariant marker required), then
 recomputes the fusion contract from the ranked findings themselves:
 
 * Census consistency — sift_detections == pipeline_candidates (the hunt
-  accuses exactly the analysis report's candidates), ranked_findings and
+  accuses exactly the analysis report's candidates), oracle_detections ==
+  fuzz_findings (one confirmed accusation per finding), ranked_findings and
   multi_modal_findings recompute from ranked[], hunt_hits recompute from
   the per-finding detections, by_certainty recomputes from the lattice.
 * Lattice law — every finding's certainty equals its base_certainty raised
@@ -119,9 +120,10 @@ def main():
         fail(f"sift hunt found {census['sift_detections']} detections but "
              f"the analysis report has {census['pipeline_candidates']} "
              "candidates — the hunt must accuse exactly those")
-    if census["oracle_detections"] > census["fuzz_findings"]:
-        fail(f"oracle_detections {census['oracle_detections']} > "
-             f"fuzz_findings {census['fuzz_findings']}")
+    if census["oracle_detections"] != census["fuzz_findings"]:
+        fail(f"oracle hunt emitted {census['oracle_detections']} detections "
+             f"for {census['fuzz_findings']} fuzz findings — it must accuse "
+             "each finding exactly once")
 
     hunt_hits = require(doc, "hunt_hits", dict, args.report)
     for hunt, hits in hunt_hits.items():

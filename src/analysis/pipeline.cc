@@ -240,10 +240,7 @@ AnalysisReport RunAnalysis(const CodeModel& model) {
     iface.retention_via = summary.retention_via;
     iface.links_to_death = summary.links_to_death;
     iface.mints_session = summary.mints_session;
-    if (iface.risky) {
-      iface.sift_reason = Sift(iface, summary);
-      iface.sifted_out = iface.sift_reason != SiftReason::kNone;
-    }
+    if (iface.risky) iface.sift_reason = Sift(iface, summary);
     // Protection classification (§IV.C) — from code-level guard facts.
     if (auto it = guard_by_method.find(id); it != guard_by_method.end()) {
       iface.protection = ProtectionClass::kHelperGuard;
@@ -253,7 +250,7 @@ AnalysisReport RunAnalysis(const CodeModel& model) {
       iface.constraint_trusts_caller =
           method.HasFact(BodyFact::kConstraintTrustsCallerInput);
     }
-    if (iface.risky && !iface.sifted_out) {
+    if (iface.risky && !iface.sifted_out()) {
       iface.witness = engine.WitnessFor(id, iface.takes_binder);
     }
     report.interfaces.push_back(std::move(iface));
@@ -285,7 +282,7 @@ std::vector<std::string> ExtractOtherResourceRisks(const CodeModel& model) {
 std::vector<std::size_t> AnalysisReport::Candidates() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < interfaces.size(); ++i) {
-    if (interfaces[i].risky && !interfaces[i].sifted_out) out.push_back(i);
+    if (interfaces[i].risky && !interfaces[i].sifted_out()) out.push_back(i);
   }
   return out;
 }

@@ -95,8 +95,7 @@ struct AnalyzedInterface {
   bool reaches_jgr_entry = false;  // call graph hits a Java JGR entry
   bool takes_binder = false;       // strong-binder transmission scenarios
   bool risky = false;
-  bool sifted_out = false;
-  SiftReason sift_reason = SiftReason::kNone;
+  SiftReason sift_reason = SiftReason::kNone;  // set for risky interfaces
 
   // Summary-derived facts: the interface's transitive retention kind, the
   // callee that supplied it ("" = the entry's own body), and the evidence
@@ -105,7 +104,7 @@ struct AnalyzedInterface {
   std::string retention_via;
   bool links_to_death = false;
   bool mints_session = false;
-  taint::WitnessPath witness;  // non-empty iff risky && !sifted_out
+  taint::WitnessPath witness;  // non-empty iff risky && !sifted_out()
 
   ProtectionClass protection = ProtectionClass::kUnprotected;
   std::string helper_class;              // for kHelperGuard
@@ -114,6 +113,9 @@ struct AnalyzedInterface {
   bool app_hosted = false;
   bool prebuilt_app = false;
   std::string package;  // for app-hosted methods
+
+  // A sift rule or the permission filter discharged this risky interface.
+  bool sifted_out() const { return sift_reason != SiftReason::kNone; }
 
   // The report string for this interface's sift verdict ("" when unsifted).
   std::string sift_reason_text() const {

@@ -128,7 +128,7 @@ ProtocolGraph ProtocolGraph::Build(const model::CodeModel& model,
       frame.entry_set.insert(edge.consumer);
       frame.domain_set.insert(edge.domain);
       const AnalyzedInterface& consumer = report.interfaces[edge.consumer];
-      if (consumer.risky && !consumer.sifted_out) record(frame);
+      if (consumer.risky && !consumer.sifted_out()) record(frame);
       extend(frame);
       frame.edge_ids.pop_back();
       frame.entries.pop_back();

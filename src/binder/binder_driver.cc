@@ -421,26 +421,14 @@ void BinderDriver::AppendLog(Pid from, Uid from_uid, Pid to, NodeId node,
 
 Result<std::size_t> BinderDriver::VisitIpcLogSince(
     Uid caller, std::uint64_t since_seq,
-    const std::function<void(const IpcRecord&)>& visitor,
-    std::size_t max_records) const {
+    const std::function<void(const IpcRecord&)>& visitor) const {
   if (caller != kRootUid && caller != kSystemUid) {
     return PermissionDenied(
         "/proc/jgre_ipc_log is only readable by system services");
   }
   // Seq s lives at logical index s - 1 (seqs start at 1 and are assigned in
   // push order), so the window start is a constant-time computation.
-  return ipc_log_.VisitSince(since_seq > 0 ? since_seq - 1 : 0, max_records,
-                             visitor);
-}
-
-Result<std::vector<IpcRecord>> BinderDriver::ReadIpcLog(
-    Uid caller, std::uint64_t since_seq, std::size_t max_records) const {
-  std::vector<IpcRecord> out;
-  auto visited = VisitIpcLogSince(
-      caller, since_seq, [&out](const IpcRecord& rec) { out.push_back(rec); },
-      max_records);
-  if (!visited.ok()) return visited.status();
-  return out;
+  return ipc_log_.VisitSince(since_seq > 0 ? since_seq - 1 : 0, visitor);
 }
 
 const std::string& BinderDriver::NodeDescriptor(NodeId node) const {

@@ -157,22 +157,15 @@ class BinderDriver {
   void SetDefenseLogging(bool enabled) { defense_logging_ = enabled; }
   bool defense_logging() const { return defense_logging_; }
 
-  // Reads log records with seq >= since_seq, at most `max_records` of them
-  // (oldest first). Permission mirrors the procfs file mode: only
-  // root/system may read (§V.B). The window is located in O(1) from the
-  // log's logical indices; only the returned records are copied.
-  Result<std::vector<IpcRecord>> ReadIpcLog(
-      Uid caller, std::uint64_t since_seq,
-      std::size_t max_records = kNoRecordLimit) const;
-
-  // Zero-copy variant: invokes `visitor` on every retained record with
-  // seq >= since_seq, oldest first, up to `max_records`. Returns the number
-  // of records visited. The defender ranks through this, from the first
-  // record no incident has scored (see ipc_log_next_seq).
+  // Invokes `visitor` on every retained record with seq >= since_seq,
+  // oldest first, and returns the number of records visited. Permission
+  // mirrors the procfs file mode: only root/system may read (§V.B). The
+  // window is located in O(1) from the log's logical indices, and no record
+  // is copied. The defender ranks through this, from the first record no
+  // incident has scored (see ipc_log_next_seq).
   Result<std::size_t> VisitIpcLogSince(
       Uid caller, std::uint64_t since_seq,
-      const std::function<void(const IpcRecord&)>& visitor,
-      std::size_t max_records = kNoRecordLimit) const;
+      const std::function<void(const IpcRecord&)>& visitor) const;
 
   // Resolves an interned descriptor id back to the interface string.
   const std::string& DescriptorName(DescriptorId id) const {
@@ -185,8 +178,6 @@ class BinderDriver {
 
   // Renders the textual /proc/jgre_ipc_log content (bounded tail).
   std::string RenderIpcLogProcfs(std::size_t max_lines = 64) const;
-
-  static constexpr std::size_t kNoRecordLimit = ~std::size_t{0};
 
   std::uint64_t ipc_log_next_seq() const { return ipc_log_.next_seq(); }
   std::size_t ipc_log_size() const { return ipc_log_.size(); }

@@ -13,6 +13,7 @@
 #ifndef JGRE_BINDER_IPC_LOG_H_
 #define JGRE_BINDER_IPC_LOG_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -68,15 +69,12 @@ class IpcLog {
   IpcRecord At(std::uint64_t logical) const;
 
   // Invokes `fn(const IpcRecord&)` on retained records with logical index in
-  // [since, end_index), oldest first, visiting at most `max_records`.
-  // Returns the number visited.
+  // [since, end_index), oldest first. Returns the number visited.
   template <typename Fn>
-  std::size_t VisitSince(std::uint64_t since, std::size_t max_records,
-                         Fn&& fn) const {
-    std::uint64_t index = since;
-    if (index < first_index()) index = first_index();
+  std::size_t VisitSince(std::uint64_t since, Fn&& fn) const {
     std::size_t visited = 0;
-    for (; index < end_index() && visited < max_records; ++index, ++visited) {
+    for (std::uint64_t index = std::max(since, first_index());
+         index < end_index(); ++index, ++visited) {
       fn(At(index));
     }
     return visited;

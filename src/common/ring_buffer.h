@@ -1,14 +1,14 @@
 // Fixed-capacity ring buffer with monotonically growing logical indices.
 //
-// Backs obs::TraceBuffer: values are appended forever, the buffer retains
-// only the newest `capacity` of them, and readers address values by their
-// *logical* index (0-based, never reused), so the count that fell off the
-// front is end_index() - size(). Storage grows lazily up to the capacity —
-// an idle buffer costs nothing — and never reallocates once full.
+// Backs obs::TraceBuffer and the fleet probe's hunt window: values are
+// appended forever, the buffer retains only the newest `capacity` of them,
+// and readers address values by their *logical* index (0-based, never
+// reused), so the count that fell off the front is end_index() - size().
+// Storage grows lazily up to the capacity — an idle buffer costs nothing —
+// and never reallocates once full.
 #ifndef JGRE_COMMON_RING_BUFFER_H_
 #define JGRE_COMMON_RING_BUFFER_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -43,38 +43,6 @@ class RingBuffer {
       head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     }
     ++total_pushed_;
-  }
-
-  // Bulk append — observationally identical to pushing each value in order
-  // (same logical indices, same retained values, same save bytes), but
-  // copies whole contiguous runs instead of one branchy store per value.
-  // When `count` is at least the capacity only the newest `capacity` values
-  // land, exactly as repeated Push would leave it.
-  void PushBulk(const T* items, std::size_t count) {
-    total_pushed_ += count;
-    if (count >= capacity_) {
-      items += count - capacity_;
-      storage_.assign(items, items + capacity_);
-      head_ = 0;
-      return;
-    }
-    std::size_t remaining = count;
-    if (storage_.size() < capacity_) {
-      // Not yet full, so head_ is 0 and new values grow the tail.
-      const std::size_t grow =
-          std::min(remaining, capacity_ - storage_.size());
-      storage_.insert(storage_.end(), items, items + grow);
-      items += grow;
-      remaining -= grow;
-    }
-    while (remaining > 0) {
-      const std::size_t run = std::min(remaining, storage_.size() - head_);
-      std::copy_n(items, run, storage_.begin() + head_);
-      head_ += run;
-      if (head_ == storage_.size()) head_ = 0;
-      items += run;
-      remaining -= run;
-    }
   }
 
   // Value at logical index `index`; must be within [first_index, end_index).

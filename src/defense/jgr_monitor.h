@@ -27,10 +27,8 @@
 
 namespace jgre::defense {
 
-// The monitor consumes the victim's JGR activity as a bus EventSink,
-// subscribed with a pid filter on the kJgr category (or routed to by a
-// JgrMonitorHub, which replaces N filtered subscriptions with one dense
-// pid-indexed dispatch).
+// The monitor consumes the victim's JGR activity as a bus EventSink, routed
+// to by a JgrMonitorHub (one kJgr subscription, dense pid-indexed dispatch).
 class JgrMonitor final : public obs::EventSink {
  public:
   struct Config {

@@ -1,21 +1,16 @@
 // JgrMonitorHub — single-subscription fan-in for the defense's JgrMonitors.
 //
-// The seed wiring gave every protected runtime's monitor its own pid-filtered
-// bus subscription, so each kJgr emission walked the whole subscription list
-// and evaluated N mask/pid filters to deliver to at most one monitor. The hub
-// inverts that: it holds the one kJgr subscription and routes each event to
-// its victim's monitor through a dense pid-indexed table — per event, one
-// array load instead of a subscription scan.
+// The hub holds the defense's one kJgr subscription (every pid) and routes
+// each event to its victim's monitor through a dense pid-indexed table — per
+// event, one array load, however many runtimes are protected. The bus
+// delivers synchronously, so a recording monitor advances virtual time at
+// emission and the defender sees the report flag between transactions.
 //
 // This is the defense's per-victim sharding point: each attached monitor is
 // an independent shard with its own counters (adds-since-alarm, recorded
 // tape), mutated only by its own pid's events; the defender folds the shard
 // flags at its decision point (the between-transactions Check), never on the
 // ingest path.
-//
-// The hub must stay on immediate (unbuffered) delivery: recording monitors
-// advance the simulation clock per event, and the defender polls reported()
-// between transactions — both require events to be folded at emission time.
 #ifndef JGRE_DEFENSE_MONITOR_HUB_H_
 #define JGRE_DEFENSE_MONITOR_HUB_H_
 

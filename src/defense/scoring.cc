@@ -205,22 +205,20 @@ std::int64_t ScoreTypeBatched(std::vector<std::int64_t>& votes,
   return total;
 }
 
-}  // namespace
-
-std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
-                             const std::vector<TimeUs>& jgr_add_times,
-                             const ScoringParams& params, ScoringCost* cost,
-                             ScoringWorkspace* workspace) {
+// IPCCallOfType: groups the app's calls by interface type and sums
+// `score_type(call_times)` over the types, each type's call times sorted
+// ascending. The one grouping loop both scorers share.
+template <typename ScoreType>
+std::int64_t SumOverTypes(const std::vector<IpcEvent>& app_calls,
+                          const std::vector<TimeUs>& jgr_add_times,
+                          ScoringCost* cost, ScoringWorkspace& ws,
+                          ScoreType&& score_type) {
   assert(std::is_sorted(jgr_add_times.begin(), jgr_add_times.end()));
   if (cost != nullptr) {
     cost->ipc_events += static_cast<std::int64_t>(app_calls.size());
     cost->jgr_events += static_cast<std::int64_t>(jgr_add_times.size());
   }
-  ScoringWorkspace local_workspace;
-  ScoringWorkspace& ws =
-      workspace != nullptr ? *workspace : local_workspace;
-  // IPCCallOfType: group this app's calls by interface type. Sorting one
-  // reused buffer by (type, time) replaces the seed's per-call
+  // Sorting one reused buffer by (type, time) replaces the seed's per-call
   // map<string, vector> insertion; each run of equal types is one type's
   // call list, already time-sorted.
   std::vector<IpcEvent>& events = ws.grouping_buffer();
@@ -233,7 +231,6 @@ std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
   if (!std::is_sorted(events.begin(), events.end(), by_type_then_time)) {
     std::sort(events.begin(), events.end(), by_type_then_time);
   }
-  const std::size_t buckets = BucketCount(params);
   std::int64_t score = 0;
   std::size_t run_start = 0;
   while (run_start < events.size()) {
@@ -248,18 +245,41 @@ std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
     for (std::size_t i = run_start; i < run_end; ++i) {
       times.push_back(events[i].t);
     }
-    switch (params.engine) {
-      case ScoreEngine::kBatched:
-        score += ScoreTypeBatched(ws.votes_buffer(), buckets, times,
-                                  jgr_add_times, params, cost);
-        break;
-      case ScoreEngine::kNaive:
-        score += ScoreTypeNaive(buckets, times, jgr_add_times, params, cost);
-        break;
-    }
+    score += score_type(times);
     run_start = run_end;
   }
   return score;
+}
+
+}  // namespace
+
+std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
+                             const std::vector<TimeUs>& jgr_add_times,
+                             const ScoringParams& params, ScoringCost* cost,
+                             ScoringWorkspace* workspace) {
+  ScoringWorkspace local_workspace;
+  ScoringWorkspace& ws =
+      workspace != nullptr ? *workspace : local_workspace;
+  const std::size_t buckets = BucketCount(params);
+  return SumOverTypes(app_calls, jgr_add_times, cost, ws,
+                      [&](const std::vector<TimeUs>& times) {
+                        return ScoreTypeBatched(ws.votes_buffer(), buckets,
+                                                times, jgr_add_times, params,
+                                                cost);
+                      });
+}
+
+std::int64_t NaiveJgreScoreForApp(const std::vector<IpcEvent>& app_calls,
+                                  const std::vector<TimeUs>& jgr_add_times,
+                                  const ScoringParams& params,
+                                  ScoringCost* cost) {
+  ScoringWorkspace ws;
+  const std::size_t buckets = BucketCount(params);
+  return SumOverTypes(app_calls, jgr_add_times, cost, ws,
+                      [&](const std::vector<TimeUs>& times) {
+                        return ScoreTypeNaive(buckets, times, jgr_add_times,
+                                              params, cost);
+                      });
 }
 
 }  // namespace jgre::defense

@@ -14,13 +14,13 @@
 // lot (the counts only grow when calls actually produce JGRs at a consistent
 // lag).
 //
-// The interval-vote/max structure has two interchangeable engines (see
-// ScoreEngine): the default batched engine walks each IPC type's calls and
-// the JGR adds with two monotone cursors and accumulates votes in a flat
-// difference array, and a naive O(interval) vote array is its reference
-// oracle in property tests and the ablation bench. Both produce identical
-// scores and identical work counters. §V.D.2 implements the votes on a lazy
-// segment tree instead; the simulator does not (EXPERIMENTS.md records why).
+// JgreScoreForApp walks each IPC type's calls and the JGR adds with two
+// monotone cursors and accumulates votes in a flat difference array.
+// NaiveJgreScoreForApp is its reference oracle (property tests and the
+// ablation bench): an O(interval) vote array over the same type grouping,
+// with identical scores and identical work counters. §V.D.2 implements the
+// votes on a lazy segment tree instead; the simulator does not
+// (EXPERIMENTS.md records why).
 #ifndef JGRE_DEFENSE_SCORING_H_
 #define JGRE_DEFENSE_SCORING_H_
 
@@ -30,14 +30,6 @@
 #include "common/types.h"
 
 namespace jgre::defense {
-
-// Which interval-vote/max implementation scores each IPC type. Both engines
-// are score-for-score identical; they differ only in how the votes are
-// accumulated and the peak located.
-enum class ScoreEngine {
-  kBatched = 0,  // difference-array votes + prefix scan (default, fastest)
-  kNaive,        // O(interval) reference (property tests, ablation)
-};
 
 struct ScoringParams {
   // Δ: the deviation bound. The paper's single-attacker experiment uses the
@@ -49,7 +41,6 @@ struct ScoringParams {
   // be cause and effect for any interface (the slowest handler finishes well
   // within ~60 ms at the JGR counts where detection runs).
   DurationUs max_delay_us = 60'000;
-  ScoreEngine engine = ScoreEngine::kBatched;
   // Only the trailing window of the recording is scored. Observation 2 holds
   // *locally*: a vulnerable interface's Delay is stable over seconds but
   // drifts as its retained state grows (Fig 5), so scoring the whole
@@ -104,8 +95,8 @@ class ScoringWorkspace {
 
   std::vector<IpcEvent>& grouping_buffer() { return grouping_; }
   std::vector<TimeUs>& times_buffer() { return times_; }
-  // Flat vote column for the batched engine (difference array, then scanned
-  // in place into per-bucket vote counts).
+  // Flat vote column (difference array, then scanned in place into
+  // per-bucket vote counts).
   std::vector<std::int64_t>& votes_buffer() { return votes_; }
 
  private:
@@ -125,6 +116,13 @@ std::int64_t JgreScoreForApp(const std::vector<IpcEvent>& app_calls,
                              const ScoringParams& params,
                              ScoringCost* cost = nullptr,
                              ScoringWorkspace* workspace = nullptr);
+
+// The reference oracle for JgreScoreForApp: the same contract and the same
+// result and counters, computed on a naive O(interval) vote array.
+std::int64_t NaiveJgreScoreForApp(const std::vector<IpcEvent>& app_calls,
+                                  const std::vector<TimeUs>& jgr_add_times,
+                                  const ScoringParams& params,
+                                  ScoringCost* cost = nullptr);
 
 }  // namespace jgre::defense
 

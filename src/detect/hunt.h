@@ -65,6 +65,10 @@ struct Scope {
   bool AdmitsUid(Uid uid) const { return uids.empty() || uids.count(uid) > 0; }
 };
 
+// Which of a victim runtime's reference tables a kJgr event mutated; kNone
+// for other categories and other pids.
+enum class JgrTable : std::uint8_t { kNone, kStrong, kWeak };
+
 // Full-run aggregates over a victim runtime's JGR stream. The trace window
 // handed to hunts is bounded (a ring of the most recent events), so rates
 // and net growth are computed from these full-stream counters, never from
@@ -72,11 +76,18 @@ struct Scope {
 struct JgrActivity {
   std::int64_t adds = 0;
   std::int64_t removes = 0;
+  std::uint64_t events = 0;       // strong-table events folded
   std::uint64_t first_count = 0;  // table size at the first observed event
   std::uint64_t last_count = 0;   // ... and at the last
   std::uint64_t peak_count = 0;
   TimeUs first_ts_us = 0;
   TimeUs last_ts_us = 0;
+
+  // The one rule for which events count: folds `event` when it is one of
+  // `victim_pid`'s strong-table kJgr events and returns the table it
+  // mutated. Weak-table mutations carry the weak count in arg0, so they are
+  // reported (kWeak) but never folded into the strong-table trajectory.
+  JgrTable Fold(const obs::TraceEvent& event, std::int32_t victim_pid);
 
   bool empty() const { return adds == 0 && removes == 0; }
   std::int64_t net_growth() const {
@@ -96,8 +107,8 @@ struct JgrActivity {
 };
 
 // Folds a victim's kJgr events into activity counters (tests and consumers
-// without a streaming probe; the fleet's DeviceProbe accumulates the same
-// counters incrementally over the full run).
+// without a streaming probe; the fleet's DeviceProbe folds the same events
+// incrementally over the full run).
 JgrActivity FoldJgrActivity(const obs::TraceEvent* events, std::size_t count,
                             std::int32_t victim_pid);
 

@@ -23,35 +23,37 @@ std::string_view DataSourceName(DataSource source) {
   return "?";
 }
 
+JgrTable JgrActivity::Fold(const obs::TraceEvent& event,
+                           std::int32_t victim_pid) {
+  if (event.category != obs::Category::kJgr || event.pid != victim_pid) {
+    return JgrTable::kNone;
+  }
+  if (event.name == obs::LabelIdOf(obs::Label::kJgrWeakAdd) ||
+      event.name == obs::LabelIdOf(obs::Label::kJgrWeakRemove)) {
+    return JgrTable::kWeak;
+  }
+  const std::uint64_t after = static_cast<std::uint64_t>(event.arg0);
+  if (events == 0) {
+    first_count = after;
+    first_ts_us = event.ts_us;
+  }
+  ++events;
+  last_count = after;
+  last_ts_us = event.ts_us;
+  if (after > peak_count) peak_count = after;
+  if (event.name == obs::LabelIdOf(obs::Label::kJgrAdd)) {
+    ++adds;
+  } else if (event.name == obs::LabelIdOf(obs::Label::kJgrRemove)) {
+    ++removes;
+  }
+  return JgrTable::kStrong;
+}
+
 JgrActivity FoldJgrActivity(const obs::TraceEvent* events, std::size_t count,
                             std::int32_t victim_pid) {
   JgrActivity activity;
-  bool first = true;
   for (std::size_t i = 0; i < count; ++i) {
-    const obs::TraceEvent& event = events[i];
-    if (event.category != obs::Category::kJgr || event.pid != victim_pid) {
-      continue;
-    }
-    // Weak-table mutations carry the *weak* count in arg0; folding them here
-    // would corrupt the strong-table trajectory the hunts reason over.
-    if (event.name == obs::LabelIdOf(obs::Label::kJgrWeakAdd) ||
-        event.name == obs::LabelIdOf(obs::Label::kJgrWeakRemove)) {
-      continue;
-    }
-    const std::uint64_t after = static_cast<std::uint64_t>(event.arg0);
-    if (first) {
-      activity.first_count = after;
-      activity.first_ts_us = event.ts_us;
-      first = false;
-    }
-    activity.last_count = after;
-    activity.last_ts_us = event.ts_us;
-    if (after > activity.peak_count) activity.peak_count = after;
-    if (event.name == obs::LabelIdOf(obs::Label::kJgrAdd)) {
-      ++activity.adds;
-    } else if (event.name == obs::LabelIdOf(obs::Label::kJgrRemove)) {
-      ++activity.removes;
-    }
+    activity.Fold(events[i], victim_pid);
   }
   return activity;
 }

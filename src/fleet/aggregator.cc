@@ -1,78 +1,39 @@
 #include "fleet/aggregator.h"
 
+#include <algorithm>
+
 namespace jgre::fleet {
 
-DeviceProbe::DeviceProbe(obs::EventBus& bus, std::int32_t victim_pid,
-                         std::size_t ring_capacity)
-    : bus_(bus), victim_pid_(victim_pid), ring_capacity_(ring_capacity) {
-  bus_.Subscribe(this,
-                 obs::MaskOf(obs::Category::kJgr) |
-                     obs::MaskOf(obs::Category::kIpc),
-                 /*pid_filter=*/-1, obs::Delivery::kBuffered);
+DeviceProbe::DeviceProbe(obs::EventBus& bus, std::int32_t victim_pid)
+    : bus_(bus), victim_pid_(victim_pid) {
+  bus_.Subscribe(this, obs::MaskOf(obs::Category::kJgr) |
+                           obs::MaskOf(obs::Category::kIpc));
 }
 
 void DeviceProbe::OnEvent(const obs::TraceEvent& event) {
-  OnBatch(&event, 1);
-}
-
-void DeviceProbe::OnBatch(const obs::TraceEvent* events, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const obs::TraceEvent& event = events[i];
-    if (event.category == obs::Category::kIpc) {
-      ++ipc_calls_;
-      Retain(event);
-      continue;
+  if (event.category == obs::Category::kIpc) {
+    ++ipc_calls_;
+  } else {
+    switch (activity_.Fold(event, victim_pid_)) {
+      case detect::JgrTable::kNone:
+        return;
+      case detect::JgrTable::kWeak:  // arg0 = weak count after the op
+        peak_weak_jgr_ = std::max(peak_weak_jgr_,
+                                  static_cast<std::uint64_t>(event.arg0));
+        break;
+      case detect::JgrTable::kStrong:
+        break;
     }
-    if (event.category != obs::Category::kJgr || event.pid != victim_pid_) {
-      continue;
-    }
-    // Weak-table mutations (arg0 = weak count) feed their own high-water
-    // mark and never the strong-table activity trajectory.
-    if (event.name == obs::LabelIdOf(obs::Label::kJgrWeakAdd) ||
-        event.name == obs::LabelIdOf(obs::Label::kJgrWeakRemove)) {
-      const std::uint64_t weak_after = static_cast<std::uint64_t>(event.arg0);
-      if (weak_after > peak_weak_jgr_) peak_weak_jgr_ = weak_after;
-      Retain(event);
-      continue;
-    }
-    const std::uint64_t after = static_cast<std::uint64_t>(event.arg0);
-    if (event.name == obs::LabelIdOf(obs::Label::kJgrAdd)) {
-      ++jgr_adds_;
-      ++activity_.adds;
-    } else if (event.name == obs::LabelIdOf(obs::Label::kJgrRemove)) {
-      ++activity_.removes;
-    }
-    if (after > peak_jgr_) peak_jgr_ = after;
-    if (!saw_jgr_) {
-      saw_jgr_ = true;
-      activity_.first_count = after;
-      activity_.first_ts_us = event.ts_us;
-    }
-    activity_.last_count = after;
-    activity_.last_ts_us = event.ts_us;
-    activity_.peak_count = peak_jgr_;
-    Retain(event);
   }
-}
-
-void DeviceProbe::Retain(const obs::TraceEvent& event) {
-  if (ring_capacity_ == 0) return;
-  if (ring_.size() < ring_capacity_) {
-    ring_.push_back(event);
-    return;
-  }
-  ring_[ring_next_] = event;
-  ring_next_ = (ring_next_ + 1) % ring_capacity_;
+  window_.Push(event);
 }
 
 std::vector<obs::TraceEvent> DeviceProbe::Window() const {
-  if (ring_.size() < ring_capacity_ || ring_next_ == 0) return ring_;
   std::vector<obs::TraceEvent> out;
-  out.reserve(ring_.size());
-  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_),
-             ring_.end());
-  out.insert(out.end(), ring_.begin(),
-             ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_));
+  out.reserve(window_.size());
+  for (std::uint64_t i = window_.first_index(); i < window_.end_index(); ++i) {
+    out.push_back(window_.At(i));
+  }
   return out;
 }
 

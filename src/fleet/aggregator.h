@@ -1,6 +1,6 @@
 // FleetAggregator — streaming census statistics over per-device outcomes.
 //
-// Each device run reduces to one DeviceOutcome (drained from its EventBus by
+// Each device run reduces to one DeviceOutcome (folded from its EventBus by
 // a DeviceProbe plus what RunDeviceScenario reads off the device's
 // attacker, mitigation stack and defender). The aggregator folds outcomes
 // into per-scenario-class counters and mergeable QuantileSketches;
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "attack/strategy.h"
+#include "common/ring_buffer.h"
 #include "common/types.h"
 #include "detect/detection.h"
 #include "detect/hunt.h"
@@ -59,57 +60,51 @@ struct DeviceOutcome {
   std::vector<detect::Detection> detections;
 };
 
-// An EventSink that reduces a device's kJgr/kIpc batches as they drain.
-// It is subscribed to `bus` (buffered) from construction until Detach() or
-// its destruction, to the functional categories only, so the census numbers
-// are identical under -DJGRE_OBS_TRACING=OFF.
+// An EventSink that reduces a device's kJgr/kIpc events as they are
+// emitted. It is subscribed to `bus` from construction until Detach() or its
+// destruction, to the functional categories only, so the census numbers are
+// identical under -DJGRE_OBS_TRACING=OFF.
 class DeviceProbe : public obs::EventSink {
  public:
+  // Newest victim-kJgr/kIpc events retained as the trace window the
+  // detection hunts read. Bounds per-device memory; the JgrActivity
+  // counters keep accumulating over the full stream, so rates and net
+  // growth (the verdicts) never depend on the window size, only the
+  // provenance slices do.
+  static constexpr std::size_t kHuntWindowCapacity = 2048;
+
   // `victim_pid` scopes the JGR statistics to the victim's table (the
-  // pre-reboot system_server); IPC calls are counted fleet-wide. A non-zero
-  // `ring_capacity` additionally retains the newest victim-kJgr and kIpc
-  // events as the trace window the detection hunts read — the full-stream
-  // JgrActivity counters keep accumulating regardless, so rates and net
-  // growth never depend on the ring size.
-  DeviceProbe(obs::EventBus& bus, std::int32_t victim_pid,
-              std::size_t ring_capacity = 0);
+  // pre-reboot system_server); IPC calls are counted fleet-wide.
+  DeviceProbe(obs::EventBus& bus, std::int32_t victim_pid);
   ~DeviceProbe() override { Detach(); }
   DeviceProbe(const DeviceProbe&) = delete;
   DeviceProbe& operator=(const DeviceProbe&) = delete;
 
-  // Leaves the bus, draining the staged events first: the read barrier
-  // before the counters below are read. Idempotent.
+  // Leaves the bus, so later events (a settling GC, teardown) no longer
+  // reach the counters below. Idempotent.
   void Detach() { bus_.Unsubscribe(this); }
 
   void OnEvent(const obs::TraceEvent& event) override;
-  void OnBatch(const obs::TraceEvent* events, std::size_t count) override;
 
   std::int32_t victim_pid() const { return victim_pid_; }
   std::int64_t ipc_calls() const { return ipc_calls_; }
-  std::int64_t jgr_adds() const { return jgr_adds_; }
-  std::uint64_t peak_jgr() const { return peak_jgr_; }
+  std::int64_t jgr_adds() const { return activity_.adds; }
+  std::uint64_t peak_jgr() const { return activity_.peak_count; }
   // Weak-table high-water mark; only advances when the victim runtime opts
   // into weak-event emission (weak events ride the same kJgr category).
   std::uint64_t peak_weak_jgr() const { return peak_weak_jgr_; }
   const detect::JgrActivity& jgr_activity() const { return activity_; }
 
-  // The retained window in stream order (empty when the ring is disabled).
+  // The retained window in stream order.
   std::vector<obs::TraceEvent> Window() const;
 
  private:
-  void Retain(const obs::TraceEvent& event);
-
   obs::EventBus& bus_;
   std::int32_t victim_pid_;
-  std::size_t ring_capacity_;
   std::int64_t ipc_calls_ = 0;
-  std::int64_t jgr_adds_ = 0;
-  std::uint64_t peak_jgr_ = 0;
   std::uint64_t peak_weak_jgr_ = 0;
   detect::JgrActivity activity_;
-  bool saw_jgr_ = false;
-  std::vector<obs::TraceEvent> ring_;
-  std::size_t ring_next_ = 0;  // overwrite cursor once the ring is full
+  RingBuffer<obs::TraceEvent> window_{kHuntWindowCapacity};
 };
 
 class FleetAggregator {

@@ -11,15 +11,6 @@
 
 namespace jgre::fleet {
 
-namespace {
-
-// Newest victim-kJgr/kIpc events the probe keeps for the hunt pass. Bounds
-// per-device memory; the activity counters it feeds rates from are full-
-// stream, so only provenance slices (not verdicts) see the truncation.
-constexpr std::size_t kHuntWindowCapacity = 2048;
-
-}  // namespace
-
 DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
                                 sim::DeviceSim& device,
                                 const detect::InterfaceCatalog* catalog) {
@@ -29,8 +20,7 @@ DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
   out.index = spec.index;
   out.scenario_class = spec.scenario_class;
 
-  DeviceProbe probe(device.bus(), system.system_server_pid().value(),
-                    kHuntWindowCapacity);
+  DeviceProbe probe(device.bus(), system.system_server_pid().value());
   const experiment::DriveResult drive =
       experiment::Drive(device, attacker, spec.stop,
                         system.clock().NowUs() + spec.horizon_us);

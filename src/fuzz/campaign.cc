@@ -58,7 +58,7 @@ ConsistencyReport CrossCheck(const std::vector<Finding>& findings,
   for (const std::string& id : found) {
     if (bounded.count(id) != 0) out.false_positives.push_back(id);
     auto it = ifaces.find(id);
-    if (it == ifaces.end() || it->second->sifted_out || !it->second->risky) {
+    if (it == ifaces.end() || it->second->sifted_out() || !it->second->risky) {
       out.static_blind.push_back(id);
     }
   }
@@ -369,7 +369,6 @@ CampaignResult CampaignRunner::Run() {
     f.growth_per_call = verdicts[i].kind == ExhaustionKind::kFd
                             ? verdicts[i].fd_growth_per_call
                             : verdicts[i].jgr_growth_per_call;
-    f.victim_aborted = verdicts[i].kind == ExhaustionKind::kAbort;
     f.witness = call;
     result.findings.push_back(std::move(f));
     finding_suspect.push_back(targets[i].suspect);

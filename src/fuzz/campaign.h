@@ -105,7 +105,6 @@ struct Finding {
   std::string method;
   ExhaustionKind kind = ExhaustionKind::kNone;
   double growth_per_call = 0.0;  // JGR or fd rate, per kind
-  bool victim_aborted = false;
   int minimized_calls = 0;  // length of the minimized witness sequence
   IpcCall witness;          // the confirmed concrete call
 };

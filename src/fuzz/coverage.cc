@@ -21,8 +21,7 @@ std::uint64_t HashElement(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 }  // namespace
 
 CoverageProbe::CoverageProbe(obs::EventBus* bus) : bus_(bus) {
-  bus_->Subscribe(this, kProbeMask, /*pid_filter=*/-1,
-                  obs::Delivery::kBuffered);
+  bus_->Subscribe(this, kProbeMask);
 }
 
 CoverageProbe::~CoverageProbe() { bus_->Unsubscribe(this); }
@@ -52,7 +51,7 @@ void CoverageProbe::FlushCall() {
                                                           : removes_in_call_)));
 }
 
-void CoverageProbe::Fold(const obs::TraceEvent& event) {
+void CoverageProbe::OnEvent(const obs::TraceEvent& event) {
   switch (event.category) {
     case obs::Category::kIpc: {
       FlushCall();
@@ -95,7 +94,6 @@ void CoverageProbe::Fold(const obs::TraceEvent& event) {
 }
 
 std::vector<std::uint64_t> CoverageProbe::TakeElements() {
-  bus_->Flush();  // fold any staged events before finalizing
   FlushCall();
   std::vector<std::uint64_t> out(elements_.begin(), elements_.end());
   elements_.clear();

@@ -38,17 +38,12 @@ class CoverageProbe : public obs::EventSink {
   CoverageProbe(const CoverageProbe&) = delete;
   CoverageProbe& operator=(const CoverageProbe&) = delete;
 
-  void OnEvent(const obs::TraceEvent& event) override { Fold(event); }
-  // Buffered-delivery path. The fold is order-dependent across kIpc/kJgr
-  // interleavings, and the single staging ring preserves emission order, so
-  // draining in chunks produces the same signatures as per-event delivery.
-  void OnBatch(const obs::TraceEvent* events, std::size_t count) override {
-    for (std::size_t i = 0; i < count; ++i) Fold(events[i]);
-  }
+  // Folds one event; order-dependent across kIpc/kJgr interleavings, which
+  // the bus delivers in emission order.
+  void OnEvent(const obs::TraceEvent& event) override;
 
   // Finalizes the in-flight call and returns the sorted unique signature
-  // elements observed since construction (or the last Take). Flushes the
-  // bus first so staged events are folded before the harvest.
+  // elements observed since construction (or the last Take).
   std::vector<std::uint64_t> TakeElements();
 
   // Maps a raw victim-JGR delta to its signature bucket (exact for small
@@ -56,7 +51,6 @@ class CoverageProbe : public obs::EventSink {
   static int DeltaBucket(std::int64_t delta);
 
  private:
-  void Fold(const obs::TraceEvent& event);
   void FlushCall();
 
   obs::EventBus* bus_;

@@ -12,7 +12,6 @@
 #ifndef JGRE_OBS_EVENT_H_
 #define JGRE_OBS_EVENT_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -178,21 +177,12 @@ constexpr TraceEvent MakeEvent(Category category, Label label, TimeUs ts_us,
 }
 
 // The one observation interface. Implementations: defense::JgrMonitorHub,
-// obs::TraceBuffer, obs::MetricsSink, the fleet probe, fuzz coverage.
-//
-// Sinks subscribed for buffered delivery receive their events through
-// OnBatch — one virtual call per drained staging chunk instead of one per
-// event. The default implementation unrolls to OnEvent, so a sink only
-// overrides OnBatch when it has a cheaper bulk path (or wants the per-event
-// virtual dispatch gone). OnBatch implementations must not publish to the
-// bus: a drain can run inside Emit() when a staging buffer fills.
+// obs::TraceBuffer, obs::MetricsSink, the fleet probe, fuzz coverage. The
+// bus calls OnEvent synchronously inside Emit() (see event_bus.h).
 class EventSink {
  public:
   virtual ~EventSink() = default;
   virtual void OnEvent(const TraceEvent& event) = 0;
-  virtual void OnBatch(const TraceEvent* events, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) OnEvent(events[i]);
-  }
 };
 
 }  // namespace jgre::obs

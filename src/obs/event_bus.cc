@@ -16,18 +16,10 @@ EventBus::EventBus() {
   }
 }
 
-void EventBus::Subscribe(EventSink* sink, CategoryMask mask,
-                         std::int32_t pid_filter, Delivery delivery) {
+void EventBus::Subscribe(EventSink* sink, CategoryMask mask) {
   if (sink == nullptr) return;
   Unsubscribe(sink);
-  Subscription sub;
-  sub.sink = sink;
-  sub.mask = mask;
-  sub.pid_filter = pid_filter;
-  if (delivery == Delivery::kBuffered) {
-    sub.staging = std::make_unique<std::vector<TraceEvent>>(kStagingCapacity);
-  }
-  subs_.push_back(std::move(sub));
+  subs_.push_back(Subscription{sink, mask});
   for (int c = 0; c < kCategoryCount; ++c) {
     if (mask & MaskOf(static_cast<Category>(c))) ++want_counts_[c];
   }
@@ -39,7 +31,6 @@ void EventBus::Unsubscribe(EventSink* sink) {
                            return s.sink == sink;
                          });
   if (it == subs_.end()) return;
-  if (it->staging != nullptr) FlushSub(*it);
   for (int c = 0; c < kCategoryCount; ++c) {
     if (it->mask & MaskOf(static_cast<Category>(c))) --want_counts_[c];
   }
@@ -49,46 +40,13 @@ void EventBus::Unsubscribe(EventSink* sink) {
 void EventBus::Emit(const TraceEvent& event) {
   ++emitted_;
   const CategoryMask bit = MaskOf(event.category);
-  // Index-based: an immediate sink's OnEvent may re-enter Emit (defense
-  // annotations published while consuming a jgr event), which must not
-  // invalidate the walk. Subscribe/Unsubscribe during dispatch is not
-  // supported.
+  // Index-based: a sink's OnEvent may re-enter Emit (defense annotations
+  // published while consuming a jgr event), which must not invalidate the
+  // walk. Subscribe/Unsubscribe during dispatch is not supported.
   const std::size_t count = subs_.size();
   for (std::size_t i = 0; i < count; ++i) {
-    Subscription& sub = subs_[i];
-    if ((sub.mask & bit) == 0) continue;
-    if (sub.pid_filter >= 0 && sub.pid_filter != event.pid) continue;
-    if (sub.staging == nullptr) {
-      sub.sink->OnEvent(event);
-      continue;
-    }
-    // Drain-while-filling: a full staging buffer is delivered in place
-    // rather than overwriting unread events, so buffering never loses data.
-    if (sub.staged == kStagingCapacity) FlushSub(sub);
-    (*sub.staging)[sub.staged++] = event;
+    if (subs_[i].mask & bit) subs_[i].sink->OnEvent(event);
   }
-}
-
-void EventBus::FlushSub(Subscription& sub) {
-  if (sub.staged == 0) return;
-  const std::size_t n = sub.staged;
-  // Reset before delivery: OnBatch must not publish to the bus, and an
-  // empty count keeps pending_count honest while the chunk is consumed.
-  sub.staged = 0;
-  sub.sink->OnBatch(sub.staging->data(), n);
-}
-
-void EventBus::Flush() {
-  const std::size_t count = subs_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (subs_[i].staging != nullptr) FlushSub(subs_[i]);
-  }
-}
-
-std::uint64_t EventBus::pending_count() const {
-  std::uint64_t pending = 0;
-  for (const Subscription& sub : subs_) pending += sub.staged;
-  return pending;
 }
 
 }  // namespace jgre::obs

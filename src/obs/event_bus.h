@@ -4,31 +4,19 @@
 // concurrent simulations never share observability state. Designed for a hot
 // path that is almost always *untraced*: Wants(category) is a single array
 // load, and emitters are expected to guard event construction behind it, so
-// an unsubscribed category costs one predictable branch per operation —
-// within the PR-1 perf envelope.
+// an unsubscribed category costs one predictable branch per operation.
 //
-// Delivery modes:
-//
-// * kImmediate — the sink's OnEvent runs synchronously inside Emit(), in
-//   subscription order. Required for sinks whose consumption has simulation
-//   side effects (the defense's JgrMonitorHub advances virtual time per
-//   recorded JGR op and its report flag is polled between transactions).
-//   Immediate sinks may re-enter Emit(); they must not Subscribe/Unsubscribe
-//   from inside OnEvent.
-// * kBuffered — Emit() appends the (filtered) event to a per-subscription
-//   flat staging buffer and returns; the sink sees the events later as one
-//   contiguous OnBatch chunk when the bus flushes. Buffering replaces the
-//   seed's per-event virtual dispatch on the hot path for every sink that
-//   merely folds or copies events (trace rings, metrics, coverage): staging
-//   an event is an indexed store plus a capacity check. A staging buffer
-//   that fills mid-emission is drained in place, so no event is ever lost;
-//   explicit Flush() calls are the read barrier every consumer needs before
-//   inspecting a buffered sink's state.
+// The bus delivers synchronously: every subscribed sink's OnEvent runs
+// inside Emit(), in subscription order. The defense's JgrMonitorHub depends
+// on it (recording monitors advance virtual time per JGR op, and the
+// defender polls the report flag between transactions); the pure folds
+// (trace ring, metrics, fleet probe, fuzz coverage) are always up to date,
+// so nothing needs a read barrier before inspecting a sink. Sinks may
+// re-enter Emit(); they must not Subscribe/Unsubscribe from inside OnEvent.
 #ifndef JGRE_OBS_EVENT_BUS_H_
 #define JGRE_OBS_EVENT_BUS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,29 +27,16 @@
 
 namespace jgre::obs {
 
-enum class Delivery : std::uint8_t {
-  kImmediate,  // OnEvent inside Emit (synchronous, may re-enter Emit)
-  kBuffered,   // staged per-sink, delivered as OnBatch chunks on Flush
-};
-
 class EventBus {
  public:
-  // Events a buffered subscription can stage before Emit() drains it
-  // in place.
-  static constexpr std::size_t kStagingCapacity = 4096;
-
   EventBus();
 
   EventBus(const EventBus&) = delete;
   EventBus& operator=(const EventBus&) = delete;
 
-  // Subscribes `sink` to every category in `mask`; events with a pid are
-  // additionally filtered to `pid_filter` unless it is -1. A sink may be
-  // subscribed at most once (re-subscribing replaces the old subscription).
-  void Subscribe(EventSink* sink, CategoryMask mask,
-                 std::int32_t pid_filter = -1,
-                 Delivery delivery = Delivery::kImmediate);
-  // Flushes any staged events to `sink`, then removes the subscription.
+  // Subscribes `sink` to every category in `mask`. A sink may be subscribed
+  // at most once (re-subscribing replaces the old subscription).
+  void Subscribe(EventSink* sink, CategoryMask mask);
   void Unsubscribe(EventSink* sink);
 
   // True if at least one subscriber wants `category`. Emitters check this
@@ -71,16 +46,6 @@ class EventBus {
   }
 
   void Emit(const TraceEvent& event);
-
-  // Drains every buffered subscription's staging buffer, in subscription
-  // order, as OnBatch chunks. The read barrier before any code inspects a
-  // buffered sink (coverage element harvest, trace/metrics export, snapshot
-  // capture). No-op when nothing is staged.
-  void Flush();
-
-  // Total events currently staged across buffered subscriptions (test/debug
-  // visibility into flush seams).
-  std::uint64_t pending_count() const;
 
   // Interns an event name, returning its dense deterministic id. Well-known
   // labels (obs::Label) are pre-interned in enum order by the constructor.
@@ -93,9 +58,7 @@ class EventBus {
 
   // Checkpointing: the label interner (ids are referenced by serialized
   // TraceEvents and driver caches) and the emitted counter. Subscriptions
-  // (and their staging buffers) are wiring and are rebuilt by their owners
-  // after a restore; the snapshot orchestrator flushes before capturing so
-  // no staged event is in flight at save time.
+  // are wiring and are rebuilt by their owners after a restore.
   void SaveState(snapshot::Serializer& out) const {
     labels_.SaveState(out);
     out.U64(emitted_);
@@ -109,17 +72,7 @@ class EventBus {
   struct Subscription {
     EventSink* sink = nullptr;
     CategoryMask mask = 0;
-    std::int32_t pid_filter = -1;
-    // Flat staging buffer (kStagingCapacity slots) + fill count; null for
-    // immediate subscriptions. Not a ring: the buffer is always drained
-    // whole before it would wrap, so staging stays an indexed store.
-    // unique_ptr keeps Subscription movable and the immediate case
-    // allocation-free.
-    std::unique_ptr<std::vector<TraceEvent>> staging;
-    std::uint32_t staged = 0;
   };
-
-  void FlushSub(Subscription& sub);
 
   std::vector<Subscription> subs_;
   int want_counts_[kCategoryCount] = {};

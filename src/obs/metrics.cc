@@ -49,7 +49,7 @@ MetricsSink::MetricsSink(MetricsRegistry* registry)
       ipc_calls_(&registry->Counter("ipc.calls")),
       jgr_peak_(&registry->Gauge("jgr.peak")) {}
 
-void MetricsSink::Fold(const TraceEvent& event) {
+void MetricsSink::OnEvent(const TraceEvent& event) {
   switch (event.category) {
     case Category::kJgr:
       if (event.name == LabelIdOf(Label::kJgrAdd)) {

@@ -68,17 +68,9 @@ class MetricsSink : public EventSink {
  public:
   explicit MetricsSink(MetricsRegistry* registry);
 
-  void OnEvent(const TraceEvent& event) override { Fold(event); }
-  // Buffered-delivery path: folds a drained chunk without per-event virtual
-  // dispatch. The fold is a pure reduction, so batch and per-event delivery
-  // produce identical registries for the same event sequence.
-  void OnBatch(const TraceEvent* events, std::size_t count) override {
-    for (std::size_t i = 0; i < count; ++i) Fold(events[i]);
-  }
+  void OnEvent(const TraceEvent& event) override;
 
  private:
-  void Fold(const TraceEvent& event);
-
   MetricsRegistry* registry_;
   // Hot counters cached once; everything else is looked up on the (rare)
   // matching event.

@@ -25,11 +25,6 @@ class TraceBuffer : public EventSink {
       : ring_(capacity) {}
 
   void OnEvent(const TraceEvent& event) override { ring_.Push(event); }
-  // Buffered-delivery path: one virtual call per drained chunk, then one
-  // bulk copy into the retention ring.
-  void OnBatch(const TraceEvent* events, std::size_t count) override {
-    ring_.PushBulk(events, count);
-  }
 
   const RingBuffer<TraceEvent>& events() const { return ring_; }
   std::size_t size() const { return ring_.size(); }

@@ -72,18 +72,15 @@ DeviceSim::DeviceSim(const DeviceSpec& spec, PooledSystem system)
     defender_->Install();
   }
   // Pure sinks: subscribing them never advances the virtual clock, so a
-  // traced run is event-for-event identical to an untraced one. Both ride
-  // buffered delivery — the trace()/metrics() accessors flush before reads.
+  // traced run is event-for-event identical to an untraced one.
   if (spec_.trace()) {
     trace_ = std::make_unique<obs::TraceBuffer>();
-    bus().Subscribe(trace_.get(), spec_.trace_mask(), /*pid_filter=*/-1,
-                    obs::Delivery::kBuffered);
+    bus().Subscribe(trace_.get(), spec_.trace_mask());
   }
   if (spec_.metrics()) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_sink_ = std::make_unique<obs::MetricsSink>(metrics_.get());
-    bus().Subscribe(metrics_sink_.get(), obs::kAllCategories,
-                    /*pid_filter=*/-1, obs::Delivery::kBuffered);
+    bus().Subscribe(metrics_sink_.get(), obs::kAllCategories);
   }
 
   attack::BenignWorkload::Options benign_options;
@@ -146,19 +143,8 @@ DeviceSim::~DeviceSim() {
   if (metrics_sink_ != nullptr) bus().Unsubscribe(metrics_sink_.get());
 }
 
-obs::TraceBuffer* DeviceSim::trace() {
-  if (trace_ != nullptr) bus().Flush();
-  return trace_.get();
-}
-
-obs::MetricsRegistry* DeviceSim::metrics() {
-  if (metrics_ != nullptr) bus().Flush();
-  return metrics_.get();
-}
-
 bool DeviceSim::WriteChromeTrace(const std::string& path) {
   if (trace_ == nullptr) return false;
-  bus().Flush();  // drain staged events into the trace ring
   auto resolver = [this](std::int32_t pid) -> std::string {
     const os::Process* p = system_->kernel().FindProcess(Pid{pid});
     return p == nullptr ? std::string() : p->name;

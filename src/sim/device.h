@@ -262,10 +262,9 @@ class DeviceSim {
   }
   attack::AttackStrategy* attacker() { return attacker_.get(); }
   attack::BenignWorkload* benign() { return benign_.get(); }
-  // Trace/metrics sinks ride the bus's buffered (batched) delivery; these
-  // accessors flush staged events first so reads always see a complete view.
-  obs::TraceBuffer* trace();
-  obs::MetricsRegistry* metrics();
+  // The trace/metrics sinks (null unless WithTrace/WithMetrics).
+  obs::TraceBuffer* trace() { return trace_.get(); }
+  obs::MetricsRegistry* metrics() { return metrics_.get(); }
   // Fires every benign interaction that is due and re-arms it 20-150 ms
   // out, drawing from the same scenario stream (scenario_seed + 2) as the
   // initial schedule.

@@ -68,9 +68,6 @@ Result<SystemSnapshot> SystemSnapshot::Capture(core::AndroidSystem& system) {
         "cannot checkpoint with pending virtual timers: capture at a "
         "quiescent boundary");
   }
-  // Buffered bus subscribers may hold staged events that EventBus::SaveState
-  // does not serialize; drain them so sink state is complete in the image.
-  system.kernel().bus().Flush();
   Serializer out;
   out.Marker(kPayloadMarker);
   out.U64(core::ConfigFingerprint(system.config()));

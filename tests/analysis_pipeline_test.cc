@@ -107,7 +107,7 @@ TEST_F(PipelineTest, ProtectionClassificationMatchesTablesIIandIII) {
 TEST_F(PipelineTest, SifterDischargesTheBenignPatterns) {
   int rule2 = 0, rule3 = 0, rule4 = 0, rule1 = 0, perm = 0;
   for (const auto& iface : report_->interfaces) {
-    if (!iface.sifted_out) continue;
+    if (!iface.sifted_out()) continue;
     if (iface.sift_reason == analysis::SiftReason::kRule1ThreadOnly) ++rule1;
     if (iface.sift_reason == analysis::SiftReason::kRule2Transient) ++rule2;
     if (iface.sift_reason == analysis::SiftReason::kRule3ReadOnlyKey) ++rule3;

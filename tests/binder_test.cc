@@ -43,6 +43,17 @@ class EchoBinder : public BBinder {
   std::vector<StrongBinder> retained;
 };
 
+// The log records a system reader sees from `since_seq` on, oldest first.
+std::vector<IpcRecord> LogSince(const BinderDriver& driver,
+                                std::uint64_t since_seq) {
+  std::vector<IpcRecord> out;
+  auto visited = driver.VisitIpcLogSince(
+      kSystemUid, since_seq, [&](const IpcRecord& rec) { out.push_back(rec); });
+  EXPECT_TRUE(visited.ok()) << visited.status().ToString();
+  EXPECT_EQ(visited.ok() ? visited.value() : 0, out.size());
+  return out;
+}
+
 class BinderTest : public ::testing::Test {
  protected:
   BinderTest() : driver_(&kernel_), service_manager_(&driver_) {
@@ -289,21 +300,20 @@ TEST_F(BinderTest, IpcLogOnlyWhenDefenseEnabledAndSystemReadable) {
   Parcel data, reply;
   data.WriteInt32(1);
   (void)proxy.value().binder->Transact(1, data, &reply);
-  auto empty_log = driver_.ReadIpcLog(kSystemUid, 0);
-  ASSERT_TRUE(empty_log.ok());
-  EXPECT_TRUE(empty_log.value().empty());  // stock driver: no log
+  EXPECT_TRUE(LogSince(driver_, 0).empty());  // stock driver: no log
 
   driver_.SetDefenseLogging(true);
   (void)proxy.value().binder->Transact(1, data, &reply);
-  auto log = driver_.ReadIpcLog(kSystemUid, 0);
-  ASSERT_TRUE(log.ok());
-  ASSERT_EQ(log.value().size(), 1u);
-  EXPECT_EQ(log.value().front().from_pid, client_pid_);
-  EXPECT_EQ(log.value().front().to_pid, server_pid_);
-  EXPECT_EQ(driver_.DescriptorName(log.value().front().descriptor_id),
-            "test.IEcho");
+  const std::vector<IpcRecord> log = LogSince(driver_, 0);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.front().from_pid, client_pid_);
+  EXPECT_EQ(log.front().to_pid, server_pid_);
+  EXPECT_EQ(driver_.DescriptorName(log.front().descriptor_id), "test.IEcho");
   // Third-party uids may not read the log (§V.B file permissions).
-  EXPECT_EQ(driver_.ReadIpcLog(Uid{10001}, 0).status().code(),
+  EXPECT_EQ(driver_
+                .VisitIpcLogSince(Uid{10001}, 0, [](const IpcRecord&) {})
+                .status()
+                .code(),
             StatusCode::kPermissionDenied);
 }
 
@@ -318,28 +328,18 @@ TEST_F(BinderTest, IpcLogWindowBySeqAndMaxRecords) {
     ASSERT_TRUE(proxy.value().binder->Transact(1, data, &reply).ok());
   }
   // Full read: sequence numbers are 1-based and contiguous.
-  auto all = driver_.ReadIpcLog(kSystemUid, 0);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all.value().size(), 10u);
-  for (std::size_t i = 0; i < all.value().size(); ++i) {
-    EXPECT_EQ(all.value()[i].seq, i + 1);
+  const std::vector<IpcRecord> all = LogSince(driver_, 0);
+  ASSERT_EQ(all.size(), 10u);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].seq, i + 1);
   }
   // since_seq returns only records at or after that sequence number.
-  auto tail = driver_.ReadIpcLog(kSystemUid, 8);
-  ASSERT_TRUE(tail.ok());
-  ASSERT_EQ(tail.value().size(), 3u);
-  EXPECT_EQ(tail.value().front().seq, 8u);
-  EXPECT_EQ(tail.value().back().seq, 10u);
-  // max_records bounds the window from the front (oldest first).
-  auto bounded = driver_.ReadIpcLog(kSystemUid, 4, 2);
-  ASSERT_TRUE(bounded.ok());
-  ASSERT_EQ(bounded.value().size(), 2u);
-  EXPECT_EQ(bounded.value().front().seq, 4u);
-  EXPECT_EQ(bounded.value().back().seq, 5u);
+  const std::vector<IpcRecord> tail = LogSince(driver_, 8);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail.front().seq, 8u);
+  EXPECT_EQ(tail.back().seq, 10u);
   // A since_seq past the end yields an empty window, not an error.
-  auto beyond = driver_.ReadIpcLog(kSystemUid, 99);
-  ASSERT_TRUE(beyond.ok());
-  EXPECT_TRUE(beyond.value().empty());
+  EXPECT_TRUE(LogSince(driver_, 99).empty());
 }
 
 TEST_F(BinderTest, IpcLogRingDropsOldestButKeepsSeqStable) {
@@ -368,30 +368,20 @@ TEST_F(BinderTest, IpcLogRingDropsOldestButKeepsSeqStable) {
   }
   EXPECT_EQ(driver.ipc_log_size(), 4u);
   EXPECT_EQ(driver.ipc_log_next_seq(), 17u);
-  auto log = driver.ReadIpcLog(kSystemUid, 0);
-  ASSERT_TRUE(log.ok());
-  ASSERT_EQ(log.value().size(), 4u);
-  EXPECT_EQ(log.value().front().seq, 13u);
-  EXPECT_EQ(log.value().back().seq, 16u);
+  const std::vector<IpcRecord> log = LogSince(driver, 0);
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.front().seq, 13u);
+  EXPECT_EQ(log.back().seq, 16u);
   // A watermark pointing into the evicted range clamps to the oldest
   // retained record instead of wrapping or failing.
-  auto clamped = driver.ReadIpcLog(kSystemUid, 5);
-  ASSERT_TRUE(clamped.ok());
-  ASSERT_EQ(clamped.value().size(), 4u);
-  EXPECT_EQ(clamped.value().front().seq, 13u);
-  // The visitor sees the same window without copying.
-  std::vector<std::uint64_t> seqs;
-  auto visited = driver.VisitIpcLogSince(
-      kSystemUid, 14, [&](const IpcRecord& rec) { seqs.push_back(rec.seq); });
-  ASSERT_TRUE(visited.ok());
-  EXPECT_EQ(visited.value(), 3u);
-  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{14, 15, 16}));
-  // Permission model applies to the visitor too.
-  EXPECT_EQ(driver
-                .VisitIpcLogSince(Uid{10001}, 0, [](const IpcRecord&) {})
-                .status()
-                .code(),
-            StatusCode::kPermissionDenied);
+  const std::vector<IpcRecord> clamped = LogSince(driver, 5);
+  ASSERT_EQ(clamped.size(), 4u);
+  EXPECT_EQ(clamped.front().seq, 13u);
+  // A watermark inside the retained range starts there.
+  const std::vector<IpcRecord> tail = LogSince(driver, 14);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail.front().seq, 14u);
+  EXPECT_EQ(tail.back().seq, 16u);
 }
 
 // --- RemoteCallbackList -----------------------------------------------------------

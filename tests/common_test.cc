@@ -242,38 +242,5 @@ TEST(RingBufferTest, WraparoundAtCapacityKeepsLogicalIndices) {
   }
 }
 
-TEST(RingBufferTest, PushBulkMatchesRepeatedPush) {
-  // State equivalence across fill phases: growing, exactly full, wrapped at
-  // an arbitrary head position — with bulk counts below, at, and above
-  // capacity (the at/above-capacity path replaces the storage wholesale).
-  constexpr std::size_t kCapacity = 8;
-  const std::size_t prefills[] = {0, 3, 8, 13};
-  const std::size_t counts[] = {1, 5, 7, 8, 9, 20};
-  for (const std::size_t prefill : prefills) {
-    for (const std::size_t count : counts) {
-      RingBuffer<std::int64_t> bulk(kCapacity);
-      RingBuffer<std::int64_t> reference(kCapacity);
-      for (std::size_t i = 0; i < prefill; ++i) {
-        bulk.Push(static_cast<std::int64_t>(i));
-        reference.Push(static_cast<std::int64_t>(i));
-      }
-      std::vector<std::int64_t> items;
-      for (std::size_t i = 0; i < count; ++i) {
-        items.push_back(static_cast<std::int64_t>(100 + i));
-      }
-      bulk.PushBulk(items.data(), items.size());
-      for (const std::int64_t v : items) reference.Push(v);
-
-      ASSERT_EQ(bulk.total_pushed(), reference.total_pushed());
-      ASSERT_EQ(bulk.size(), reference.size());
-      ASSERT_EQ(bulk.first_index(), reference.first_index());
-      for (std::uint64_t i = bulk.first_index(); i < bulk.end_index(); ++i) {
-        ASSERT_EQ(bulk.At(i), reference.At(i))
-            << "prefill " << prefill << " count " << count << " index " << i;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace jgre

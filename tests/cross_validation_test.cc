@@ -57,7 +57,7 @@ TEST_F(CrossValidationTest, EveryAttackPayloadIsAPipelineCandidate) {
         FindAnalyzed(vuln.service, vuln.code);
     ASSERT_NE(iface, nullptr) << vuln.service << "." << vuln.interface;
     EXPECT_TRUE(iface->risky) << vuln.service << "." << vuln.interface;
-    EXPECT_FALSE(iface->sifted_out)
+    EXPECT_FALSE(iface->sifted_out())
         << vuln.service << "." << vuln.interface << ": "
         << iface->sift_reason_text();
   }

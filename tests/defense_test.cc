@@ -147,14 +147,12 @@ constexpr defense::IpcTypeKey kBenign1 = defense::MakeIpcTypeKey(2, 1);
 constexpr defense::IpcTypeKey kTypeA = defense::MakeIpcTypeKey(3, 1);
 constexpr defense::IpcTypeKey kTypeB = defense::MakeIpcTypeKey(4, 2);
 
-defense::ScoringParams TestParams(
-    defense::ScoreEngine engine = defense::ScoreEngine::kBatched) {
+defense::ScoringParams TestParams() {
   defense::ScoringParams params;
   params.delta_us = 500;
   params.bucket_us = 50;
   params.max_delay_us = 20'000;
   params.analysis_window_us = 0;
-  params.engine = engine;
   return params;
 }
 
@@ -223,7 +221,8 @@ TEST(ScoringTest, PairsOutsideMaxDelayIgnored) {
   EXPECT_EQ(cost.pairs, 0);
 }
 
-// Property: batched and naive scoring agree on random workloads.
+// Property: the scorer and its naive reference agree on random workloads,
+// score for score and counter for counter.
 class ScoringEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -241,11 +240,17 @@ TEST_P(ScoringEquivalenceTest, EnginesAgree) {
     if (rng.Chance(0.2)) adds.push_back(t + rng.UniformU64(30'000));
   }
   std::sort(adds.begin(), adds.end());
-  const auto batched = defense::JgreScoreForApp(
-      calls, adds, TestParams(defense::ScoreEngine::kBatched));
-  const auto naive = defense::JgreScoreForApp(
-      calls, adds, TestParams(defense::ScoreEngine::kNaive));
+  defense::ScoringCost batched_cost;
+  defense::ScoringCost naive_cost;
+  const auto batched =
+      defense::JgreScoreForApp(calls, adds, TestParams(), &batched_cost);
+  const auto naive =
+      defense::NaiveJgreScoreForApp(calls, adds, TestParams(), &naive_cost);
   EXPECT_EQ(batched, naive);
+  EXPECT_EQ(batched_cost.ipc_events, naive_cost.ipc_events);
+  EXPECT_EQ(batched_cost.jgr_events, naive_cost.jgr_events);
+  EXPECT_EQ(batched_cost.pairs, naive_cost.pairs);
+  EXPECT_EQ(batched_cost.range_ops, naive_cost.range_ops);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ScoringEquivalenceTest,

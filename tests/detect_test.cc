@@ -354,7 +354,6 @@ TEST(ExhaustionOracleHuntTest, AccusesEveryFindingAsConfirmed) {
   aborted.method = "aborted";
   aborted.kind = fuzz::ExhaustionKind::kAbort;
   aborted.growth_per_call = 0.0;
-  aborted.victim_aborted = true;
   findings.push_back(aborted);
 
   detect::DataSources sources;

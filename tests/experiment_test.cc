@@ -1,11 +1,11 @@
 // Experiment-builder and EventSink tests.
 //
-// The monitor observes through the unified EventBus (a pid-filtered kJgr
-// subscription), the defender ranks from the kernel's IPC log, and the
-// benches build scenarios through the sim::DeviceFactory builder. These
-// tests pin the behavior of those paths: monitors record through the bus,
-// the log feeds the ranking, identical configurations yield identical
-// simulation results and byte-identical traces.
+// The monitor observes through the unified EventBus (routed by a
+// JgrMonitorHub's kJgr subscription), the defender ranks from the kernel's
+// IPC log, and the benches build scenarios through the sim::DeviceFactory
+// builder. These tests pin the behavior of those paths: monitors record
+// through the bus, the log feeds the ranking, identical configurations
+// yield identical simulation results and byte-identical traces.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -22,6 +22,7 @@
 #include "core/android_system.h"
 #include "defense/jgr_monitor.h"
 #include "defense/jgre_defender.h"
+#include "defense/monitor_hub.h"
 #include "experiment/experiment.h"
 #include "obs/chrome_trace.h"
 #include "obs/event_bus.h"
@@ -40,7 +41,7 @@ const attack::VulnSpec& Toast() {
 }
 
 // Runs a short attack against a monitored system_server with the monitor
-// subscribed through the EventBus (pid-filtered kJgr subscription).
+// routed from the EventBus by a JgrMonitorHub.
 struct MonitoredRun {
   std::vector<defense::JgrMonitor::JgrEvent> events;
   TimeUs alarm_at = 0;
@@ -59,8 +60,8 @@ MonitoredRun RunMonitored() {
   monitor_config.report_threshold = 500;
   defense::JgrMonitor monitor(&system.clock(), "system_server",
                               monitor_config);
-  system.kernel().bus().Subscribe(&monitor, obs::MaskOf(obs::Category::kJgr),
-                                  system.system_server_pid().value());
+  defense::JgrMonitorHub hub(&system.kernel().bus());
+  hub.Attach(system.system_server_pid(), &monitor);
   attack::AttackPlan plan;
   plan.max_calls = 800;
   auto attacker = attack::MakeFlood(plan, Toast(), "com.evil.app");
@@ -73,7 +74,6 @@ MonitoredRun RunMonitored() {
   out.reported_at = monitor.reported_at();
   out.reported = monitor.reported();
   out.end_us = system.clock().NowUs();
-  system.kernel().bus().Unsubscribe(&monitor);
   return out;
 }
 
@@ -121,16 +121,16 @@ TEST(IpcLogTest, RankingReadsTheKernelLogAndRequiresInstall) {
   EXPECT_EQ(via_log.front().package, "com.evil.app");
   // The attacker's call count is its share of the kernel log: records from
   // its uid to system_server, stamped at or after the alarm.
-  auto log = system.driver().ReadIpcLog(kSystemUid, 0);
-  ASSERT_TRUE(log.ok()) << log.status().ToString();
   std::int64_t logged = 0;
-  for (const binder::IpcRecord& record : log.value()) {
-    if (record.from_uid == via_log.front().uid &&
-        record.to_pid == system.system_server_pid() &&
-        record.timestamp_us >= monitor->alarm_at()) {
-      ++logged;
-    }
-  }
+  auto visited = system.driver().VisitIpcLogSince(
+      kSystemUid, 0, [&](const binder::IpcRecord& record) {
+        if (record.from_uid == via_log.front().uid &&
+            record.to_pid == system.system_server_pid() &&
+            record.timestamp_us >= monitor->alarm_at()) {
+          ++logged;
+        }
+      });
+  ASSERT_TRUE(visited.ok()) << visited.status().ToString();
   EXPECT_GT(logged, 0);
   EXPECT_EQ(via_log.front().ipc_calls, logged);
   // Ranking is a pure function of the log + monitor: re-ranking the same

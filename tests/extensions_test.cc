@@ -204,13 +204,10 @@ TEST(MultiPathScoringTest, ExtraPathsDoNotInflateSinglePathAttackers) {
 TEST(MultiPathScoringTest, AllEnginesAgreeWithPeeling) {
   const auto w = MakeTwoPathWorkload(150);
   for (int k : {1, 2, 3}) {
-    auto batched_params = PathParams(k);
-    auto naive_params = PathParams(k);
-    batched_params.engine = defense::ScoreEngine::kBatched;
-    naive_params.engine = defense::ScoreEngine::kNaive;
     const auto batched =
-        defense::JgreScoreForApp(w.calls, w.adds, batched_params);
-    const auto naive = defense::JgreScoreForApp(w.calls, w.adds, naive_params);
+        defense::JgreScoreForApp(w.calls, w.adds, PathParams(k));
+    const auto naive =
+        defense::NaiveJgreScoreForApp(w.calls, w.adds, PathParams(k));
     EXPECT_EQ(batched, naive) << "k=" << k;
   }
 }

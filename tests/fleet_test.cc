@@ -1,10 +1,11 @@
 // Fleet-campaign tests: QuantileSketch merge-order invariance (the property
 // that makes the census independent of how devices were sharded across
-// workers), deterministic FleetMatrix expansion with decorrelated per-device
-// scenario seeds and plan-derived classes, and an end-to-end small fleet —
-// byte-identical census for any --jobs, cloned from one warmed boot image
-// per JGR-cap point, with the defender's collateral counted and an
-// unresolvable attacker refused.
+// workers), the DeviceProbe's stream fold and hunt window, deterministic
+// FleetMatrix expansion with decorrelated per-device scenario seeds and
+// plan-derived classes, and an end-to-end small fleet — byte-identical
+// census for any --jobs, cloned from one warmed boot image per JGR-cap
+// point, with the defender's collateral counted and an unresolvable
+// attacker refused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,10 +18,13 @@
 #include "attack/vuln_registry.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "detect/hunt.h"
 #include "fleet/aggregator.h"
 #include "fleet/runner.h"
 #include "fleet/sketch.h"
 #include "fleet/spec.h"
+#include "obs/event.h"
+#include "obs/event_bus.h"
 #include "sim/device.h"
 #include "snapshot/serializer.h"
 
@@ -235,6 +239,132 @@ TEST(FleetAggregatorTest, ShardedMergeMatchesSequentialAbsorb) {
   }
   EXPECT_EQ(sequential.devices(), merged.devices());
   EXPECT_EQ(sequential.ToJson().Dump(), merged.ToJson().Dump());
+}
+
+// --- DeviceProbe ------------------------------------------------------------
+
+// A stream well past the hunt window, cycling through every event kind the
+// probe must tell apart: kIpc calls from three pids, the victim's strong
+// adds and removes and its weak adds, and another pid's kJgr adds. Weak and
+// foreign counts sit far above the victim's strong count, so folding either
+// would move the peak.
+std::vector<obs::TraceEvent> ProbeStream(std::int32_t victim) {
+  std::vector<obs::TraceEvent> out;
+  std::int64_t strong = 100;
+  std::int64_t weak = 40'000;
+  for (int i = 0; i < 6'000; ++i) {
+    const TimeUs t = 1'000 + 10 * static_cast<TimeUs>(i);
+    switch (i % 5) {
+      case 0:
+        out.push_back(obs::MakeEvent(obs::Category::kIpc,
+                                     obs::Label::kIpcTransact, t,
+                                     victim + 1 + i % 3, 10'000, victim, i));
+        break;
+      case 1:
+      case 4: {
+        const bool remove = i % 10 == 4;
+        strong += remove ? -1 : 1;
+        out.push_back(obs::MakeEvent(
+            obs::Category::kJgr,
+            remove ? obs::Label::kJgrRemove : obs::Label::kJgrAdd, t, victim,
+            1'000, strong, i));
+        break;
+      }
+      case 2:
+        out.push_back(obs::MakeEvent(obs::Category::kJgr, obs::Label::kJgrAdd,
+                                     t, victim + 1, 10'000, 50'000 + i, i));
+        break;
+      case 3:
+        out.push_back(obs::MakeEvent(obs::Category::kJgr,
+                                     obs::Label::kJgrWeakAdd, t, victim, 1'000,
+                                     ++weak, i));
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(DeviceProbeTest, FoldsTheVictimStreamAndKeepsTheNewestWindow) {
+  constexpr std::int32_t kVictim = 7;
+  const std::vector<obs::TraceEvent> stream = ProbeStream(kVictim);
+  obs::EventBus bus;
+  fleet::DeviceProbe probe(bus, kVictim);
+  for (const obs::TraceEvent& event : stream) bus.Emit(event);
+  probe.Detach();
+  bus.Emit(stream.front());  // after Detach: not counted
+
+  // The window: the newest kHuntWindowCapacity victim-kJgr and kIpc events
+  // (weak ones included, other pids' kJgr excluded), in stream order.
+  std::vector<obs::TraceEvent> kept;
+  for (const obs::TraceEvent& event : stream) {
+    if (event.category == obs::Category::kIpc || event.pid == kVictim) {
+      kept.push_back(event);
+    }
+  }
+  ASSERT_GT(kept.size(), fleet::DeviceProbe::kHuntWindowCapacity);
+  kept.erase(kept.begin(),
+             kept.end() - static_cast<std::ptrdiff_t>(
+                              fleet::DeviceProbe::kHuntWindowCapacity));
+  const std::vector<obs::TraceEvent> window = probe.Window();
+  ASSERT_EQ(window.size(), kept.size());
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    EXPECT_EQ(window[i].ts_us, kept[i].ts_us) << "slot " << i;
+    EXPECT_EQ(window[i].pid, kept[i].pid) << "slot " << i;
+    EXPECT_EQ(window[i].name, kept[i].name) << "slot " << i;
+  }
+
+  // The counters: the victim's strong-table events only, over the whole
+  // stream, computed here independently of the shared fold.
+  std::int64_t adds = 0;
+  std::int64_t removes = 0;
+  std::uint64_t peak = 0;
+  std::uint64_t peak_weak = 0;
+  std::int64_t ipc_calls = 0;
+  std::vector<const obs::TraceEvent*> strong;
+  for (const obs::TraceEvent& event : stream) {
+    const auto count = static_cast<std::uint64_t>(event.arg0);
+    if (event.category == obs::Category::kIpc) {
+      ++ipc_calls;
+    } else if (event.pid != kVictim) {
+      continue;
+    } else if (event.name == obs::LabelIdOf(obs::Label::kJgrWeakAdd)) {
+      peak_weak = std::max(peak_weak, count);
+    } else {
+      strong.push_back(&event);
+      peak = std::max(peak, count);
+      if (event.name == obs::LabelIdOf(obs::Label::kJgrAdd)) {
+        ++adds;
+      } else {
+        ++removes;
+      }
+    }
+  }
+  EXPECT_EQ(probe.ipc_calls(), ipc_calls);  // from every pid
+  EXPECT_EQ(probe.jgr_adds(), adds);
+  EXPECT_EQ(probe.peak_jgr(), peak);
+  EXPECT_EQ(probe.peak_weak_jgr(), peak_weak);
+  EXPECT_LT(peak, peak_weak);
+  const detect::JgrActivity& activity = probe.jgr_activity();
+  EXPECT_EQ(activity.removes, removes);
+  EXPECT_EQ(activity.events, strong.size());
+  EXPECT_EQ(activity.first_count,
+            static_cast<std::uint64_t>(strong.front()->arg0));
+  EXPECT_EQ(activity.first_ts_us, strong.front()->ts_us);
+  EXPECT_EQ(activity.last_count,
+            static_cast<std::uint64_t>(strong.back()->arg0));
+  EXPECT_EQ(activity.last_ts_us, strong.back()->ts_us);
+
+  // The batch fold over the full stream agrees field for field.
+  const detect::JgrActivity folded =
+      detect::FoldJgrActivity(stream.data(), stream.size(), kVictim);
+  EXPECT_EQ(folded.adds, activity.adds);
+  EXPECT_EQ(folded.removes, activity.removes);
+  EXPECT_EQ(folded.events, activity.events);
+  EXPECT_EQ(folded.first_count, activity.first_count);
+  EXPECT_EQ(folded.last_count, activity.last_count);
+  EXPECT_EQ(folded.peak_count, activity.peak_count);
+  EXPECT_EQ(folded.first_ts_us, activity.first_ts_us);
+  EXPECT_EQ(folded.last_ts_us, activity.last_ts_us);
 }
 
 // --- FleetMatrix expansion --------------------------------------------------

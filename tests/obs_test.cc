@@ -1,4 +1,4 @@
-// Observability-layer tests: EventBus subscription/filter semantics, the
+// Observability-layer tests: EventBus subscription and delivery order, the
 // trace ring buffer's ordering and overflow accounting, the metrics
 // registry's merge algebra, the MetricsSink event folding, the Chrome-trace
 // exporter (exact golden bytes), and the JGRE_TRACE gating macro.
@@ -52,18 +52,6 @@ TEST(EventBusTest, DeliversOnlySubscribedCategories) {
   EXPECT_EQ(sink.events[0].dur_us, 40u);
 }
 
-TEST(EventBusTest, PidFilterSelectsOneProcess) {
-  EventBus bus;
-  RecordingSink victim_only, everything;
-  bus.Subscribe(&victim_only, MaskOf(Category::kJgr), /*pid_filter=*/7);
-  bus.Subscribe(&everything, MaskOf(Category::kJgr));
-  bus.Emit(MakeEvent(Category::kJgr, Label::kJgrAdd, 1, 7, 1000, 1, 1));
-  bus.Emit(MakeEvent(Category::kJgr, Label::kJgrAdd, 2, 8, 1001, 1, 1));
-  ASSERT_EQ(victim_only.events.size(), 1u);
-  EXPECT_EQ(victim_only.events[0].pid, 7);
-  EXPECT_EQ(everything.events.size(), 2u);
-}
-
 TEST(EventBusTest, ResubscribeReplacesOldSubscription) {
   EventBus bus;
   RecordingSink sink;
@@ -91,117 +79,33 @@ TEST(EventBusTest, WellKnownLabelsArePreInterned) {
   EXPECT_EQ(bus.InternLabel("android.app.IActivityManager"), a1);
 }
 
-// --- EventBus buffered delivery ---------------------------------------------------
-
-// Records both delivery paths so tests can assert *which* one ran: staged
-// events must arrive through OnBatch, never as per-event OnEvent calls.
-class BatchRecordingSink : public EventSink {
+// Publishes a kDefense annotation from inside OnEvent, as the defense's
+// monitors do while consuming a kJgr event.
+class AnnotatingSink : public EventSink {
  public:
+  explicit AnnotatingSink(EventBus* bus) : bus_(bus) {}
   void OnEvent(const TraceEvent& event) override {
-    ++singles;
-    events.push_back(event);
+    bus_->Emit(MakeEvent(Category::kDefense, Label::kMonitorAlarm, event.ts_us,
+                         event.pid, event.uid));
   }
-  void OnBatch(const TraceEvent* batch, std::size_t count) override {
-    batch_sizes.push_back(count);
-    events.insert(events.end(), batch, batch + count);
-  }
-  std::vector<TraceEvent> events;
-  std::vector<std::size_t> batch_sizes;
-  std::size_t singles = 0;
+
+ private:
+  EventBus* bus_;
 };
 
-TEST(EventBusBufferedTest, StagesUntilFlushThenDeliversOneChunk) {
+TEST(EventBusTest, DeliversInsideEmitInSubscriptionOrder) {
   EventBus bus;
-  BatchRecordingSink sink;
-  bus.Subscribe(&sink, MaskOf(Category::kJgr), /*pid_filter=*/-1,
-                Delivery::kBuffered);
-  for (TimeUs t = 0; t < 5; ++t) {
-    bus.Emit(MakeEvent(Category::kJgr, Label::kJgrAdd, t, 1, 1000,
-                       static_cast<std::int64_t>(t), 0));
-  }
-  EXPECT_TRUE(sink.events.empty()) << "buffered events delivered eagerly";
-  EXPECT_EQ(bus.pending_count(), 5u);
-  bus.Flush();
-  EXPECT_EQ(bus.pending_count(), 0u);
-  ASSERT_EQ(sink.batch_sizes.size(), 1u);  // one contiguous chunk
-  EXPECT_EQ(sink.batch_sizes[0], 5u);
-  EXPECT_EQ(sink.singles, 0u);  // never the per-event path
-  ASSERT_EQ(sink.events.size(), 5u);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(sink.events[i].ts_us, i);  // emission order preserved
-  }
-  bus.Flush();  // nothing staged: no empty batch delivered
-  EXPECT_EQ(sink.batch_sizes.size(), 1u);
-  bus.Unsubscribe(&sink);
-}
-
-TEST(EventBusBufferedTest, FullStagingBufferDrainsInPlace) {
-  EventBus bus;
-  BatchRecordingSink sink;
-  bus.Subscribe(&sink, MaskOf(Category::kIpc), /*pid_filter=*/-1,
-                Delivery::kBuffered);
-  const std::size_t total = EventBus::kStagingCapacity + 3;
-  for (std::size_t i = 0; i < total; ++i) {
-    bus.Emit(MakeEvent(Category::kIpc, Label::kIpcTransact,
-                       static_cast<TimeUs>(i), 1, 1000, 2, 0));
-  }
-  // The buffer filled once mid-emission and drained in place (no event may
-  // be lost); the overflow tail is still staged.
-  ASSERT_EQ(sink.batch_sizes.size(), 1u);
-  EXPECT_EQ(sink.batch_sizes[0], EventBus::kStagingCapacity);
-  EXPECT_EQ(bus.pending_count(), 3u);
-  bus.Flush();
-  ASSERT_EQ(sink.batch_sizes.size(), 2u);
-  EXPECT_EQ(sink.batch_sizes[1], 3u);
-  ASSERT_EQ(sink.events.size(), total);
-  for (std::size_t i = 0; i < total; ++i) {
-    ASSERT_EQ(sink.events[i].ts_us, i);
-  }
-  bus.Unsubscribe(&sink);
-}
-
-TEST(EventBusBufferedTest, UnsubscribeFlushesStagedEvents) {
-  EventBus bus;
-  BatchRecordingSink sink;
-  bus.Subscribe(&sink, MaskOf(Category::kJgr), /*pid_filter=*/-1,
-                Delivery::kBuffered);
-  bus.Emit(MakeEvent(Category::kJgr, Label::kJgrAdd, 1, 1, 1000, 1, 1));
-  bus.Emit(MakeEvent(Category::kJgr, Label::kJgrRemove, 2, 1, 1000, 0, 1));
-  bus.Unsubscribe(&sink);
-  ASSERT_EQ(sink.events.size(), 2u);  // nothing lost at teardown
-  EXPECT_EQ(sink.batch_sizes.size(), 1u);
-  EXPECT_EQ(bus.pending_count(), 0u);
-  EXPECT_EQ(bus.subscriber_count(), 0u);
-}
-
-TEST(EventBusBufferedTest, PidFilterAppliesBeforeStaging) {
-  EventBus bus;
-  BatchRecordingSink sink;
-  bus.Subscribe(&sink, MaskOf(Category::kJgr), /*pid_filter=*/7,
-                Delivery::kBuffered);
+  AnnotatingSink annotator(&bus);
+  RecordingSink recorder;
+  bus.Subscribe(&annotator, MaskOf(Category::kJgr));
+  bus.Subscribe(&recorder, kAllCategories);
   bus.Emit(MakeEvent(Category::kJgr, Label::kJgrAdd, 1, 7, 1000, 1, 1));
-  bus.Emit(MakeEvent(Category::kJgr, Label::kJgrAdd, 2, 8, 1001, 1, 1));
-  EXPECT_EQ(bus.pending_count(), 1u);  // the pid-8 event was never staged
-  bus.Flush();
-  ASSERT_EQ(sink.events.size(), 1u);
-  EXPECT_EQ(sink.events[0].pid, 7);
-  bus.Unsubscribe(&sink);
-}
-
-TEST(EventBusBufferedTest, MixedDeliveryKeepsImmediateSynchronous) {
-  EventBus bus;
-  RecordingSink immediate;
-  BatchRecordingSink buffered;
-  bus.Subscribe(&immediate, MaskOf(Category::kJgr));
-  bus.Subscribe(&buffered, MaskOf(Category::kJgr), /*pid_filter=*/-1,
-                Delivery::kBuffered);
-  bus.Emit(MakeEvent(Category::kJgr, Label::kJgrAdd, 1, 1, 1000, 1, 1));
-  EXPECT_EQ(immediate.events.size(), 1u);  // delivered inside Emit
-  EXPECT_TRUE(buffered.events.empty());    // still staged
-  bus.Flush();
-  EXPECT_EQ(buffered.events.size(), 1u);
-  bus.Unsubscribe(&immediate);
-  bus.Unsubscribe(&buffered);
+  // Delivered before Emit returns; the annotation published by the earlier
+  // subscriber re-enters Emit and reaches the recorder first.
+  ASSERT_EQ(recorder.events.size(), 2u);
+  EXPECT_EQ(recorder.events[0].category, Category::kDefense);
+  EXPECT_EQ(recorder.events[1].category, Category::kJgr);
+  EXPECT_EQ(bus.emitted(), 2u);
 }
 
 // --- TraceBuffer ------------------------------------------------------------------

@@ -252,7 +252,7 @@ TEST(ProtocolGraphTest, AospGraphHasWitnessedMultiServiceChains) {
     const analysis::AnalyzedInterface& terminal =
         report.interfaces[chain.entries.back()];
     EXPECT_TRUE(terminal.risky);
-    EXPECT_FALSE(terminal.sifted_out);
+    EXPECT_FALSE(terminal.sifted_out());
     EXPECT_FALSE(terminal.witness.empty()) << terminal.id;
   }
 

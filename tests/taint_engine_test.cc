@@ -95,7 +95,7 @@ TEST(TaintEngineTest, HelperRetentionSurfacesAtTheTransientEntry) {
   ASSERT_NE(iface, nullptr);
   EXPECT_EQ(iface->retention, analysis::taint::Retention::kCollection);
   EXPECT_EQ(iface->retention_via, "com.test.Helper.retain");
-  EXPECT_FALSE(iface->sifted_out);
+  EXPECT_FALSE(iface->sifted_out());
   ASSERT_EQ(engine.Candidates().size(), 1u);
 }
 
@@ -110,7 +110,7 @@ TEST(TaintEngineTest, ReadOnlyKeyLookupBehindOneHopIsSifted) {
   const analysis::AnalyzedInterface* iface = Find(engine, entry.id);
   ASSERT_NE(iface, nullptr);
   EXPECT_EQ(iface->retention, analysis::taint::Retention::kReadOnlyKey);
-  EXPECT_TRUE(iface->sifted_out);
+  EXPECT_TRUE(iface->sifted_out());
   EXPECT_EQ(iface->sift_reason, analysis::SiftReason::kRule3ReadOnlyKey);
   EXPECT_EQ(iface->sift_reason_text(),
             "rule 3: binder only used as a read-only key into Map/Set/"
@@ -132,7 +132,7 @@ TEST(TaintEngineTest, MutuallyRecursiveHelpersReachAFixpoint) {
   ASSERT_NE(iface, nullptr);
   // The retention annotated inside the cycle propagates out to the entry.
   EXPECT_EQ(iface->retention, analysis::taint::Retention::kCollection);
-  EXPECT_FALSE(iface->sifted_out);
+  EXPECT_FALSE(iface->sifted_out());
   EXPECT_GE(engine.engine_stats.nontrivial_sccs, 1);
   // Fixpoint took at least one extra pass over the cyclic component, and
   // terminated (we got here).
@@ -247,7 +247,7 @@ TEST(TaintEngineTest, MemberSlotCapAbsorbsCalleeRetention) {
   const analysis::AnalyzedInterface* iface = Find(engine, entry.id);
   ASSERT_NE(iface, nullptr);
   EXPECT_EQ(iface->retention, analysis::taint::Retention::kMemberSlot);
-  EXPECT_TRUE(iface->sifted_out);
+  EXPECT_TRUE(iface->sifted_out());
   // The cap keeps the local verdict: no provenance suffix.
   EXPECT_EQ(iface->sift_reason, analysis::SiftReason::kRule4MemberSlot);
   EXPECT_EQ(iface->sift_reason_text(),
@@ -427,7 +427,7 @@ TEST_F(CensusGateTest, EngineMatchesTheLegacyDetectorVerdictForVerdict) {
     EXPECT_EQ(e.risky, g.risky) << g.id;
     EXPECT_EQ(e.reaches_jgr_entry, g.reaches_jgr_entry) << g.id;
     EXPECT_EQ(e.takes_binder, g.takes_binder) << g.id;
-    EXPECT_EQ(e.sifted_out, g.sifted_out) << g.id;
+    EXPECT_EQ(e.sifted_out(), g.sifted_out) << g.id;
     EXPECT_EQ(analysis::SiftReasonName(e.sift_reason), g.sift_reason) << g.id;
     EXPECT_EQ(e.sift_reason_text(), g.sift_reason_text) << g.id;
     EXPECT_EQ(analysis::ProtectionClassName(e.protection), g.protection)
@@ -489,7 +489,7 @@ TEST_F(CensusGateTest, EveryCandidateCarriesAWitnessEndingAtTheSink) {
   }
   // Sifted interfaces carry no witness: there is no verdict to justify.
   for (const analysis::AnalyzedInterface& iface : engine_->interfaces) {
-    if (iface.sifted_out) EXPECT_TRUE(iface.witness.empty()) << iface.id;
+    if (iface.sifted_out()) EXPECT_TRUE(iface.witness.empty()) << iface.id;
   }
 }
 
