@@ -1,8 +1,8 @@
 #include "analysis/protocol/protocol_graph.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
+#include <map>
+#include <string_view>
 
 namespace jgre::analysis::protocol {
 
@@ -74,12 +74,20 @@ ProtocolGraph ProtocolGraph::Build(const model::CodeModel& model,
     }
   }
   graph.stats_.edges = graph.edges_.size();
+  graph.edges_from_.resize(report.interfaces.size());
+  graph.edges_into_.resize(report.interfaces.size());
+  // Mint domains get small dense ids, so a chain marks the domains it used
+  // in a flag vector instead of a set of strings.
+  std::vector<std::size_t> edge_domain(graph.edges_.size());
+  std::map<std::string_view, std::size_t> domain_ids;
   for (std::size_t e = 0; e < graph.edges_.size(); ++e) {
     const ProtocolEdge& edge = graph.edges_[e];
     if (edge.explicit_consume) ++graph.stats_.explicit_edges;
     if (edge.cross_service) ++graph.stats_.cross_service_edges;
     graph.edges_from_[edge.producer].push_back(e);
     graph.edges_into_[edge.consumer].push_back(e);
+    edge_domain[e] = domain_ids.emplace(edge.domain, domain_ids.size())
+                         .first->second;
   }
 
   // --- Chains: DFS over edges in canonical order ----------------------------
@@ -87,60 +95,53 @@ ProtocolGraph ProtocolGraph::Build(const model::CodeModel& model,
   // interface (it carries a taint witness — the witness contract), and is
   // extended while the consumer mints further values. Acyclic per chain: no
   // repeated entries and no repeated mint domains, so a chain never re-mints
-  // a domain it already consumed.
-  struct Frame {
-    std::vector<std::size_t> edge_ids;
-    std::vector<std::size_t> entries;
-    std::set<std::size_t> entry_set;
-    std::set<std::string> domain_set;
-  };
-  const auto record = [&](const Frame& frame) {
+  // a domain it already consumed. A path holds at most max_chain_depth + 1
+  // entries, so the repeated-entry check scans it.
+  std::vector<std::size_t> path_edges;
+  std::vector<std::size_t> path_entries;
+  std::vector<char> domain_used(domain_ids.size(), 0);
+  const auto record = [&] {
     if (graph.chains_.size() >= options.max_chains) {
       ++graph.stats_.truncated_chains;
       return;
     }
     ProtocolChain chain;
-    chain.edge_ids = frame.edge_ids;
-    chain.entries = frame.entries;
-    for (std::size_t j = 1; j < frame.entries.size(); ++j) {
-      if (report.interfaces[frame.entries[j]].service !=
-          report.interfaces[frame.entries[0]].service) {
+    chain.edge_ids = path_edges;
+    chain.entries = path_entries;
+    for (std::size_t j = 1; j < path_entries.size(); ++j) {
+      if (report.interfaces[path_entries[j]].service !=
+          report.interfaces[path_entries[0]].service) {
         chain.multi_service = true;
         break;
       }
     }
     graph.chains_.push_back(std::move(chain));
   };
-
-  const std::function<void(Frame&)> extend = [&](Frame& frame) {
-    if (static_cast<int>(frame.edge_ids.size()) >= options.max_chain_depth) {
+  const auto extend = [&](const auto& self) -> void {
+    if (static_cast<int>(path_edges.size()) >= options.max_chain_depth) {
       return;
     }
-    const std::size_t tail = frame.entries.back();
-    auto it = graph.edges_from_.find(tail);
-    if (it == graph.edges_from_.end()) return;
-    for (std::size_t edge_id : it->second) {
+    for (std::size_t edge_id : graph.edges_from_[path_entries.back()]) {
       const ProtocolEdge& edge = graph.edges_[edge_id];
-      if (frame.entry_set.count(edge.consumer) != 0) continue;
-      if (frame.domain_set.count(edge.domain) != 0) continue;
-      frame.edge_ids.push_back(edge_id);
-      frame.entries.push_back(edge.consumer);
-      frame.entry_set.insert(edge.consumer);
-      frame.domain_set.insert(edge.domain);
+      char& used = domain_used[edge_domain[edge_id]];
+      if (used != 0 || std::find(path_entries.begin(), path_entries.end(),
+                                 edge.consumer) != path_entries.end()) {
+        continue;
+      }
+      used = 1;
+      path_edges.push_back(edge_id);
+      path_entries.push_back(edge.consumer);
       const AnalyzedInterface& consumer = report.interfaces[edge.consumer];
-      if (consumer.risky && !consumer.sifted_out()) record(frame);
-      extend(frame);
-      frame.edge_ids.pop_back();
-      frame.entries.pop_back();
-      frame.entry_set.erase(edge.consumer);
-      frame.domain_set.erase(edge.domain);
+      if (consumer.risky && !consumer.sifted_out()) record();
+      self(self);
+      path_edges.pop_back();
+      path_entries.pop_back();
+      used = 0;
     }
   };
   for (const MintFact& mint : graph.mints_) {
-    Frame frame;
-    frame.entries.push_back(mint.entry);
-    frame.entry_set.insert(mint.entry);
-    extend(frame);
+    path_entries.assign(1, mint.entry);
+    extend(extend);
   }
   graph.stats_.chains = graph.chains_.size();
   for (const ProtocolChain& chain : graph.chains_) {
@@ -152,15 +153,13 @@ ProtocolGraph ProtocolGraph::Build(const model::CodeModel& model,
 const std::vector<std::size_t>& ProtocolGraph::EdgesFrom(
     std::size_t entry) const {
   static const std::vector<std::size_t> kEmpty;
-  auto it = edges_from_.find(entry);
-  return it == edges_from_.end() ? kEmpty : it->second;
+  return entry < edges_from_.size() ? edges_from_[entry] : kEmpty;
 }
 
 const std::vector<std::size_t>& ProtocolGraph::EdgesInto(
     std::size_t entry) const {
   static const std::vector<std::size_t> kEmpty;
-  auto it = edges_into_.find(entry);
-  return it == edges_into_.end() ? kEmpty : it->second;
+  return entry < edges_into_.size() ? edges_into_[entry] : kEmpty;
 }
 
 }  // namespace jgre::analysis::protocol

@@ -29,7 +29,6 @@
 #define JGRE_ANALYSIS_PROTOCOL_PROTOCOL_GRAPH_H_
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -116,8 +115,9 @@ class ProtocolGraph {
   std::vector<MintFact> mints_;
   std::vector<ProtocolEdge> edges_;
   std::vector<ProtocolChain> chains_;
-  std::map<std::size_t, std::vector<std::size_t>> edges_from_;
-  std::map<std::size_t, std::vector<std::size_t>> edges_into_;
+  // Edge indices by endpoint, indexed by entry.
+  std::vector<std::vector<std::size_t>> edges_from_;
+  std::vector<std::vector<std::size_t>> edges_into_;
   GraphStats stats_;
 };
 

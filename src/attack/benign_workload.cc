@@ -18,6 +18,7 @@ BenignWorkload::BenignWorkload(core::AndroidSystem* system, Options options)
 
 void BenignWorkload::InstallAll() {
   packages_.clear();
+  apps_.clear();
   behaviors_.clear();
   for (int i = 0; i < options_.app_count; ++i) {
     const std::string package =
@@ -45,6 +46,7 @@ void BenignWorkload::InstallAll() {
         app->pid(),
         os::kCachedAppMinAdj + static_cast<int>(rng_.UniformU64(7)));
     packages_.push_back(package);
+    apps_.push_back(app);
     behaviors_.push_back(std::move(behavior));
   }
 }
@@ -144,11 +146,8 @@ void BenignWorkload::RunMonkeySession(
     const std::function<void(TimeUs)>& sampler, DurationUs sample_period_us) {
   TimeUs next_sample = system_->clock().NowUs();
   for (std::size_t i = 0; i < packages_.size(); ++i) {
-    services::AppProcess* app = system_->FindApp(packages_[i]);
-    if (app == nullptr || !app->alive()) {
-      app = system_->RelaunchApp(packages_[i]);  // monkey taps the icon
-      if (app == nullptr) continue;
-    }
+    services::AppProcess* app = LiveApp(i);  // monkey taps the icon
+    if (app == nullptr) continue;
     // Foreground for two minutes of interactions.
     system_->kernel().SetOomScoreAdj(app->pid(), os::kForegroundAppAdj);
     const TimeUs fg_until =
@@ -176,14 +175,19 @@ void BenignWorkload::RunMonkeySession(
   }
 }
 
-void BenignWorkload::InteractOnce(std::size_t index) {
-  if (index >= packages_.size()) return;
-  services::AppProcess* app = system_->FindApp(packages_[index]);
+services::AppProcess* BenignWorkload::LiveApp(std::size_t index) {
+  services::AppProcess*& app = apps_[index];
   if (app == nullptr || !app->alive()) {
     app = system_->RelaunchApp(packages_[index]);
-    if (app == nullptr) return;
   }
-  Interact(app, behaviors_[index]);
+  return app;
+}
+
+void BenignWorkload::InteractOnce(std::size_t index) {
+  if (index >= packages_.size()) return;
+  if (services::AppProcess* app = LiveApp(index); app != nullptr) {
+    Interact(app, behaviors_[index]);
+  }
 }
 
 void BenignWorkload::ChattyQueryLoop(services::AppProcess* app, int calls,

@@ -77,10 +77,18 @@ class BenignWorkload {
   void Interact(services::AppProcess* app, AppBehavior& behavior);
   void EnsureRegistrations(services::AppProcess* app, AppBehavior& behavior);
 
+  // The app at `index`, relaunched first if its process died; null when the
+  // relaunch fails.
+  services::AppProcess* LiveApp(std::size_t index);
+
   core::AndroidSystem* system_;
   Options options_;
   Rng rng_;
   std::vector<std::string> packages_;
+  // Index-aligned with packages_: each package's current AppProcess, which
+  // the system owns. RelaunchApp replaces a package's AppProcess, and only
+  // LiveApp relaunches the workload's packages, so it refreshes its entry.
+  std::vector<services::AppProcess*> apps_;
   std::vector<AppBehavior> behaviors_;
 };
 

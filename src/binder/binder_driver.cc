@@ -116,8 +116,7 @@ Result<StrongBinder> BinderDriver::MaterializeBinder(NodeId node_id,
   }
   StrongBinder out;
   out.node = node_id;
-  const std::string& descriptor = descriptors_.Name(node->descriptor_id);
-  out.binder = std::make_shared<BpBinder>(this, node_id, holder, descriptor);
+  out.binder = std::make_shared<BpBinder>(this, node_id, holder);
   if (holder_proc->HasRuntime()) {
     AttachRuntimeHooks(holder, holder_proc->runtime.get());
     auto proxy = holder_proc->runtime->GetOrCreateBinderProxy(node_id);

@@ -13,96 +13,115 @@ constexpr std::uint64_t kBoolBytes = 4;
 constexpr std::uint64_t kFlatBinderBytes = 24;  // sizeof(flat_binder_object)
 }  // namespace
 
-void Parcel::WriteInterfaceToken(const std::string& descriptor) {
+void Parcel::WriteInterfaceToken(std::string_view descriptor) {
   payload_bytes_ += descriptor.size() * 2 + 8;  // UTF-16 + strict mode header
-  values_.emplace_back(InterfaceToken{descriptor});
+  Append(InterfaceToken{std::string(descriptor)});
 }
 
 void Parcel::WriteInt32(std::int32_t value) {
   payload_bytes_ += kInt32Bytes;
-  values_.emplace_back(value);
+  Append(value);
 }
 
 void Parcel::WriteInt64(std::int64_t value) {
   payload_bytes_ += kInt64Bytes;
-  values_.emplace_back(value);
+  Append(value);
 }
 
 void Parcel::WriteBool(bool value) {
   payload_bytes_ += kBoolBytes;
-  values_.emplace_back(value);
+  Append(value);
 }
 
 void Parcel::WriteString(const std::string& value) {
   payload_bytes_ += value.size() * 2 + 4;
-  values_.emplace_back(value);
+  Append(value);
 }
 
 void Parcel::WriteByteArray(std::uint64_t num_bytes) {
   payload_bytes_ += num_bytes + 4;
-  values_.emplace_back(ByteArray{num_bytes});
+  Append(ByteArray{num_bytes});
 }
 
 void Parcel::WriteStrongBinder(const std::shared_ptr<IBinder>& binder) {
   payload_bytes_ += kFlatBinderBytes;
   has_binders_ = true;
-  values_.emplace_back(FlatBinder{binder == nullptr ? NodeId{} : binder->node()});
+  Append(FlatBinder{binder == nullptr ? NodeId{} : binder->node()});
 }
 
 void Parcel::WriteNullBinder() {
   payload_bytes_ += kFlatBinderBytes;
   has_binders_ = true;  // still a flat_binder_object in the objects array
-  values_.emplace_back(FlatBinder{NodeId{}});
+  Append(FlatBinder{NodeId{}});
+}
+
+void Parcel::Append(Value value) {
+  if (value_count_ < kInlineValues) {
+    inline_values_[value_count_] = std::move(value);
+  } else {
+    spilled_values_.push_back(std::move(value));
+  }
+  ++value_count_;
 }
 
 template <typename T>
-Result<T> Parcel::ReadValue() const {
-  if (cursor_ >= values_.size()) {
+Result<const T*> Parcel::ReadValue() const {
+  if (cursor_ >= value_count_) {
     return InvalidArgument("parcel read past end");
   }
-  const Value& v = values_[cursor_];
-  if (!std::holds_alternative<T>(v)) {
+  const T* value = std::get_if<T>(&At(cursor_));
+  if (value == nullptr) {
     return InvalidArgument(
         StrCat("parcel type confusion at index ", cursor_));
   }
   ++cursor_;
-  return std::get<T>(v);
+  return value;
 }
 
-Status Parcel::EnforceInterface(const std::string& descriptor) const {
+Status Parcel::EnforceInterface(std::string_view descriptor) const {
   auto token = ReadValue<InterfaceToken>();
   if (!token.ok()) return token.status();
-  if (token.value().descriptor != descriptor) {
+  if (token.value()->descriptor != descriptor) {
     return InvalidArgument(StrCat("interface token mismatch: expected ",
                                   descriptor, ", got ",
-                                  token.value().descriptor));
+                                  token.value()->descriptor));
   }
   return Status::Ok();
 }
 
 Result<std::int32_t> Parcel::ReadInt32() const {
-  return ReadValue<std::int32_t>();
+  auto value = ReadValue<std::int32_t>();
+  if (!value.ok()) return value.status();
+  return *value.value();
 }
 
 Result<std::int64_t> Parcel::ReadInt64() const {
-  return ReadValue<std::int64_t>();
+  auto value = ReadValue<std::int64_t>();
+  if (!value.ok()) return value.status();
+  return *value.value();
 }
 
-Result<bool> Parcel::ReadBool() const { return ReadValue<bool>(); }
+Result<bool> Parcel::ReadBool() const {
+  auto value = ReadValue<bool>();
+  if (!value.ok()) return value.status();
+  return *value.value();
+}
 
 Result<std::string> Parcel::ReadString() const {
-  return ReadValue<std::string>();
+  auto value = ReadValue<std::string>();
+  if (!value.ok()) return value.status();
+  return *value.value();
 }
 
 Result<std::uint64_t> Parcel::ReadByteArray() const {
   auto arr = ReadValue<ByteArray>();
   if (!arr.ok()) return arr.status();
-  return arr.value().size;
+  return arr.value()->size;
 }
 
 void Parcel::WriteFileDescriptor() {
   payload_bytes_ += kFlatBinderBytes;  // also a flat_binder_object
-  values_.emplace_back(FileDescriptor{});
+  Append(FileDescriptor{});
 }
 
 Status Parcel::ReadFileDescriptor(const CallContext& ctx) const {
@@ -114,13 +133,13 @@ Status Parcel::ReadFileDescriptor(const CallContext& ctx) const {
 Result<StrongBinder> Parcel::ReadStrongBinder(const CallContext& ctx) const {
   auto flat = ReadValue<FlatBinder>();
   if (!flat.ok()) return flat.status();
-  if (!flat.value().node.valid()) {
+  if (!flat.value()->node.valid()) {
     return StrongBinder{};  // null binder
   }
   // javaObjectForIBinder: materialize in the *reading* process — this is the
   // JGR entry point Parcel.nativeReadStrongBinder reaches in the paper's
   // native call-graph analysis.
-  return ctx.driver->MaterializeBinder(flat.value().node, ctx.self_pid);
+  return ctx.driver->MaterializeBinder(flat.value()->node, ctx.self_pid);
 }
 
 }  // namespace jgre::binder

@@ -10,8 +10,10 @@
 #ifndef JGRE_BINDER_PARCEL_H_
 #define JGRE_BINDER_PARCEL_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -29,7 +31,7 @@ class Parcel {
 
   // --- writers (sender side) ----------------------------------------------
 
-  void WriteInterfaceToken(const std::string& descriptor);
+  void WriteInterfaceToken(std::string_view descriptor);
   void WriteInt32(std::int32_t value);
   void WriteInt64(std::int64_t value);
   void WriteBool(bool value);
@@ -47,7 +49,7 @@ class Parcel {
 
   // Readers validate the value kind at the cursor; a type confusion returns
   // kInvalidArgument (binder would signal a bad parcel).
-  Status EnforceInterface(const std::string& descriptor) const;
+  Status EnforceInterface(std::string_view descriptor) const;
   Result<std::int32_t> ReadInt32() const;
   Result<std::int64_t> ReadInt64() const;
   Result<bool> ReadBool() const;
@@ -67,7 +69,7 @@ class Parcel {
 
   // Total payload size for the transport cost model.
   std::uint64_t payload_bytes() const { return payload_bytes_; }
-  std::size_t value_count() const { return values_.size(); }
+  std::size_t value_count() const { return value_count_; }
   bool has_binders() const { return has_binders_; }
 
  private:
@@ -81,14 +83,29 @@ class Parcel {
     std::uint64_t size;
   };
   struct FileDescriptor {};
-  using Value = std::variant<InterfaceToken, std::int32_t, std::int64_t, bool,
-                             std::string, ByteArray, FlatBinder,
-                             FileDescriptor>;
+  // std::monostate marks an inline slot no value was written to yet.
+  using Value =
+      std::variant<std::monostate, InterfaceToken, std::int32_t, std::int64_t,
+                   bool, std::string, ByteArray, FlatBinder, FileDescriptor>;
 
+  // Every parcel the benches write holds at most five values (the per-count
+  // distribution is in CHANGES.md), so those stay inside the object and
+  // longer parcels spill the rest to the heap.
+  static constexpr std::size_t kInlineValues = 5;
+
+  void Append(Value value);
+  const Value& At(std::size_t index) const {
+    return index < kInlineValues ? inline_values_[index]
+                                 : spilled_values_[index - kInlineValues];
+  }
+  // The value at the cursor if it holds a T (the cursor then moves past it);
+  // else a read-past-end or type-confusion error.
   template <typename T>
-  Result<T> ReadValue() const;
+  Result<const T*> ReadValue() const;
 
-  std::vector<Value> values_;
+  std::array<Value, kInlineValues> inline_values_;
+  std::vector<Value> spilled_values_;  // values past the inline ones, in order
+  std::size_t value_count_ = 0;
   mutable std::size_t cursor_ = 0;
   std::uint64_t payload_bytes_ = 0;
   bool has_binders_ = false;

@@ -135,8 +135,7 @@ void RemoteCallbackList::RestoreState(snapshot::Deserializer& in) {
     Entry entry;
     entry.callback.node = node;
     entry.callback.java_obj = ObjectId{in.I64()};
-    entry.callback.binder = std::make_shared<BpBinder>(
-        driver_, node, host_, driver_->NodeDescriptor(node));
+    entry.callback.binder = std::make_shared<BpBinder>(driver_, node, host_);
     entry.link = in.I64();
     if (entry.link >= 0 &&
         !driver_->ReattachDeathRecipient(entry.link,

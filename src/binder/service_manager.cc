@@ -29,7 +29,7 @@ Status ServiceManager::AddService(const std::string& name,
   return Status::Ok();
 }
 
-Result<StrongBinder> ServiceManager::GetService(const std::string& name,
+Result<StrongBinder> ServiceManager::GetService(std::string_view name,
                                                 Pid caller) {
   const StringInterner::Id id = names_.Find(name);
   if (id == StringInterner::kInvalidId || !nodes_by_name_[id].valid()) {

@@ -157,7 +157,12 @@ void MitigationStack::Install() {
           if (!vote.ok()) {
             ++total_denied_;
             ++denied_by_uid_[info.caller_uid.value()];
-            ++denied_by_policy_[std::string(policy->id())];
+            // Keyed by string_view: only a policy's first denial allocates.
+            auto counted = denied_by_policy_.find(policy->id());
+            if (counted == denied_by_policy_.end()) {
+              counted = denied_by_policy_.emplace(policy->id(), 0).first;
+            }
+            ++counted->second;
             in_flight_ = false;
             return vote;
           }

@@ -193,7 +193,8 @@ class MitigationStack {
   const std::map<std::uint32_t, std::int64_t>& denied_by_uid() const {
     return denied_by_uid_;
   }
-  const std::map<std::string, std::int64_t>& denied_by_policy() const {
+  const std::map<std::string, std::int64_t, std::less<>>& denied_by_policy()
+      const {
     return denied_by_policy_;
   }
 
@@ -207,7 +208,7 @@ class MitigationStack {
   bool in_flight_ = false;
   MitigationRequest pending_{};
   std::map<std::uint32_t, std::int64_t> denied_by_uid_;
-  std::map<std::string, std::int64_t> denied_by_policy_;
+  std::map<std::string, std::int64_t, std::less<>> denied_by_policy_;
   std::int64_t total_denied_ = 0;
 };
 

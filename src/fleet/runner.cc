@@ -61,7 +61,8 @@ DeviceOutcome RunDeviceScenario(const FleetDeviceSpec& spec,
       out.denied_attacker_calls += stack->DeniedForUid(uid);
     }
     out.denied_benign_calls = stack->total_denied() - out.denied_attacker_calls;
-    out.denied_by_policy = stack->denied_by_policy();
+    out.denied_by_policy.insert(stack->denied_by_policy().begin(),
+                                stack->denied_by_policy().end());
   }
   if (const defense::JgreDefender* defender = device.defender();
       defender != nullptr) {

@@ -97,9 +97,7 @@ bool Kernel::IsAlive(Pid pid) const {
 std::vector<Pid> Kernel::LivePids() const {
   std::vector<Pid> pids;
   pids.reserve(live_count_);
-  for (const auto& proc : processes_) {  // index order == ascending pids
-    if (proc->alive) pids.push_back(proc->pid);
-  }
+  ForEachLiveProcess([&](const Process& proc) { pids.push_back(proc.pid); });
   return pids;
 }
 

@@ -82,6 +82,15 @@ class Kernel {
 
   // All live processes (stable pid order).
   std::vector<Pid> LivePids() const;
+  // Calls `visit(const Process&)` for each live process in ascending pid
+  // order, reading the table in place. `visit` must not create or kill
+  // processes; a loop that may (GC callbacks can) iterates LivePids().
+  template <typename Visit>
+  void ForEachLiveProcess(Visit&& visit) const {
+    for (const auto& proc : processes_) {
+      if (proc->alive) visit(*proc);
+    }
+  }
   std::vector<Pid> LivePidsForUid(Uid uid) const;
   std::size_t LiveProcessCount() const { return live_count_; }
 

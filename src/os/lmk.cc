@@ -35,18 +35,16 @@ Pid LowMemoryKiller::SelectVictim(int min_adj) const {
   Pid victim;
   int best_adj = min_adj - 1;
   std::int64_t best_rss = -1;
-  for (Pid pid : kernel_->LivePids()) {
-    const Process* p = kernel_->FindProcess(pid);
-    if (p == nullptr || p->critical) continue;
-    if (p->oom_score_adj < min_adj) continue;
+  kernel_->ForEachLiveProcess([&](const Process& p) {
+    if (p.critical || p.oom_score_adj < min_adj) return;
     // Higher adj loses first; among equals the largest RSS frees the most.
-    if (p->oom_score_adj > best_adj ||
-        (p->oom_score_adj == best_adj && p->memory_kb > best_rss)) {
-      victim = pid;
-      best_adj = p->oom_score_adj;
-      best_rss = p->memory_kb;
+    if (p.oom_score_adj > best_adj ||
+        (p.oom_score_adj == best_adj && p.memory_kb > best_rss)) {
+      victim = p.pid;
+      best_adj = p.oom_score_adj;
+      best_rss = p.memory_kb;
     }
-  }
+  });
   return victim;
 }
 

@@ -31,11 +31,11 @@ std::shared_ptr<binder::BBinder> AppProcess::NewBinder(
   return driver_->MakeBinder<NoopBinder>(pid_, descriptor);
 }
 
-Result<IpcClient> AppProcess::GetService(const std::string& name,
-                                         const std::string& descriptor) const {
+Result<IpcClient> AppProcess::GetService(std::string_view name,
+                                         std::string descriptor) const {
   auto service = service_manager_->GetService(name, pid_);
   if (!service.ok()) return service.status();
-  return IpcClient(service.value(), descriptor);
+  return IpcClient(std::move(service).value(), std::move(descriptor));
 }
 
 }  // namespace jgre::services

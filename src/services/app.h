@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -45,8 +46,9 @@ class AppProcess {
   std::shared_ptr<binder::BBinder> NewBinder(const std::string& descriptor);
 
   // ServiceManager.getService + Stub.asInterface.
-  Result<IpcClient> GetService(const std::string& name,
-                               const std::string& descriptor) const;
+  // The descriptor moves into the returned client.
+  Result<IpcClient> GetService(std::string_view name,
+                               std::string descriptor) const;
 
   binder::BinderDriver* driver() const { return driver_; }
 

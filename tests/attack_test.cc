@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "attack/benign_workload.h"
 #include "attack/strategy.h"
@@ -11,6 +13,7 @@
 #include "common/stats.h"
 #include "core/android_system.h"
 #include "experiment/experiment.h"
+#include "obs/event.h"
 #include "services/ipc_client.h"
 #include "sim/device.h"
 
@@ -142,6 +145,60 @@ TEST(BenignWorkloadTest, KeepsSystemServerInTheBenignBand) {
   EXPECT_LT(system.SystemServerJgrCount(), 3000u);
   EXPECT_GT(system.SystemServerJgrCount(), 1000u);
   EXPECT_EQ(system.soft_reboots(), 0);
+}
+
+// Records the calling (pid, uid) of every kIpc event.
+class IpcCallerSink : public obs::EventSink {
+ public:
+  void OnEvent(const obs::TraceEvent& event) override {
+    callers.emplace_back(event.pid, event.uid);
+  }
+  std::vector<std::pair<std::int32_t, std::int32_t>> callers;
+};
+
+TEST(BenignWorkloadTest, InteractionAfterAStopCallsFromTheRelaunchedProcess) {
+  core::AndroidSystem system;
+  system.Boot();
+  attack::BenignWorkload::Options options;
+  options.app_count = 6;
+  attack::BenignWorkload workload(&system, options);
+  workload.InstallAll();
+  IpcCallerSink sink;
+  system.kernel().bus().Subscribe(&sink, obs::MaskOf(obs::Category::kIpc));
+  // Pids the app's own calls came from during InteractOnce(index).
+  const auto app_callers = [&](std::size_t index, Uid uid) {
+    sink.callers.clear();
+    workload.InteractOnce(index);
+    std::set<std::int32_t> pids;
+    for (const auto& [pid, caller_uid] : sink.callers) {
+      if (caller_uid == uid.value()) pids.insert(pid);
+    }
+    return pids;
+  };
+  int apps_that_called = 0;
+  for (std::size_t i = 0; i < workload.packages().size(); ++i) {
+    const std::string& package = workload.packages()[i];
+    workload.InteractOnce(i);
+    const Pid stopped = system.FindApp(package)->pid();
+    system.StopApp(package);
+
+    const std::set<std::int32_t> first =
+        app_callers(i, system.FindApp(package)->uid());
+    const Pid relaunched = system.FindApp(package)->pid();
+    EXPECT_NE(relaunched, stopped) << package;
+    // The next interaction reuses that process instead of relaunching again.
+    const std::set<std::int32_t> second =
+        app_callers(i, system.FindApp(package)->uid());
+    EXPECT_EQ(system.FindApp(package)->pid(), relaunched) << package;
+    for (const std::set<std::int32_t>& pids : {first, second}) {
+      for (const std::int32_t pid : pids) {
+        EXPECT_EQ(pid, relaunched.value()) << package;
+      }
+    }
+    if (!first.empty()) ++apps_that_called;
+  }
+  EXPECT_GT(apps_that_called, 0);
+  system.kernel().bus().Unsubscribe(&sink);
 }
 
 TEST(BenignWorkloadTest, ChattyLoopCreatesNoRetainedJgrs) {

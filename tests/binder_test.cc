@@ -10,6 +10,7 @@
 #include "binder/remote_callback_list.h"
 #include "binder/service_manager.h"
 #include "os/kernel.h"
+#include "snapshot/serializer.h"
 
 namespace jgre::binder {
 namespace {
@@ -113,7 +114,10 @@ TEST(ParcelTest, TypeConfusionIsRejected) {
 TEST(ParcelTest, InterfaceTokenMismatchRejected) {
   Parcel parcel;
   parcel.WriteInterfaceToken("test.IFoo");
-  EXPECT_FALSE(parcel.EnforceInterface("test.IBar").ok());
+  const Status mismatch = parcel.EnforceInterface("test.IBar");
+  EXPECT_EQ(mismatch.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mismatch.message(),
+            "interface token mismatch: expected test.IBar, got test.IFoo");
 }
 
 TEST(ParcelTest, PayloadBytesTrackWrites) {
@@ -124,6 +128,92 @@ TEST(ParcelTest, PayloadBytesTrackWrites) {
   EXPECT_FALSE(parcel.has_binders());
   parcel.WriteNullBinder();
   EXPECT_TRUE(parcel.has_binders());
+}
+
+// --- Parcels longer than their inline values ---------------------------------
+
+// One value of every kind, more than a parcel keeps inline, so the tail
+// spills to the heap.
+Parcel LongParcel(const std::shared_ptr<IBinder>& binder) {
+  Parcel parcel;
+  parcel.WriteInterfaceToken("test.IFoo");  // index 0
+  parcel.WriteInt32(-7);
+  parcel.WriteInt64(1LL << 40);
+  parcel.WriteBool(true);
+  parcel.WriteString("a string longer than the small-string buffer");
+  parcel.WriteByteArray(512);  // index 5
+  parcel.WriteStrongBinder(binder);
+  parcel.WriteNullBinder();
+  parcel.WriteFileDescriptor();
+  parcel.WriteInt32(8);  // index 9
+  parcel.WriteString("tail");
+  parcel.WriteInt64(-10);  // index 11
+  return parcel;
+}
+
+// Reads `parcel` back as the process `ctx` names, from the first value. A
+// failed read compares its fallback, so a misplaced value fails the
+// expectation instead of reading an empty Result.
+void ExpectLongParcelReadsBack(const Parcel& parcel, const CallContext& ctx,
+                               NodeId binder) {
+  ASSERT_EQ(parcel.value_count(), 12u);
+  parcel.RewindRead();
+  EXPECT_TRUE(parcel.EnforceInterface("test.IFoo").ok());
+  EXPECT_EQ(parcel.ReadInt32().value_or(0), -7);
+  EXPECT_EQ(parcel.ReadInt64().value_or(0), 1LL << 40);
+  EXPECT_TRUE(parcel.ReadBool().value_or(false));
+  EXPECT_EQ(parcel.ReadString().value_or(""),
+            "a string longer than the small-string buffer");
+  EXPECT_EQ(parcel.ReadByteArray().value_or(0), 512u);
+  auto strong = parcel.ReadStrongBinder(ctx);
+  ASSERT_TRUE(strong.ok()) << strong.status().ToString();
+  EXPECT_EQ(strong.value().node, binder);
+  auto null_binder = parcel.ReadStrongBinder(ctx);
+  ASSERT_TRUE(null_binder.ok()) << null_binder.status().ToString();
+  EXPECT_FALSE(null_binder.value().valid());
+  EXPECT_TRUE(parcel.ReadFileDescriptor(ctx).ok());
+  EXPECT_EQ(parcel.ReadString().status().message(),
+            "parcel type confusion at index 9");
+  EXPECT_EQ(parcel.ReadInt32().value_or(0), 8);
+  EXPECT_EQ(parcel.ReadString().value_or(""), "tail");
+  EXPECT_EQ(parcel.ReadInt64().value_or(0), -10);
+  EXPECT_EQ(parcel.ReadInt32().status().message(), "parcel read past end");
+}
+
+TEST_F(BinderTest, ParcelValuesPastTheInlineOnesReadBackInOrder) {
+  CallContext ctx;
+  ctx.self_pid = server_pid_;
+  ctx.driver = &driver_;
+  const int fds_before = kernel_.OpenFdCount(server_pid_);
+  const Parcel parcel = LongParcel(echo_);
+  ExpectLongParcelReadsBack(parcel, ctx, echo_->node());
+  EXPECT_EQ(kernel_.OpenFdCount(server_pid_), fds_before + 1);
+
+  // A copy reads the same, and reading it leaves the original untouched.
+  const Parcel copy = parcel;
+  EXPECT_EQ(copy.payload_bytes(), parcel.payload_bytes());
+  EXPECT_TRUE(copy.has_binders());
+  ExpectLongParcelReadsBack(copy, ctx, echo_->node());
+  ExpectLongParcelReadsBack(parcel, ctx, echo_->node());
+}
+
+TEST_F(BinderTest, ParcelTypeConfusionNamesAnInlineIndex) {
+  const Parcel parcel = LongParcel(echo_);
+  EXPECT_EQ(parcel.ReadString().status().message(),
+            "parcel type confusion at index 0");
+  EXPECT_TRUE(parcel.EnforceInterface("test.IFoo").ok());
+  EXPECT_EQ(parcel.ReadBool().status().message(),
+            "parcel type confusion at index 1");
+  EXPECT_EQ(parcel.ReadInt32().value_or(0), -7);
+}
+
+TEST_F(BinderTest, ParcelPayloadBytesFollowTheWireSizes) {
+  // Token: UTF-16 plus the strict-mode header. int32 4, int64 8, bool 4.
+  // String: UTF-16 plus its length. Byte array: bytes plus length. Each
+  // flat binder object (binder, null binder, fd) 24.
+  const std::uint64_t expected = (9 * 2 + 8) + 4 + 8 + 4 + (44 * 2 + 4) +
+                                 (512 + 4) + 3 * 24 + 4 + (4 * 2 + 4) + 8;
+  EXPECT_EQ(LongParcel(echo_).payload_bytes(), expected);
 }
 
 // --- Driver routing -------------------------------------------------------------
@@ -317,7 +407,7 @@ TEST_F(BinderTest, IpcLogOnlyWhenDefenseEnabledAndSystemReadable) {
             StatusCode::kPermissionDenied);
 }
 
-TEST_F(BinderTest, IpcLogWindowBySeqAndMaxRecords) {
+TEST_F(BinderTest, IpcLogWindowBySeq) {
   driver_.SetDefenseLogging(true);
   auto proxy = driver_.MaterializeBinder(echo_->node(), client_pid_);
   ASSERT_TRUE(proxy.ok());
@@ -477,6 +567,26 @@ TEST_F(BinderTest, GetServiceMaterializesInCaller) {
   ASSERT_TRUE(svc.ok());
   EXPECT_TRUE(svc.value().binder->IsProxy());
   EXPECT_FALSE(service_manager_.GetService("nope", client_pid_).ok());
+}
+
+TEST_F(BinderTest, ProxyDescriptorIsItsNodesAcrossAnInPlaceRestore) {
+  auto proxy = driver_.MaterializeBinder(echo_->node(), client_pid_);
+  ASSERT_TRUE(proxy.ok());
+  const IBinder& binder = *proxy.value().binder;
+  ASSERT_TRUE(binder.IsProxy());
+  EXPECT_EQ(binder.InterfaceDescriptor(), "test.IEcho");
+  EXPECT_EQ(binder.InterfaceDescriptor(),
+            driver_.NodeDescriptor(echo_->node()));
+
+  // Restoring in place rebuilds the driver's descriptor interner.
+  snapshot::Serializer out;
+  driver_.SaveState(out);
+  snapshot::Deserializer in(out.buffer());
+  driver_.RestoreState(in);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(binder.InterfaceDescriptor(), "test.IEcho");
+  EXPECT_EQ(binder.InterfaceDescriptor(),
+            driver_.NodeDescriptor(echo_->node()));
 }
 
 }  // namespace

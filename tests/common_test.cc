@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -169,6 +173,70 @@ TEST(ResultTest, ReturnIfErrorMacroPropagates) {
 
 TEST(StringsTest, StrCatConcatenatesMixedTypes) {
   EXPECT_EQ(StrCat("pid=", 42, ", ok=", true), "pid=42, ok=1");
+}
+
+// What `std::ostringstream << ...` writes for the same arguments: the
+// output StrCat reproduces on both of its paths.
+template <typename... Args>
+std::string StreamCat(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+enum class Shade { kDark = 2 };
+std::ostream& operator<<(std::ostream& os, Shade shade) {
+  return os << "shade#" << static_cast<int>(shade);
+}
+
+TEST(StringsTest, StrCatMatchesTheStreamOnBothPaths) {
+  const std::string with_nul("a\0b", 3);
+  const std::string_view view = "view";
+  const char array[] = "array";
+  const std::int32_t negative = -123456;
+  const std::vector<std::pair<std::string, std::string>> table = {
+      // Fast path: strings, chars and integers wider than one byte.
+      {StrCat(INT64_MIN), StreamCat(INT64_MIN)},
+      {StrCat(INT64_MAX), StreamCat(INT64_MAX)},
+      {StrCat(UINT64_MAX), StreamCat(UINT64_MAX)},
+      {StrCat(0), StreamCat(0)},
+      {StrCat(negative), StreamCat(negative)},
+      {StrCat(std::int16_t{-7}, std::uint16_t{65535}),
+       StreamCat(std::int16_t{-7}, std::uint16_t{65535})},
+      {StrCat('x', with_nul, view, array, "lit"),
+       StreamCat('x', with_nul, view, array, "lit")},
+      {StrCat("uid ", 10001u, " holds ", std::int64_t{-1}, '#', 7ul),
+       StreamCat("uid ", 10001u, " holds ", std::int64_t{-1}, '#', 7ul)},
+      // Stream path: any other argument type routes the whole call.
+      {StrCat("d=", 1.0 / 3, ' ', 2.5), StreamCat("d=", 1.0 / 3, ' ', 2.5)},
+      {StrCat("b=", true, false), StreamCat("b=", true, false)},
+      {StrCat("u8=", std::uint8_t{65}, std::int8_t{66}),
+       StreamCat("u8=", std::uint8_t{65}, std::int8_t{66})},
+      {StrCat("enum=", Shade::kDark, 3), StreamCat("enum=", Shade::kDark, 3)},
+  };
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(table[i].first, table[i].second) << "row " << i;
+  }
+  EXPECT_EQ(StrCat(with_nul).size(), 3u);
+  EXPECT_EQ(StrCat(UINT64_MAX), "18446744073709551615");
+  EXPECT_EQ(StrCat(INT64_MIN), "-9223372036854775808");
+
+  // The paths are chosen by argument type alone.
+  EXPECT_TRUE(strings_internal::kAppendsDirectly<std::int64_t>);
+  EXPECT_TRUE(strings_internal::kAppendsDirectly<char>);
+  EXPECT_TRUE(strings_internal::kAppendsDirectly<std::string_view>);
+  EXPECT_TRUE(strings_internal::kAppendsDirectly<char[6]>);
+  EXPECT_FALSE(strings_internal::kAppendsDirectly<double>);
+  EXPECT_FALSE(strings_internal::kAppendsDirectly<bool>);
+  EXPECT_FALSE(strings_internal::kAppendsDirectly<std::uint8_t>);
+  EXPECT_FALSE(strings_internal::kAppendsDirectly<Shade>);
+}
+
+TEST(StringsTest, StrCatStopsAtANullCStringLikeTheStream) {
+  const char* null_text = nullptr;
+  EXPECT_EQ(StrCat("before ", null_text, " after", 42),
+            StreamCat("before ", null_text, " after", 42));
+  EXPECT_EQ(StrCat("before ", null_text, " after", 42), "before ");
 }
 
 TEST(StringsTest, SplitAndJoinRoundTrip) {
