@@ -1,7 +1,9 @@
 // bench_snapshot — measures the checkpoint/restore subsystem itself:
 //   * checkpoint payload size and manifest fields for the standard ablation
 //     prefix (boot + the full Fig-4 top-300 benign warmup),
-//   * wall-clock capture and restore latency, and
+//   * wall-clock capture and restore latency, both into a fresh boot and
+//     in place over a system that ran since the capture (the restore every
+//     pooled campaign reset makes), and
 //   * the end-to-end speedup BranchRunner buys bench_ablation_thresholds'
 //     14-point sweep over the --cold baseline that re-simulates the shared
 //     prefix per point (the figure of merit: warm mode amortizes one prefix
@@ -20,6 +22,7 @@
 #include "attack/vuln_registry.h"
 #include "bench_util.h"
 #include "common/log.h"
+#include "common/strings.h"
 #include "core/android_system.h"
 #include "defense/jgre_defender.h"
 #include "experiment/experiment.h"
@@ -183,8 +186,31 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // In place, as campaigns restore: over one system that ran since the
+  // capture (an app installed and a binder minted before each restore).
+  std::vector<double> in_place_samples;
+  {
+    core::SystemConfig sys_config = prefix.system_config();
+    sys_config.seed = prefix.seed();
+    core::AndroidSystem reused(sys_config);
+    reused.Boot();
+    Status status = snapshot->RestoreInto(&reused);
+    for (int i = 0; i < kReps && status.ok(); ++i) {
+      reused.InstallApp(StrCat("com.example.ran.since", i))
+          ->NewBinder("bench.IRanSince");
+      auto start = WallClock::now();
+      status = snapshot->RestoreInto(&reused);
+      in_place_samples.push_back(MsSince(start));
+    }
+    if (!status.ok()) {
+      std::fprintf(stderr, "in-place restore failed: %s\n",
+                   status.ToString().c_str());
+      return 1;
+    }
+  }
   const double capture_ms = MedianMs(capture_samples);
   const double restore_ms = MedianMs(restore_samples);
+  const double restore_in_place_ms = MedianMs(in_place_samples);
   const snapshot::SnapshotManifest& manifest = snapshot->manifest();
   std::printf("\nprefix build: %.1f ms (boot + top-300 benign warmup)\n",
               prefix_ms);
@@ -192,8 +218,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(manifest.byte_size),
               static_cast<unsigned long long>(manifest.virtual_time_us));
   std::printf("capture: %.2f ms (median of %d); restore (boot + patch): "
-              "%.2f ms (median of %d)\n",
-              capture_ms, kReps, restore_ms, kReps);
+              "%.2f ms (median of %d); restore in place: %.2f ms (median of "
+              "%d)\n",
+              capture_ms, kReps, restore_ms, kReps, restore_in_place_ms,
+              kReps);
   prefix_system.reset();
 
   // --- warm vs cold ablation sweep (14 branches) ---
@@ -251,7 +279,8 @@ int main(int argc, char** argv) {
                  .Set("virtual_time_us", manifest.virtual_time_us)
                  .Set("prefix_build_ms", prefix_ms)
                  .Set("capture_ms", capture_ms)
-                 .Set("restore_ms", restore_ms))
+                 .Set("restore_ms", restore_ms)
+                 .Set("restore_in_place_ms", restore_in_place_ms))
         .Set("ablation_sweep",
              harness::Json::Object()
                  .Set("branches", 14)

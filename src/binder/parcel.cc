@@ -113,6 +113,12 @@ Result<std::string> Parcel::ReadString() const {
   return *value.value();
 }
 
+Result<std::string_view> Parcel::ReadStringView() const {
+  auto value = ReadValue<std::string>();
+  if (!value.ok()) return value.status();
+  return std::string_view(*value.value());
+}
+
 Result<std::uint64_t> Parcel::ReadByteArray() const {
   auto arr = ReadValue<ByteArray>();
   if (!arr.ok()) return arr.status();

@@ -54,6 +54,9 @@ class Parcel {
   Result<std::int64_t> ReadInt64() const;
   Result<bool> ReadBool() const;
   Result<std::string> ReadString() const;
+  // The string at the cursor where it lies in the parcel (valid while the
+  // parcel is): a reader that only checks or compares it copies nothing.
+  Result<std::string_view> ReadStringView() const;
   Result<std::uint64_t> ReadByteArray() const;
 
   // Materializes the strong binder in the receiving process identified by

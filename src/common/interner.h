@@ -8,10 +8,13 @@
 // (descriptor, code) key instead of a concatenated string.
 //
 // Ids are dense, start at 0, and are assigned in first-intern order, so a
-// deterministic boot sequence yields deterministic ids.
+// deterministic boot sequence yields deterministic ids. A checkpoint restore
+// reproduces exactly those ids, reusing the names the interner already
+// holds where they match the image (see RestoreState).
 #ifndef JGRE_COMMON_INTERNER_H_
 #define JGRE_COMMON_INTERNER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -57,19 +60,44 @@ class StringInterner {
 
   // Checkpointing: names are written in id order and re-interned on restore,
   // which reproduces the exact id assignment (ids are dense, first-seen).
+  // A restore over a used interner keeps the longest prefix of its names
+  // that equals the image's (a system restored in place usually holds the
+  // image's names plus a few interned since) and interns only the rest, so
+  // the ids are a fresh interner's. If the stream fails, the interner holds
+  // the names read before the failure.
   void SaveState(snapshot::Serializer& out) const {
     out.U64(names_.size());
     for (const std::string& name : names_) out.Str(name);
   }
   void RestoreState(snapshot::Deserializer& in) {
-    names_.clear();
-    ids_.clear();
     last_id_ = kInvalidId;
     const std::uint64_t n = in.U64();
-    for (std::uint64_t i = 0; i < n && in.ok(); ++i) (void)Intern(in.Str());
+    std::size_t kept = 0;
+    for (; kept < n && kept < names_.size(); ++kept) {
+      const std::string_view name = in.StrView();
+      if (!in.ok() || name != names_[kept]) {
+        TruncateTo(kept);
+        if (in.ok()) (void)Intern(name);
+        ++kept;
+        break;
+      }
+    }
+    TruncateTo(std::min<std::size_t>(kept, names_.size()));
+    for (std::uint64_t i = kept; i < n && in.ok(); ++i) {
+      const std::string_view name = in.StrView();
+      if (in.ok()) (void)Intern(name);
+    }
   }
 
  private:
+  // Forgets every name from id `size` on.
+  void TruncateTo(std::size_t size) {
+    while (names_.size() > size) {
+      ids_.erase(names_.back());
+      names_.pop_back();
+    }
+  }
+
   struct Hash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const noexcept {

@@ -218,53 +218,27 @@ void Kernel::RestoreState(snapshot::Deserializer& in) {
   bus_.RestoreState(in);
   const std::int64_t next_pid = in.I64();
   const std::uint64_t count = in.U64();
-  // The table empties first and next_pid_ tracks what it holds, so
-  // FindProcess stays in bounds even if the stream fails part-way.
-  processes_.clear();
-  next_pid_ = 1;
-  if (!in.NeedRecords(count, kMinProcessRecordBytes)) return;
-  if (next_pid < 1 || static_cast<std::uint64_t>(next_pid) != count + 1) {
-    in.Fail("process table size disagrees with the pid cursor");
-    return;
-  }
-  processes_.reserve(count);
+  std::size_t restored = 0;
   std::size_t alive = 0;
-  for (std::uint64_t i = 0; i < count && in.ok(); ++i) {
-    Process proc;
-    proc.pid = Pid{static_cast<std::int32_t>(in.I64())};
-    if (static_cast<std::uint64_t>(proc.pid.value()) != i + 1) {
-      in.Fail("process table pids are not dense");
-      return;
+  if (in.NeedRecords(count, kMinProcessRecordBytes)) {
+    if (next_pid < 1 || static_cast<std::uint64_t>(next_pid) != count + 1) {
+      in.Fail("process table size disagrees with the pid cursor");
     }
-    proc.uid = Uid{static_cast<std::int32_t>(in.I64())};
-    proc.name = in.Str();
-    proc.alive = in.Bool();
-    proc.critical = in.Bool();
-    proc.oom_score_adj = static_cast<int>(in.I64());
-    proc.memory_kb = in.I64();
-    proc.open_fds = static_cast<int>(in.I64());
-    proc.fd_limit = static_cast<int>(in.I64());
-    proc.start_time_us = in.U64();
-    if (in.Bool()) {
-      rt::Runtime::Config rt_config;
-      rt_config.name = StrCat(proc.name, "(", proc.pid.value(), ")");
-      rt_config.max_global_refs = static_cast<std::size_t>(in.U64());
-      rt_config.boot_class_refs = 0;  // RestoreState replaces everything
-      rt_config.obs =
-          obs::Source{&bus_, proc.pid.value(), proc.uid.value()};
-      proc.runtime = std::make_unique<rt::Runtime>(&clock_, rt_config);
-      proc.runtime->RestoreState(in);
-      const Pid pid = proc.pid;
-      proc.runtime->SetAbortHandler([this, pid](const std::string& reason) {
-        KillProcess(pid, StrCat("runtime abort: ", reason));
-      });
-    }
-    if (in.ok()) {
-      alive += proc.alive ? 1 : 0;
-      processes_.push_back(std::make_unique<Process>(std::move(proc)));
-      ++next_pid_;
+    // Record i is restored over the table's record i, which usually holds
+    // the same process already.
+    for (; restored < count && in.ok(); ++restored) {
+      if (restored == processes_.size()) {
+        processes_.push_back(std::make_unique<Process>());
+      }
+      if (!RestoreProcess(in, restored, *processes_[restored])) break;
+      alive += processes_[restored]->alive ? 1 : 0;
     }
   }
+  // Records past the image's count, or from a record that failed on, are
+  // destroyed, and next_pid_ tracks what the table holds, so FindProcess
+  // stays in bounds even if the stream failed part-way.
+  processes_.resize(restored);
+  next_pid_ = static_cast<std::int32_t>(restored) + 1;
   live_count_ = static_cast<std::size_t>(in.U64());
   if (in.ok() && live_count_ != alive) {
     in.Fail("live process count disagrees with the process table");
@@ -282,6 +256,58 @@ void Kernel::RestoreState(snapshot::Deserializer& in) {
   } else if (has_lmk) {
     in.Fail("checkpoint has LMK state but no LMK is installed");
   }
+}
+
+bool Kernel::RestoreProcess(snapshot::Deserializer& in, std::size_t index,
+                            Process& proc) {
+  const Pid pid{static_cast<std::int32_t>(in.I64())};
+  if (static_cast<std::uint64_t>(pid.value()) != index + 1) {
+    in.Fail("process table pids are not dense");
+    return false;
+  }
+  const Uid uid{static_cast<std::int32_t>(in.I64())};
+  const std::string_view name = in.StrView();
+  const bool alive = in.Bool();
+  const bool critical = in.Bool();
+  const int oom_score_adj = static_cast<int>(in.I64());
+  const std::int64_t memory_kb = in.I64();
+  const int open_fds = static_cast<int>(in.I64());
+  const int fd_limit = static_cast<int>(in.I64());
+  const TimeUs start_time_us = in.U64();
+  if (in.Bool()) {
+    const std::size_t max_global_refs = static_cast<std::size_t>(in.U64());
+    // A runtime's name, obs source and table caps follow from its process's
+    // name, pid and uid and the image's cap: when those match, the runtime
+    // this record holds is overwritten rather than rebuilt.
+    const bool reuse = proc.runtime != nullptr && proc.name == name &&
+                       proc.uid == uid &&
+                       proc.runtime->vm().MaxGlobals() == max_global_refs;
+    if (!reuse && in.ok()) {
+      rt::Runtime::Config rt_config;
+      rt_config.name = StrCat(name, "(", pid.value(), ")");
+      rt_config.max_global_refs = max_global_refs;
+      rt_config.boot_class_refs = 0;  // RestoreState replaces everything
+      rt_config.obs = obs::Source{&bus_, pid.value(), uid.value()};
+      proc.runtime = std::make_unique<rt::Runtime>(&clock_, rt_config);
+      proc.runtime->SetAbortHandler([this, pid](const std::string& reason) {
+        KillProcess(pid, StrCat("runtime abort: ", reason));
+      });
+    }
+    if (proc.runtime != nullptr) proc.runtime->RestoreState(in);
+  } else {
+    proc.runtime.reset();
+  }
+  proc.pid = pid;
+  proc.uid = uid;
+  proc.name.assign(name);
+  proc.alive = alive;
+  proc.critical = critical;
+  proc.oom_score_adj = oom_score_adj;
+  proc.memory_kb = memory_kb;
+  proc.open_fds = open_fds;
+  proc.fd_limit = fd_limit;
+  proc.start_time_us = start_time_us;
+  return in.ok();
 }
 
 void Kernel::CheckMemoryPressure() {

@@ -141,15 +141,22 @@ class Kernel {
   LowMemoryKiller* lmk() { return lmk_.get(); }
 
   // Checkpointing: clock, RNG, bus interner, and the whole process table
-  // (including each process's runtime state) round-trip; restore replaces
-  // the table wholesale, whatever processes the kernel ran since, and
-  // re-attaches abort handlers. Death listeners, procfs providers, and the
-  // LMK instance are wiring owned by the facade and survive untouched.
+  // (including each process's runtime state) round-trip. Restore overwrites
+  // the table in place, whatever processes the kernel ran since: record i
+  // takes the image's record i, keeping its runtime (restored over) when the
+  // process name, uid and table cap match the image and building one (with
+  // its abort handler) otherwise; records past the image's count are
+  // destroyed. Death listeners, procfs providers, and the LMK instance are
+  // wiring owned by the facade and survive untouched.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
  private:
   void CheckMemoryPressure();
+  // Restores the image's record `index` over `proc`; false if the stream
+  // failed.
+  bool RestoreProcess(snapshot::Deserializer& in, std::size_t index,
+                      Process& proc);
 
   Config config_;
   SimClock clock_;

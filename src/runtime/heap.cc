@@ -1,6 +1,7 @@
 #include "runtime/heap.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace jgre::rt {
@@ -82,6 +83,8 @@ void Heap::SaveState(snapshot::Serializer& out) const {
 }
 
 void Heap::RestoreState(snapshot::Deserializer& in) {
+  // Bytes a live slot's record takes: kind, holds, both refs and the node.
+  constexpr std::size_t kSlotBytes = 1 + 8 + 8 + 8 + 8;
   in.Marker(0x48454134);
   const std::int64_t next_id = in.I64();
   // The arena empties first and next_id_ tracks the columns, so IsAlive
@@ -100,11 +103,19 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
   }
   const std::uint64_t slots = static_cast<std::uint64_t>(next_id - 1);
   if (!in.NeedRecords((slots + 63) / 64, 8)) return;
-  kind_.assign(slots, 0);
-  holds_.assign(slots, kDeadSlot);
-  managed_ref_.assign(slots, kHeapNullRef);
-  weak_ref_.assign(slots, kHeapNullRef);
-  node_.assign(slots, NodeId{}.value());
+  // The columns refill the storage they have (see ReleaseIfOversized).
+  const std::size_t need = static_cast<std::size_t>(slots);
+  snapshot::ReleaseIfOversized(kind_, need);
+  snapshot::ReleaseIfOversized(holds_, need);
+  snapshot::ReleaseIfOversized(managed_ref_, need);
+  snapshot::ReleaseIfOversized(weak_ref_, need);
+  snapshot::ReleaseIfOversized(node_, need);
+  snapshot::ReleaseIfOversized(unheld_candidates_, need);
+  kind_.assign(need, 0);
+  holds_.assign(need, kDeadSlot);
+  managed_ref_.assign(need, kHeapNullRef);
+  weak_ref_.assign(need, kHeapNullRef);
+  node_.assign(need, NodeId{}.value());
   next_id_ = next_id;
   for (std::size_t base = 0; base < slots && in.ok(); base += 64) {
     const std::uint64_t live = in.U64();
@@ -113,10 +124,15 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
       in.Fail("heap bitmap marks slots past the allocation cursor");
       return;
     }
-    for (std::size_t slot = base; slot < end && in.ok(); ++slot) {
-      if (((live >> (slot - base)) & 1) == 0) continue;
-      const std::uint8_t kind = in.U8();
-      const std::int64_t holds = in.I64();
+    // One bounds check for the block's live records, then fixed-width loads.
+    const std::uint8_t* record =
+        in.Take(static_cast<std::uint64_t>(std::popcount(live)) * kSlotBytes);
+    if (!in.ok()) return;
+    for (std::uint64_t rest = live; rest != 0; rest &= rest - 1) {
+      const std::size_t slot =
+          base + static_cast<std::size_t>(std::countr_zero(rest));
+      const std::uint8_t kind = record[0];
+      const std::int64_t holds = snapshot::Deserializer::LoadI64(record + 1);
       if (kind > static_cast<std::uint8_t>(ObjectKind::kClassRoot) ||
           holds < 0 || holds > std::numeric_limits<std::int32_t>::max()) {
         in.Fail("heap object kind or hold count out of range");
@@ -124,9 +140,10 @@ void Heap::RestoreState(snapshot::Deserializer& in) {
       }
       kind_[slot] = kind;
       holds_[slot] = static_cast<std::int32_t>(holds);
-      managed_ref_[slot] = in.U64();
-      weak_ref_[slot] = in.U64();
-      node_[slot] = in.I64();
+      managed_ref_[slot] = snapshot::Deserializer::LoadU64(record + 9);
+      weak_ref_[slot] = snapshot::Deserializer::LoadU64(record + 17);
+      node_[slot] = snapshot::Deserializer::LoadI64(record + 25);
+      record += kSlotBytes;
       ++live_count_;
       if (holds == 0) {
         unheld_candidates_.push_back(

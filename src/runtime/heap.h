@@ -144,9 +144,11 @@ class Heap {
   std::int64_t total_allocated() const { return next_id_ - 1; }
 
   // Checkpointing: the allocation cursor, a one-bit-per-slot live bitmap,
-  // and the live objects' columns in ascending id order; restore replaces the
-  // heap contents wholesale (including the allocation cursor) and rebuilds
-  // the candidate list from the live unheld set.
+  // and the live objects' columns in ascending id order. Restore overwrites
+  // every column (and the allocation cursor) in the storage the heap already
+  // has, releasing columns more than twice the image's size first, reads
+  // each 64-slot block's records after one bounds check, and rebuilds the
+  // candidate list from the live unheld set.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 

@@ -200,18 +200,23 @@ void IndirectReferenceTable::RestoreState(snapshot::Deserializer& in) {
     return;
   }
   if (!in.NeedRecords(top, kSlotBytes)) return;
+  const std::uint8_t* record = in.Take(top * kSlotBytes);
+  if (!in.ok()) return;
   const auto in_table = [top](std::uint32_t index) {
     return index == kNoFreeSlot || index < top;
   };
-  std::vector<Slot> slots(static_cast<std::size_t>(top));
-  for (Slot& slot : slots) {
-    slot.obj = ObjectId{in.I64()};
-    slot.serial = in.U32();
-    slot.next_free = in.U32();
-    slot.active = in.Bool();
+  // The slots refill the storage the table has (see ReleaseIfOversized).
+  snapshot::ReleaseIfOversized(slots_, static_cast<std::size_t>(top));
+  slots_.resize(static_cast<std::size_t>(top));
+  for (Slot& slot : slots_) {
+    slot.obj = ObjectId{snapshot::Deserializer::LoadI64(record)};
+    slot.serial = snapshot::Deserializer::LoadU32(record + 8);
+    slot.next_free = snapshot::Deserializer::LoadU32(record + 12);
+    slot.active = record[16] != 0;
+    record += kSlotBytes;
     if (!in_table(slot.next_free)) {
       in.Fail(StrCat(name_, ": IRT free list leaves the table"));
-      return;
+      break;
     }
   }
   const std::uint32_t free_head = in.U32();
@@ -221,28 +226,32 @@ void IndirectReferenceTable::RestoreState(snapshot::Deserializer& in) {
   const std::uint64_t frames = in.U64();
   if (in.ok() && (!in_table(free_head) || segment_start > top)) {
     in.Fail(StrCat(name_, ": IRT segment state leaves the table"));
-    return;
   }
-  if (!in.NeedRecords(frames, 8)) return;
-  std::vector<FrameState> stack(static_cast<std::size_t>(frames));
-  for (FrameState& frame : stack) {
-    frame.segment_start = in.U32();
-    frame.free_head = in.U32();
-    if (frame.segment_start > top || !in_table(frame.free_head)) {
-      in.Fail(StrCat(name_, ": IRT frame state leaves the table"));
-      return;
+  if (in.NeedRecords(frames, 8)) {
+    segment_stack_.resize(static_cast<std::size_t>(frames));
+    for (FrameState& frame : segment_stack_) {
+      frame.segment_start = in.U32();
+      frame.free_head = in.U32();
+      if (frame.segment_start > top || !in_table(frame.free_head)) {
+        in.Fail(StrCat(name_, ": IRT frame state leaves the table"));
+        break;
+      }
     }
   }
-  total_adds_ = in.I64();
-  total_removes_ = in.I64();
-  if (!in.ok()) return;
-  slots_ = std::move(slots);
+  const std::int64_t total_adds = in.I64();
+  const std::int64_t total_removes = in.I64();
+  if (!in.ok()) {  // the table stays empty
+    slots_.clear();
+    segment_stack_.clear();
+    return;
+  }
   top_index_ = static_cast<std::size_t>(top);
   free_head_ = free_head;
   hole_count_ = static_cast<std::size_t>(hole_count);
   live_entries_ = static_cast<std::size_t>(live_entries);
   segment_start_ = segment_start;
-  segment_stack_ = std::move(stack);
+  total_adds_ = total_adds;
+  total_removes_ = total_removes;
 }
 
 std::string IndirectReferenceTable::DumpSummary() const {

@@ -157,6 +157,13 @@ void Runtime::RestoreState(snapshot::Deserializer& in) {
   local_frame_depth_ = static_cast<int>(in.I64());
   gc_runs_ = in.I64();
   gc_pause_us = in.U64();
+  // What the image does not carry goes back to its constructor value, so a
+  // runtime restored in place equals a fresh one: the binder driver re-hooks
+  // the pids its image hooked, and a scenario that watches the weak table
+  // turns its events back on.
+  proxy_collect_handler_ = nullptr;
+  vm_.SetWeakEventEmission(false);
+  snapshot::ReleaseIfOversized(gc_candidates_, heap_.LiveCount());
   // The proxy cache is derived state: rebuild it from the heap's node
   // column (live BinderProxy objects attached to a node).
   proxy_by_node_.clear();
@@ -171,6 +178,9 @@ void Runtime::RestoreState(snapshot::Deserializer& in) {
     if (slot >= proxy_by_node_.size()) proxy_by_node_.resize(slot + 1, 0);
     proxy_by_node_[slot] = obj.value();
   });
+  if (proxy_by_node_.capacity() > 2 * proxy_by_node_.size()) {
+    proxy_by_node_.shrink_to_fit();
+  }
 }
 
 }  // namespace jgre::rt

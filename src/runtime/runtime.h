@@ -124,9 +124,12 @@ class Runtime {
 
   // Checkpointing: heap (whose columns carry the proxy/managed-ref
   // attachments), both VM tables, and locals; the proxy cache is rebuilt by
-  // scanning the restored heap. The abort handler and proxy-collect handler
-  // are wiring (kernel and binder driver re-attach them on restore), not
-  // state.
+  // scanning the restored heap. Restore overwrites all of it in the storage
+  // the runtime already has, so the kernel can restore a process's runtime
+  // in place. What the image does not carry is reset to its constructor
+  // value: the proxy-collect handler (the binder driver re-hooks the pids
+  // its image hooked) and weak-event emission. The abort handler is the
+  // kernel's wiring for this pid and stays.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 

@@ -1,6 +1,8 @@
 #include "services/registry_service.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/strings.h"
 
@@ -22,6 +24,14 @@ RegistryServiceBase::RegistryServiceBase(SystemContext* sys,
     : SystemService(sys, std::move(service_name), std::move(descriptor)),
       host_pid_(host_pid),
       methods_(std::move(methods)) {
+  for (const MethodSpec& spec : methods_) {
+    if (std::count(spec.args.begin(), spec.args.end(), ArgKind::kBinder) >
+        static_cast<std::ptrdiff_t>(kMaxBinderArgs)) {
+      throw std::invalid_argument(
+          StrCat(this->service_name(), ".", spec.method, " declares more than ",
+                 kMaxBinderArgs, " binder arguments"));
+    }
+  }
   registries_.resize(registry_names.empty() ? 1 : registry_names.size());
   for (std::size_t i = 0; i < registries_.size(); ++i) {
     const std::string reg_name =
@@ -56,23 +66,22 @@ std::int64_t RegistryServiceBase::ConsumedFds(int registry) const {
   return registries_.at(static_cast<std::size_t>(registry)).consumed_fds;
 }
 
-Status RegistryServiceBase::ReadArgs(
-    const MethodSpec& spec, const binder::Parcel& data,
-    const binder::CallContext& ctx,
-    std::vector<binder::StrongBinder>* binders, int* fds_received,
-    std::vector<std::int64_t>* scalars) const {
+Status RegistryServiceBase::ReadArgs(const MethodSpec& spec,
+                                     const binder::Parcel& data,
+                                     const binder::CallContext& ctx,
+                                     CallArgs* args) const {
   for (ArgKind kind : spec.args) {
     switch (kind) {
       case ArgKind::kInt32: {
         auto v = data.ReadInt32();
         if (!v.ok()) return v.status();
-        if (scalars != nullptr) scalars->push_back(v.value());
+        if (!args->first_scalar) args->first_scalar = v.value();
         break;
       }
       case ArgKind::kInt64: {
         auto v = data.ReadInt64();
         if (!v.ok()) return v.status();
-        if (scalars != nullptr) scalars->push_back(v.value());
+        if (!args->first_scalar) args->first_scalar = v.value();
         break;
       }
       case ArgKind::kBool: {
@@ -81,7 +90,7 @@ Status RegistryServiceBase::ReadArgs(
         break;
       }
       case ArgKind::kString: {
-        auto v = data.ReadString();
+        auto v = data.ReadStringView();
         if (!v.ok()) return v.status();
         break;
       }
@@ -93,13 +102,13 @@ Status RegistryServiceBase::ReadArgs(
       case ArgKind::kBinder: {
         auto v = data.ReadStrongBinder(ctx);  // JGR side effect happens here
         if (!v.ok()) return v.status();
-        binders->push_back(v.value());
+        args->binders[args->binder_count++] = std::move(v).value();
         break;
       }
       case ArgKind::kFd: {
         // Dups into the host's fd table; fatal for system_server at EMFILE.
         JGRE_RETURN_IF_ERROR(data.ReadFileDescriptor(ctx));
-        ++*fds_received;
+        ++args->fds;
         break;
       }
     }
@@ -184,11 +193,9 @@ Status RegistryServiceBase::OnTransact(std::uint32_t code,
   Charge(ctx, spec->cost,
          reg.callbacks->RegisteredCount() + reg.sessions.size());
 
-  std::vector<binder::StrongBinder> binders;
-  int fds_received = 0;
-  std::vector<std::int64_t> scalars;
-  JGRE_RETURN_IF_ERROR(
-      ReadArgs(*spec, data, ctx, &binders, &fds_received, &scalars));
+  CallArgs args;
+  JGRE_RETURN_IF_ERROR(ReadArgs(*spec, data, ctx, &args));
+  const std::span<const binder::StrongBinder> binders = args.Binders();
 
   switch (spec->kind) {
     case MethodKind::kQuery:
@@ -205,7 +212,7 @@ Status RegistryServiceBase::OnTransact(std::uint32_t code,
       // The received fds were already dup'd into the host in ReadArgs; this
       // buggy handler keeps them forever (never close()d). No JGR was
       // created, so the JGRE monitor sees nothing.
-      reg.consumed_fds += fds_received;
+      reg.consumed_fds += args.fds;
       if (reply != nullptr) reply->WriteInt32(0);
       return Status::Ok();
 
@@ -284,7 +291,8 @@ Status RegistryServiceBase::OnTransact(std::uint32_t code,
       // Dependency-aware retention (BinderCracker §IV): the callback binder
       // is retained only behind a previously minted token, so single-call
       // fuzzing never reaches the collection sink.
-      if (scalars.empty() || reg.minted_tokens.count(scalars.front()) == 0) {
+      if (!args.first_scalar ||
+          reg.minted_tokens.count(*args.first_scalar) == 0) {
         return InvalidArgument(
             StrCat(spec->method, ": unknown protocol token"));
       }

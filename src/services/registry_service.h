@@ -23,9 +23,12 @@
 #ifndef JGRE_SERVICES_REGISTRY_SERVICE_H_
 #define JGRE_SERVICES_REGISTRY_SERVICE_H_
 
+#include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,12 +115,28 @@ class RegistryServiceBase : public SystemService {
     std::int64_t next_token_seq = 0;
   };
 
+  // The most binder arguments a MethodSpec may declare; the constructor
+  // rejects a longer one, so one call's binders fit in CallArgs.
+  static constexpr std::size_t kMaxBinderArgs = 4;
+  // What the retention patterns read of one call's arguments, in fixed
+  // storage: the binders (each read takes the proxy's JGR), the fds dup'd
+  // into the host, and the first integer (the token kRegisterGated checks).
+  struct CallArgs {
+    std::array<binder::StrongBinder, kMaxBinderArgs> binders;
+    std::size_t binder_count = 0;
+    int fds = 0;
+    std::optional<std::int64_t> first_scalar;
+
+    std::span<const binder::StrongBinder> Binders() const {
+      return {binders.data(), binder_count};
+    }
+  };
+
   const MethodSpec* FindMethod(std::uint32_t code) const;
+  // Reads and type-checks every argument `spec` declares where it lies in
+  // `data`; strings and byte arrays are checked, not copied.
   Status ReadArgs(const MethodSpec& spec, const binder::Parcel& data,
-                  const binder::CallContext& ctx,
-                  std::vector<binder::StrongBinder>* binders,
-                  int* fds_received,
-                  std::vector<std::int64_t>* scalars) const;
+                  const binder::CallContext& ctx, CallArgs* args) const;
   void DropSession(Registry& reg, NodeId client_node);
 
   Pid host_pid_;

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -97,13 +98,34 @@ class Deserializer {
   std::uint64_t U64() { return ReadLe<std::uint64_t>(); }
   std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   double F64() { return std::bit_cast<double>(U64()); }
-  std::string Str() {
+  std::string Str() { return std::string(StrView()); }
+  // The next string where it lies in the stream, valid while the stream's
+  // bytes are: a reader that compares or assigns it copies nothing.
+  std::string_view StrView() {
     const std::uint64_t n = U64();
-    if (!Need(n)) return {};
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
+    const std::uint8_t* bytes = Take(n);
+    if (!ok_) return {};
+    return {reinterpret_cast<const char*>(bytes), static_cast<std::size_t>(n)};
+  }
+
+  // Block reads: the next `n` bytes where they lie, after one bounds check,
+  // for a reader that decodes a block of fixed-width records with the Load
+  // helpers below. Fails the stream if fewer than `n` bytes remain; check
+  // ok() before reading through the result.
+  const std::uint8_t* Take(std::uint64_t n) {
+    if (!Need(n)) return nullptr;
+    const std::uint8_t* bytes = data_ + pos_;
     pos_ += static_cast<std::size_t>(n);
-    return s;
+    return bytes;
+  }
+  static std::uint32_t LoadU32(const std::uint8_t* bytes) {
+    return LoadLe<std::uint32_t>(bytes);
+  }
+  static std::uint64_t LoadU64(const std::uint8_t* bytes) {
+    return LoadLe<std::uint64_t>(bytes);
+  }
+  static std::int64_t LoadI64(const std::uint8_t* bytes) {
+    return static_cast<std::int64_t>(LoadU64(bytes));
   }
   // Fails the stream (and all subsequent reads) if the next u32 != tag.
   void Marker(std::uint32_t tag) {
@@ -163,12 +185,17 @@ class Deserializer {
     return true;
   }
   template <typename T>
-  T ReadLe() {
-    if (!Need(sizeof(T))) return 0;
+  static T LoadLe(const std::uint8_t* bytes) {
     T v = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(data_[pos_ + i]) << (8 * i);
+      v |= static_cast<T>(bytes[i]) << (8 * i);
     }
+    return v;
+  }
+  template <typename T>
+  T ReadLe() {
+    if (!Need(sizeof(T))) return 0;
+    const T v = LoadLe<T>(data_ + pos_);
     pos_ += sizeof(T);
     return v;
   }
@@ -179,6 +206,15 @@ class Deserializer {
   bool ok_ = true;
   std::string error_;
 };
+
+// Restore storage: a restore refills the storage a table already has, but
+// storage more than twice what the image needs is released first, so a
+// system restored in place does not keep the peak tables of whatever it ran
+// since (a pooled system that ran a 51,200-entry attack, say).
+template <typename T>
+void ReleaseIfOversized(std::vector<T>& table, std::size_t need) {
+  if (table.capacity() > 2 * need) std::vector<T>().swap(table);
+}
 
 // Serializes an unordered associative container in ascending key order, so
 // the bytes are independent of hash-bucket history (which a restore does not

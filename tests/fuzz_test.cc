@@ -431,6 +431,50 @@ TEST(FuzzCampaignTest, UnrestorablePooledSystemsFallBackToAFreshBoot) {
   EXPECT_EQ(expected.stats.total_executions, got.stats.total_executions);
 }
 
+// In-place resets restore each pooled system over whatever the execution
+// before it left behind; cold-boot resets re-simulate the prefix for every
+// execution. Both run the same campaign: the same findings, executions,
+// suspects and corpus entries.
+TEST(FuzzCampaignTest, InPlaceResetsMatchColdBootResets) {
+  fuzz::CampaignOptions options;
+  options.seed = 42;
+  options.budget = 12;
+  options.rounds = 2;
+  options.shard_execs = 6;
+  options.confirm_calls = 120;
+  options.warmup_apps = 4;
+  options.warmup_foreground_us = 1'000'000;
+
+  fuzz::CampaignRunner warm(options);
+  ASSERT_TRUE(warm.Prepare().ok());
+  const core::AndroidSystem* pooled = warm.ResetSystem(0).get();
+  ASSERT_EQ(warm.ResetSystem(1).get(), pooled);  // restored in place
+  const fuzz::CampaignResult in_place = warm.Run();
+
+  options.cold_boot = true;
+  fuzz::CampaignRunner cold_runner(options);
+  const fuzz::CampaignResult cold = cold_runner.Run();
+
+  ASSERT_FALSE(cold.findings.empty());
+  ASSERT_EQ(in_place.findings.size(), cold.findings.size());
+  for (std::size_t i = 0; i < cold.findings.size(); ++i) {
+    EXPECT_EQ(in_place.findings[i].id, cold.findings[i].id);
+    EXPECT_EQ(in_place.findings[i].kind, cold.findings[i].kind);
+    EXPECT_DOUBLE_EQ(in_place.findings[i].growth_per_call,
+                     cold.findings[i].growth_per_call);
+    EXPECT_EQ(in_place.findings[i].minimized_calls,
+              cold.findings[i].minimized_calls);
+    EXPECT_TRUE(in_place.findings[i].witness == cold.findings[i].witness);
+  }
+  EXPECT_EQ(in_place.stats.total_executions, cold.stats.total_executions);
+  EXPECT_EQ(in_place.stats.confirm_executions, cold.stats.confirm_executions);
+  EXPECT_EQ(in_place.stats.minimize_executions,
+            cold.stats.minimize_executions);
+  EXPECT_EQ(in_place.stats.suspects, cold.stats.suspects);
+  EXPECT_EQ(in_place.stats.corpus_entries, cold.stats.corpus_entries);
+  EXPECT_EQ(in_place.stats.signature_elements, cold.stats.signature_elements);
+}
+
 // A small end-to-end campaign: deterministic across --jobs, and the
 // confirmed findings carry consistent metadata.
 TEST(FuzzCampaignTest, SmallCampaignIsDeterministicAcrossJobs) {

@@ -2,7 +2,10 @@
 // the enqueueToast flaw, helper-class guards, and registry-base semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/android_system.h"
@@ -10,6 +13,7 @@
 #include "services/misc_system_services.h"
 #include "services/net_media_services.h"
 #include "services/notification_service.h"
+#include "services/registry_service.h"
 #include "services/safe_service.h"
 #include "services/service_helpers.h"
 #include "services/telephony_registry_service.h"
@@ -419,6 +423,68 @@ TEST_F(ServicesTest, WrongInterfaceTokenRejected) {
                 .Call(sv::WifiService::TRANSACTION_getWifiEnabledState)
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// A registry service reads each declared argument where it lies in the
+// parcel: strings and byte arrays are type-checked without a copy, and a
+// call whose argument has the wrong type fails before anything is retained.
+// A MethodSpec with more binder arguments than one call's storage holds is
+// rejected when the service is built.
+class ArgCheckService : public sv::RegistryServiceBase {
+ public:
+  static constexpr char kDescriptor[] = "com.test.IArgCheck";
+  ArgCheckService(sv::SystemContext* sys, Pid host,
+                  std::vector<sv::MethodSpec> methods)
+      : RegistryServiceBase(sys, "argcheck", kDescriptor, host, {"callbacks"},
+                            std::move(methods)) {}
+};
+
+TEST_F(ServicesTest, RegistryArgumentsAreTypeCheckedWhereTheyLie) {
+  using sv::ArgKind;
+  const std::vector<sv::MethodSpec> too_many_binders = {sv::MethodSpec{
+      1, "registerMany", sv::MethodKind::kRegister,
+      std::vector<ArgKind>(5, ArgKind::kBinder)}};
+  EXPECT_THROW(ArgCheckService(&system_.context(), system_.system_server_pid(),
+                               too_many_binders),
+               std::invalid_argument);
+
+  auto service = std::make_shared<ArgCheckService>(
+      &system_.context(), system_.system_server_pid(),
+      std::vector<sv::MethodSpec>{sv::MethodSpec{
+          1, "register", sv::MethodKind::kRegister,
+          {ArgKind::kString, ArgKind::kByteArray, ArgKind::kBinder}}});
+  system_.driver().RegisterBinder(service, system_.system_server_pid());
+  ASSERT_TRUE(
+      system_.service_manager().AddService("argcheck", service, kSystemUid)
+          .ok());
+  const sv::IpcClient client = Client("argcheck", ArgCheckService::kDescriptor);
+  const auto call = [&](const std::function<void(binder::Parcel&)>& args) {
+    return client.Call(1, args);
+  };
+  const auto listener = app_->NewBinder("listener");
+  const Status wrong_string = call([&](binder::Parcel& p) {
+    p.WriteInt32(7);
+    p.WriteByteArray(16);
+    p.WriteStrongBinder(listener);
+  });
+  EXPECT_NE(wrong_string.message().find("parcel type confusion at index 1"),
+            std::string::npos)
+      << wrong_string.ToString();
+  const Status wrong_bytes = call([&](binder::Parcel& p) {
+    p.WriteString("name");
+    p.WriteString("not bytes");
+    p.WriteStrongBinder(listener);
+  });
+  EXPECT_NE(wrong_bytes.message().find("parcel type confusion at index 2"),
+            std::string::npos)
+      << wrong_bytes.ToString();
+  EXPECT_EQ(service->RegistryCount(0), 0u);
+  EXPECT_TRUE(call([&](binder::Parcel& p) {
+                p.WriteString("name");
+                p.WriteByteArray(16);
+                p.WriteStrongBinder(listener);
+              }).ok());
+  EXPECT_EQ(service->RegistryCount(0), 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "binder/binder_driver.h"
 #include "binder/ipc_log.h"
 #include "binder/service_manager.h"
+#include "common/interner.h"
 #include "common/rng.h"
 #include "core/android_system.h"
 #include "experiment/experiment.h"
@@ -27,6 +28,8 @@
 #include "runtime/heap.h"
 #include "runtime/indirect_reference_table.h"
 #include "runtime/runtime.h"
+#include "services/app.h"
+#include "services/notification_service.h"
 #include "sim/device.h"
 #include "snapshot/serializer.h"
 #include "snapshot/snapshot.h"
@@ -110,6 +113,70 @@ TEST(SnapshotPropertyTest, IrtRoundTripPreservesFreeListOrder) {
       }
     }
     ASSERT_EQ(original.Size(), restored.Size());
+  }
+}
+
+// --- StringInterner ---------------------------------------------------------
+
+// A restore over a used interner keeps the names that match the image and
+// interns the rest. Whatever it held before (nothing, a prefix of the
+// image's names, an extension of them, or names diverging at index k), it
+// ends with a fresh interner's ids, forgets every name the image lacks, and
+// a later Intern continues the image's ids.
+TEST(SnapshotPropertyTest, InternerRestoreOverUsedNamesYieldsFreshIds) {
+  const std::vector<std::string> image_names = {"alpha", "beta", "gamma",
+                                                "delta", "epsilon"};
+  StringInterner saved;
+  for (const std::string& name : image_names) (void)saved.Intern(name);
+  snapshot::Serializer out;
+  saved.SaveState(out);
+  const std::vector<std::string> strangers = {"GAMMA", "zeta", "eta"};
+  const auto holds_image_prefix = [&](const StringInterner& interner) {
+    for (StringInterner::Id id = 0; id < interner.size(); ++id) {
+      EXPECT_EQ(interner.Name(id), image_names[id]);
+      EXPECT_EQ(interner.Find(image_names[id]), id);
+    }
+    for (const std::string& name : strangers) {
+      EXPECT_EQ(interner.Find(name), StringInterner::kInvalidId) << name;
+    }
+  };
+
+  const std::vector<std::vector<std::string>> befores = {
+      {},
+      {"alpha", "beta"},
+      {"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"},
+      {"alpha", "beta", "GAMMA", "delta"},
+      {"epsilon", "delta", "alpha"},
+      {"alpha", "beta", "gamma", "delta", "epsilon"},
+  };
+  for (const std::vector<std::string>& before : befores) {
+    SCOPED_TRACE(testing::PrintToString(before));
+    StringInterner target;
+    for (const std::string& name : before) (void)target.Intern(name);
+    snapshot::Deserializer in(out.buffer());
+    target.RestoreState(in);
+    ASSERT_TRUE(in.ok()) << in.error();
+    ASSERT_EQ(target.size(), image_names.size());
+    holds_image_prefix(target);
+    EXPECT_EQ(target.Intern("omega"), image_names.size());
+  }
+
+  // A stream cut anywhere fails, and the interner keeps the names read
+  // before the cut: a prefix of the image's, still usable.
+  for (std::size_t cut = 0; cut < out.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    StringInterner target;
+    for (const std::string& name : {"alpha", "beta", "GAMMA", "zeta", "eta"}) {
+      (void)target.Intern(name);
+    }
+    snapshot::Deserializer in(out.buffer().data(), cut);
+    target.RestoreState(in);
+    EXPECT_FALSE(in.ok());
+    ASSERT_LE(target.size(), image_names.size());
+    holds_image_prefix(target);
+    const StringInterner::Id next = target.Intern("omega");
+    EXPECT_EQ(next, target.size() - 1);
+    EXPECT_EQ(target.Find("omega"), next);
   }
 }
 
@@ -616,6 +683,127 @@ TEST(SystemSnapshotTest, RestoreIntoTheDrivenPrefixItselfIsExact) {
   EXPECT_EQ(recaptured.value().payload(), captured.value().payload());
 }
 
+// Enqueues `count` toasts from `app`, each with a fresh binder: every call
+// mints a BinderProxy with its JGR and weak JGR in system_server.
+void EnqueueToasts(services::AppProcess* app, int count) {
+  using Notification = services::NotificationService;
+  ASSERT_NE(app, nullptr);
+  auto client =
+      app->GetService(Notification::kName, Notification::kDescriptor);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  for (int i = 0; i < count; ++i) {
+    const auto toast = app->NewBinder("toast");
+    (void)client.value().Call(Notification::TRANSACTION_enqueueToast,
+                              [&](binder::Parcel& p) {
+                                p.WriteString(app->package());
+                                p.WriteStrongBinder(toast);
+                                p.WriteInt32(1);
+                              });
+  }
+}
+
+// An in-place restore over a system reshaped every way a pooled system can
+// drift from its image: a process the image holds reaped is alive with a
+// runtime; one the image holds aborted (at a 64-entry cap) runs unaborted at
+// the default cap; a pid the image never hooked carries the driver's
+// proxy-collect handler; system_server emits weak-table events; and two
+// processes sit past the image's count. The restored system re-captures to
+// the image's bytes, then runs a trace event for event, and to the same
+// final bytes, as a fresh restore of the image does.
+TEST(SystemSnapshotTest, InPlaceRestoreOverAReshapedSystemMatchesAFreshRestore) {
+  core::SystemConfig config;
+  config.seed = 42;
+  const Uid quiet_uid{10500};
+  const Uid aborted_uid{10501};
+  // The processes both systems create, in the same order, so pids match.
+  struct Shape {
+    Pid quiet;
+    services::AppProcess* gone = nullptr;
+    Pid aborted;
+  };
+  const auto shape = [&](core::AndroidSystem& system, std::size_t cap,
+                         int toasts) {
+    EnqueueToasts(system.InstallApp("com.example.toaster"), toasts);
+    Shape out;
+    out.quiet = system.kernel().CreateProcess("com.example.quiet", quiet_uid);
+    out.gone = system.InstallApp("com.example.gone");
+    os::Kernel::ProcessConfig capped;
+    capped.max_global_refs = cap;
+    capped.boot_class_refs = 0;
+    out.aborted = system.kernel().CreateProcess("com.example.aborted",
+                                                aborted_uid, capped);
+    return out;
+  };
+
+  core::AndroidSystem source(config);
+  source.Boot();
+  const Shape source_shape = shape(source, 64, 5);
+  source.StopApp("com.example.gone");
+  source.kernel().ReapDeadProcesses();
+  rt::Runtime* to_abort =
+      source.kernel().FindProcess(source_shape.aborted)->runtime.get();
+  while (!to_abort->aborted()) {
+    (void)to_abort->AllocManagedObject(rt::ObjectKind::kPlain);
+  }
+  ASSERT_FALSE(source.kernel().IsAlive(source_shape.aborted));
+  auto captured = snapshot::SystemSnapshot::Capture(source);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& image = captured.value();
+
+  auto reshaped = std::make_unique<core::AndroidSystem>(config);
+  reshaped->Boot();
+  const Shape reshaped_shape = shape(*reshaped, rt::kGlobalsMax, 12);
+  ASSERT_EQ(reshaped_shape.aborted, source_shape.aborted);
+  ASSERT_TRUE(reshaped->kernel().FindProcess(reshaped_shape.gone->pid())
+                  ->HasRuntime());
+  ASSERT_TRUE(reshaped->service_manager()
+                  .GetService(services::NotificationService::kName,
+                              reshaped_shape.quiet)
+                  .ok());  // hooks quiet's runtime
+  reshaped->system_runtime()->vm().SetWeakEventEmission(true);
+  reshaped->kernel().CreateProcess("com.example.extra", Uid{10502});
+  reshaped->InstallApp("com.example.extra2");
+
+  Status restored = image.RestoreInto(reshaped.get());
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  auto recaptured = snapshot::SystemSnapshot::Capture(*reshaped);
+  ASSERT_TRUE(recaptured.ok()) << recaptured.status().ToString();
+  EXPECT_EQ(recaptured.value().payload(), image.payload());
+
+  auto fresh = std::make_unique<core::AndroidSystem>(config);
+  fresh->Boot();
+  ASSERT_TRUE(image.RestoreInto(fresh.get()).ok());
+
+  const Pid quiet = source_shape.quiet;
+  const auto run_trace = [quiet](core::AndroidSystem& system,
+                                 std::vector<obs::TraceEvent>* events,
+                                 std::vector<std::uint8_t>* payload) {
+    snapshot::EventTape tape;
+    system.kernel().bus().Subscribe(&tape, obs::kAllCategories);
+    EnqueueToasts(system.FindApp("com.example.toaster"), 20);
+    (void)system.service_manager().GetService(
+        services::NotificationService::kName, quiet);
+    system.clock().AdvanceUs(services::NotificationService::kToastDisplayUs);
+    EnqueueToasts(system.InstallApp("com.example.after"), 3);
+    system.CollectAllGarbage();
+    system.kernel().bus().Unsubscribe(&tape);
+    *events = tape.events();
+    auto final_image = snapshot::SystemSnapshot::Capture(system);
+    ASSERT_TRUE(final_image.ok()) << final_image.status().ToString();
+    *payload = final_image.value().payload();
+  };
+  std::vector<obs::TraceEvent> fresh_events, reused_events;
+  std::vector<std::uint8_t> fresh_final, reused_final;
+  ASSERT_NO_FATAL_FAILURE(run_trace(*fresh, &fresh_events, &fresh_final));
+  ASSERT_NO_FATAL_FAILURE(run_trace(*reshaped, &reused_events, &reused_final));
+  ASSERT_FALSE(fresh_events.empty());
+  const auto divergence =
+      snapshot::FirstDivergence(fresh_events, reused_events);
+  EXPECT_FALSE(divergence.has_value())
+      << (divergence ? divergence->description : "");
+  EXPECT_EQ(reused_final, fresh_final);
+}
+
 // An in-place restore refuses what it cannot undo, with a Status: a soft
 // reboot (pending or done) re-registers every service at post-boot node ids,
 // and a killed boot-time app takes its binder objects with it.
@@ -689,9 +877,36 @@ constexpr std::uint32_t kHea4 = 0x48454134;
 constexpr std::uint32_t kSnp2 = 0x534E5032;
 constexpr std::uint32_t kSnp3 = 0x534E5033;
 
+// Writes `image` to `path` with its payload passed through `patch`, under a
+// valid content hash, so only the restore can reject it.
+void WritePatchedImage(
+    const std::string& path, const snapshot::SystemSnapshot& image,
+    const std::function<void(std::vector<std::uint8_t>*)>& patch) {
+  ASSERT_TRUE(image.WriteFile(path).ok());
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;  // magic .. payload size
+  std::vector<std::uint8_t> payload = image.payload();
+  ASSERT_EQ(bytes.size(), kHeader + payload.size() + 8);  // + FNV-1a trailer
+  patch(&payload);
+  std::copy(payload.begin(), payload.end(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(kHeader));
+  const std::uint64_t hash = snapshot::Fnv1a(payload.data(), payload.size());
+  for (int i = 0; i < 8; ++i) {
+    bytes[kHeader + payload.size() + i] =
+        static_cast<std::uint8_t>(hash >> (8 * i));
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 // Writes the checkpoint of a booted seed-42 system to `path` as an image
-// from an older layout: every `current` marker in the payload becomes `old`,
-// under a valid content hash, so only the restore can reject it.
+// from an older layout: every `current` marker in the payload becomes `old`.
 void WriteOldMarkerImage(const std::string& path, std::uint32_t current,
                          std::uint32_t old) {
   core::SystemConfig config;
@@ -700,38 +915,24 @@ void WriteOldMarkerImage(const std::string& path, std::uint32_t current,
   system.Boot();
   auto captured = snapshot::SystemSnapshot::Capture(system);
   ASSERT_TRUE(captured.ok()) << captured.status().ToString();
-  ASSERT_TRUE(captured.value().WriteFile(path).ok());
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;  // magic .. payload size
-  ASSERT_GT(bytes.size(), kHeader + 8);
-  const std::size_t payload_end = bytes.size() - 8;  // FNV-1a trailer
   std::uint8_t from[4], to[4];
   for (int b = 0; b < 4; ++b) {
     from[b] = static_cast<std::uint8_t>(current >> (8 * b));
     to[b] = static_cast<std::uint8_t>(old >> (8 * b));
   }
-  int rewritten = 0;
-  for (std::size_t i = kHeader; i + 4 <= payload_end; ++i) {
-    if (std::equal(from, from + 4,
-                   bytes.begin() + static_cast<std::ptrdiff_t>(i))) {
-      std::copy(to, to + 4, bytes.begin() + static_cast<std::ptrdiff_t>(i));
-      ++rewritten;
-    }
-  }
-  ASSERT_GT(rewritten, 0);
-  const std::uint64_t hash =
-      snapshot::Fnv1a(bytes.data() + kHeader, payload_end - kHeader);
-  for (int i = 0; i < 8; ++i) {
-    bytes[payload_end + i] = static_cast<std::uint8_t>(hash >> (8 * i));
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  WritePatchedImage(path, captured.value(),
+                    [&](std::vector<std::uint8_t>* payload) {
+                      int rewritten = 0;
+                      for (std::size_t i = 0; i + 4 <= payload->size(); ++i) {
+                        const auto at = payload->begin() +
+                                        static_cast<std::ptrdiff_t>(i);
+                        if (std::equal(from, from + 4, at)) {
+                          std::copy(to, to + 4, at);
+                          ++rewritten;
+                        }
+                      }
+                      ASSERT_GT(rewritten, 0);
+                    });
 }
 
 // A checkpoint written before the heap lost its labels, or before the
@@ -768,6 +969,144 @@ TEST(SystemSnapshotTest, OldHeapMarkerFailsRestoreAndLeavesADestroyableSystem) {
     std::remove(path.c_str());
     std::remove((path + snapshot::SystemSnapshot::kManifestSuffix).c_str());
   }
+}
+
+// The hostile fields of RestoreCountsAndIdsPastTheirTablesFailWithoutThrowing,
+// restored in place: each is patched into a whole-system image, which is
+// restored over a system that made calls since the capture. RestoreInto
+// returns the bound's Status, and the half-restored system is destroyed
+// cleanly (the ASan/UBSan tree checks the destruction).
+TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  core::SystemConfig config;
+  config.seed = 42;
+  core::AndroidSystem source(config);
+  source.Boot();
+  EnqueueToasts(source.InstallApp("com.example.toaster"), 5);
+  auto captured = snapshot::SystemSnapshot::Capture(source);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  const snapshot::SystemSnapshot& image = captured.value();
+  const std::vector<std::uint8_t>& payload = image.payload();
+
+  // Where each module's image sits in the payload. The system state follows
+  // the payload marker, the config fingerprint and the "SYS1" marker, and
+  // opens with the kernel, the binder driver and the service manager.
+  constexpr std::size_t kKernelStart = 4 + 8 + 4;
+  snapshot::Serializer kernel_head, kernel, driver, manager, heap, globals;
+  kernel_head.Marker(0x4B524E31);
+  source.clock().SaveState(kernel_head);
+  source.kernel().rng().SaveState(kernel_head);
+  source.kernel().bus().SaveState(kernel_head);
+  source.kernel().SaveState(kernel);
+  source.driver().SaveState(driver);
+  source.service_manager().SaveState(manager);
+  const rt::Runtime& server = *source.system_runtime();
+  server.heap().SaveState(heap);
+  server.vm().globals().SaveState(globals);
+  const auto offset_of = [&payload](const std::vector<std::uint8_t>& part) {
+    return static_cast<std::size_t>(
+        std::search(payload.begin(), payload.end(), part.begin(), part.end()) -
+        payload.begin());
+  };
+  ASSERT_EQ(offset_of(kernel.buffer()), kKernelStart);
+  const std::size_t driver_start = kKernelStart + kernel.size();
+  ASSERT_EQ(offset_of(driver.buffer()), driver_start);
+  const std::size_t manager_start = driver_start + driver.size();
+  ASSERT_EQ(offset_of(manager.buffer()), manager_start);
+  const std::size_t heap_start = offset_of(heap.buffer());
+  ASSERT_LT(heap_start, payload.size());
+  const std::size_t globals_start = offset_of(globals.buffer());
+  ASSERT_LT(globals_start, payload.size());
+  // The IPC log section ("IPL2", capacity, total pushed) inside the driver's.
+  const std::uint8_t kIpcLogMarker[4] = {0x32, 0x4C, 0x50, 0x49};
+  const auto ipc_at = std::search(driver.buffer().begin(),
+                                  driver.buffer().end(), kIpcLogMarker,
+                                  kIpcLogMarker + 4);
+  ASSERT_NE(ipc_at, driver.buffer().end());
+  ASSERT_EQ(std::search(ipc_at + 1, driver.buffer().end(), kIpcLogMarker,
+                        kIpcLogMarker + 4),
+            driver.buffer().end());
+  const std::size_t ipc_start =
+      driver_start + static_cast<std::size_t>(ipc_at - driver.buffer().begin());
+  // A live BinderProxy's node field: walk the heap image's blocks (a live
+  // bitmap, then each live slot's kind, holds, both refs and the node).
+  std::size_t proxy_node_at = 0;
+  {
+    const rt::Heap& h = server.heap();
+    std::size_t at = heap_start + 4 + 8;
+    for (std::int64_t base = 0;
+         base < h.total_allocated() && proxy_node_at == 0; base += 64) {
+      at += 8;
+      for (std::int64_t id = base + 1;
+           id <= std::min(base + 64, h.total_allocated()); ++id) {
+        if (!h.IsAlive(ObjectId{id})) continue;
+        if (h.Kind(ObjectId{id}) == rt::ObjectKind::kBinderProxy) {
+          proxy_node_at = at + 1 + 8 + 8 + 8;
+          break;
+        }
+        at += 1 + 8 + 8 + 8 + 8;
+      }
+    }
+  }
+  ASSERT_NE(proxy_node_at, 0u);
+
+  using Patch = std::function<void(std::vector<std::uint8_t>*)>;
+  const auto u64_at = [](std::size_t offset, std::uint64_t value) -> Patch {
+    return [offset, value](std::vector<std::uint8_t>* bytes) {
+      PatchU64(bytes, offset, value);
+    };
+  };
+  struct InPlaceCase {
+    const char* name;
+    Patch patch;
+    const char* expect;
+  };
+  const std::vector<InPlaceCase> cases = {
+      {"kernel process count",
+       u64_at(kKernelStart + kernel_head.size() + 8, kHuge), "truncated"},
+      {"driver hooked-runtime pid 0",
+       u64_at(driver_start + driver.size() - 8, 0),
+       "hooked runtime names no process"},
+      {"service manager count", u64_at(manager_start + manager.size() - 8, kHuge),
+       "service routing table disagrees"},
+      {"IPC log total", u64_at(ipc_start + 4 + 8, kHuge), "truncated"},
+      {"IPC log capacity other than the booted driver's",
+       u64_at(ipc_start + 4, 64), "capacity"},
+      {"heap allocation cursor", u64_at(heap_start + 4, kHuge), "truncated"},
+      // 32 slots, under a first bitmap word whose 64 class roots are live.
+      {"heap bitmap past the cursor", u64_at(heap_start + 4, 33),
+       "past the allocation cursor"},
+      {"heap object kind",
+       [&](std::vector<std::uint8_t>* bytes) {
+         (*bytes)[heap_start + 4 + 8 + 8] = 0xFF;
+       },
+       "kind or hold count out of range"},
+      {"heap hold count", u64_at(heap_start + 4 + 8 + 8 + 1, kHuge),
+       "kind or hold count out of range"},
+      {"IRT top index", u64_at(globals_start + 4 + 8 + 1, kHuge),
+       "top index past its capacity"},
+      {"runtime proxy node id", u64_at(proxy_node_at, kHuge), "truncated"},
+  };
+  const std::string path = "snapshot_test_hostile_in_place.ckpt";
+  for (const InPlaceCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_NO_FATAL_FAILURE(WritePatchedImage(path, image, c.patch));
+    auto hostile = snapshot::SystemSnapshot::ReadFile(path);
+    ASSERT_TRUE(hostile.ok()) << hostile.status().ToString();
+    auto system = std::make_unique<core::AndroidSystem>(config);
+    system->Boot();
+    ASSERT_TRUE(image.RestoreInto(system.get()).ok());
+    EnqueueToasts(system->FindApp("com.example.toaster"), 8);
+    system->InstallApp("com.example.used")->NewBinder("test.IUsed");
+    Status restored;
+    EXPECT_NO_THROW(restored = hostile.value().RestoreInto(system.get()));
+    EXPECT_FALSE(restored.ok());
+    EXPECT_NE(restored.ToString().find(c.expect), std::string::npos)
+        << restored.ToString();
+    EXPECT_NO_THROW(system.reset());
+  }
+  std::remove(path.c_str());
+  std::remove((path + snapshot::SystemSnapshot::kManifestSuffix).c_str());
 }
 
 // The same image handed to a harness bench through --resume fails
