@@ -12,8 +12,11 @@ contradict the directed-verifier census. --min-refound asserts the smoke
 campaign re-found at least N census interfaces.
 
 Compare mode checks the determinism contract: two runs at the same seed and
-budget (any --jobs) must agree on the deterministic blocks (findings and
-consistency) byte for byte; wall-clock fields are exempt. Stdlib only.
+budget (any --jobs) must agree on the deterministic blocks (findings,
+consistency, seeding) byte for byte, and on every campaign count (the
+executions per phase, suspects, corpus entries and signature elements);
+the wall-clock fields (campaign wall_ms and execs_per_sec, throughput) are
+exempt. Stdlib only.
 """
 import argparse
 
@@ -22,6 +25,8 @@ from bench_report_lib import fail, load_json as load, require, set_tool
 set_tool("validate_fuzz_findings")
 
 KINDS = {"jgr_exhaustion", "fd_exhaustion", "abort"}
+# Campaign fields that time the run rather than count its work.
+CAMPAIGN_WALL_CLOCK = {"wall_ms", "execs_per_sec"}
 
 
 def check_schema(doc, path, min_refound):
@@ -111,8 +116,16 @@ def compare(path_a, path_b):
         if a.get(block) != b.get(block):
             fail(f"deterministic block {block!r} differs between "
                  f"{path_a} and {path_b}")
+    campaign_a = require(a, "campaign", dict, path_a)
+    campaign_b = require(b, "campaign", dict, path_b)
+    for field in sorted((campaign_a.keys() | campaign_b.keys()) -
+                        CAMPAIGN_WALL_CLOCK):
+        if campaign_a.get(field) != campaign_b.get(field):
+            fail(f"campaign.{field} differs between {path_a} "
+                 f"({campaign_a.get(field)}) and {path_b} "
+                 f"({campaign_b.get(field)})")
     print(f"validate_fuzz_findings: OK: {path_a} and {path_b} agree on "
-          "findings and consistency")
+          "findings, consistency and campaign counts")
 
 
 def main():

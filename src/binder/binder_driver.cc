@@ -487,14 +487,6 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
   in.Marker(0x42445232);
   descriptors_.RestoreState(in);
   descriptor_labels_.clear();  // refilled lazily; interning is idempotent
-  // Nodes minted since boot belong to whatever ran since, and so does the
-  // room they took (a system is restored in place run after run); the image
-  // brings back its own. next_node_ tracks nodes_, so FindNode stays in
-  // bounds even if the stream fails part-way.
-  nodes_.erase(nodes_.begin() + static_cast<std::ptrdiff_t>(boot_node_count_),
-               nodes_.end());
-  nodes_.shrink_to_fit();
-  next_node_ = static_cast<std::int64_t>(nodes_.size()) + 1;
   const std::int64_t next_node = in.I64();
   if (in.ok() && (next_node < 1 || static_cast<std::uint64_t>(next_node - 1) <
                                        boot_node_count_)) {
@@ -506,60 +498,78 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
                       kMinNodeRecordBytes)) {
     return;
   }
-  for (std::int64_t i = 0; i < node_count && in.ok(); ++i) {
+  // Record i restores over node i (a system is restored in place run after
+  // run, and the image mostly holds the nodes the table already has); nodes
+  // past the image's count belong to whatever ran since. The table keeps
+  // its storage unless that is more than twice the image's need. next_node_
+  // tracks nodes_, so FindNode stays in bounds even if the stream fails
+  // part-way.
+  const std::size_t count = static_cast<std::size_t>(node_count);
+  if (nodes_.size() > count) nodes_.resize(count);
+  if (nodes_.capacity() > 2 * count) nodes_.shrink_to_fit();
+  next_node_ = static_cast<std::int64_t>(nodes_.size()) + 1;
+  for (std::size_t i = 0; i < count && in.ok(); ++i) {
     const NodeId id{in.I64()};
     const Pid owner{static_cast<std::int32_t>(in.I64())};
     const DescriptorId descriptor_id = in.U32();
     const bool has_strong = in.Bool();
     const ObjectId sender_obj{in.I64()};
-    std::vector<Pid> holders;  // saved sorted
+    if (!in.ok()) return;
+    if (id.value() != static_cast<std::int64_t>(i) + 1 ||
+        descriptor_id >= descriptors_.size()) {
+      in.Fail("binder node id or descriptor out of range");
+      return;
+    }
+    const bool boot_node = i < boot_node_count_;
+    if (boot_node && (nodes_[i].owner != owner ||
+                      nodes_[i].descriptor_id != descriptor_id)) {
+      // The boot created the same objects; identity must match.
+      in.Fail("boot-time binder node mismatch on restore");
+      return;
+    }
+    if (i == nodes_.size()) {
+      nodes_.emplace_back();
+      ++next_node_;
+    }
+    Node& node = nodes_[i];
+    node.holders.clear();  // saved sorted
     for (std::uint64_t h = 0, n = in.U64(); h < n && in.ok(); ++h) {
-      holders.push_back(Pid{static_cast<std::int32_t>(in.I64())});
+      node.holders.push_back(Pid{static_cast<std::int32_t>(in.I64())});
     }
     const bool pinned = in.Bool();
     const bool dead = in.Bool();
     if (!in.ok()) return;
-    if (id.value() != i + 1 || descriptor_id >= descriptors_.size()) {
-      in.Fail("binder node id or descriptor out of range");
-      return;
-    }
-    if (i < static_cast<std::int64_t>(boot_node_count_)) {
-      // Boot-created node: the boot created the same object. Validate the
-      // identity, then overwrite the mutable state.
-      Node& node = nodes_[static_cast<std::size_t>(i)];
-      if (node.id != id || node.owner != owner ||
-          node.descriptor_id != descriptor_id) {
-        in.Fail("boot-time binder node mismatch on restore");
-        return;
-      }
-      if (has_strong && !dead && node.strong == nullptr) {
+    const bool live = has_strong && !dead;
+    if (boot_node) {
+      // A boot-created node keeps its real object, which nothing recreates.
+      if (live && node.strong == nullptr) {
         in.Fail(StrCat("boot-time binder ", descriptors_.Name(descriptor_id),
                        " died since boot: restore into a fresh boot"));
         return;
       }
-      if (!has_strong || dead) node.strong.reset();
-      node.sender_obj = sender_obj;
-      node.holders = std::move(holders);
-      node.death_links.clear();  // rebuilt from the restored link table
-      node.pinned = pinned;
-      node.dead = dead;
-    } else {
-      Node node;
-      node.id = id;
-      node.owner = owner;
-      node.descriptor_id = descriptor_id;
-      node.sender_obj = sender_obj;
-      node.holders = std::move(holders);
-      node.pinned = pinned;
-      node.dead = dead;
-      if (has_strong && !dead) {
-        node.strong = std::make_shared<RestoredPlaceholderBinder>(
-            descriptors_.Name(descriptor_id));
+    } else if (live) {
+      // A post-boot node gets a placeholder for its object; one it already
+      // holds for the same owner and descriptor is as good as a fresh one.
+      const std::string& descriptor = descriptors_.Name(descriptor_id);
+      if (!node.placeholder || node.strong == nullptr ||
+          node.strong->owner_pid() != owner ||
+          node.strong->InterfaceDescriptor() != descriptor) {
+        node.strong = std::make_shared<RestoredPlaceholderBinder>(descriptor);
         node.strong->AttachNode(this, id, owner);
+        node.placeholder = true;
       }
-      nodes_.push_back(std::move(node));
-      ++next_node_;
     }
+    if (!live) {
+      node.strong.reset();
+      node.placeholder = false;
+    }
+    node.id = id;
+    node.owner = owner;
+    node.descriptor_id = descriptor_id;
+    node.sender_obj = sender_obj;
+    node.death_links.clear();  // rebuilt from the restored link table
+    node.pinned = pinned;
+    node.dead = dead;
   }
   next_link_ = in.I64();
   links_.clear();

@@ -190,14 +190,18 @@ class BinderDriver {
   // Checkpointing. SaveState writes the node table, death links (sans
   // recipients — live wiring re-attached by their owners), descriptor
   // interner, IPC ring log and counters. RestoreState runs against a booted
-  // driver, whatever it ran since boot: it first drops every node minted
-  // after RecordBootNodes(). Boot-created nodes keep their real BBinder
-  // objects (a deterministic boot recreates them bit-for-bit); one whose
-  // object died since boot while the image has it live fails the stream.
-  // Live post-boot nodes get placeholder objects that refuse transactions —
-  // the checkpoint contract requires that no such node receives a
-  // transaction after restore (the harness checkpoints at a quiescent
-  // boundary where all dynamic clients have been stopped).
+  // driver, whatever it ran since boot: it restores the image's node record
+  // i over node i, refilling each node's holder list and death-link index in
+  // their own storage, and destroys the nodes past the image's count (the
+  // table's storage is released only when it is more than twice the image's
+  // need). Boot-created nodes keep their real BBinder objects (a
+  // deterministic boot recreates them bit-for-bit); one whose object died
+  // since boot while the image has it live fails the stream. Live post-boot
+  // nodes get placeholder objects that refuse transactions — the checkpoint
+  // contract requires that no such node receives a transaction after restore
+  // (the harness checkpoints at a quiescent boundary where all dynamic
+  // clients have been stopped). A node that already holds a placeholder for
+  // the image's owner and descriptor keeps it; any other object is replaced.
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
@@ -214,6 +218,8 @@ class BinderDriver {
     std::vector<LinkId> death_links;
     bool pinned = false;              // servicemanager holds it forever
     bool dead = false;
+    // `strong` is a restore's placeholder, not an object a process made.
+    bool placeholder = false;
   };
 
   struct DeathLink {
@@ -241,13 +247,14 @@ class BinderDriver {
   Config config_;
   bool defense_logging_ = false;
 
-  // Node ids are dense (1, 2, 3, ...) and nodes are never erased — dead ones
-  // are only marked — so the node table is a flat vector indexed by id - 1:
-  // routing a transaction is a bounds check + array index, not a hash lookup.
+  // Node ids are dense (1, 2, 3, ...) and a running system never erases a
+  // node — dead ones are only marked — so the node table is a flat vector
+  // indexed by id - 1: routing a transaction is a bounds check + array
+  // index, not a hash lookup. Only a restore trims it, to the image's count.
   std::int64_t next_node_ = 1;
   std::vector<Node> nodes_;
-  // Nodes the boot registered (RecordBootNodes); the prefix of nodes_ a
-  // restore keeps.
+  // Nodes the boot registered (RecordBootNodes); the prefix of nodes_ whose
+  // objects a restore keeps.
   std::size_t boot_node_count_ = 0;
 
   // Interface descriptors, interned once per distinct string.

@@ -354,41 +354,41 @@ void AndroidSystem::RestoreState(snapshot::Deserializer& in) {
   driver_->RestoreState(in);
   service_manager_->RestoreState(in);
   package_manager_.RestoreState(in);
+  // Services in the image's name order, walked beside service_objects_: a
+  // name out of order, repeated or unknown to the booted system fails.
   const std::uint64_t service_count = in.U64();
   if (service_count != service_objects_.size()) {
     in.Fail("checkpoint service census differs from the booted system");
     return;
   }
-  for (std::uint64_t i = 0; i < service_count && in.ok(); ++i) {
-    const std::string name = in.Str();
-    auto it = service_objects_.find(name);
-    if (it == service_objects_.end()) {
-      in.Fail(StrCat("checkpoint has service '", name,
-                     "' the booted system lacks"));
+  for (auto& [name, service] : service_objects_) {
+    const std::string_view image_name = in.StrView();
+    if (!in.ok()) return;
+    if (image_name != name) {
+      in.Fail(StrCat("checkpoint has service '", image_name,
+                     "' where the booted system has '", name, "'"));
       return;
     }
-    it->second->RestoreState(in);
+    service->RestoreState(in);
   }
   next_app_uid_ = static_cast<std::int32_t>(in.I64());
   last_gc_us_ = in.U64();
   soft_reboots_seen_ = in.I64();
-  apps_.clear();
-  for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
-    std::string package = in.Str();
-    const Pid pid{static_cast<std::int32_t>(in.I64())};
-    const Uid uid{static_cast<std::int32_t>(in.I64())};
-    apps_[package] = std::make_unique<services::AppProcess>(
-        driver_.get(), service_manager_.get(), pid, uid, package);
-  }
-  app_permissions_.clear();
-  for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
-    std::string package = in.Str();
-    std::set<std::string> permissions;
-    for (std::uint64_t p = 0, np = in.U64(); p < np && in.ok(); ++p) {
-      permissions.insert(in.Str());
-    }
-    app_permissions_.emplace(std::move(package), std::move(permissions));
-  }
+  // An app whose pid and uid match the image's keeps its AppProcess.
+  snapshot::RestoreOrdered(
+      in, apps_, [this](snapshot::Deserializer& in, auto& entry) {
+        const Pid pid{static_cast<std::int32_t>(in.I64())};
+        const Uid uid{static_cast<std::int32_t>(in.I64())};
+        std::unique_ptr<services::AppProcess>& app = entry.second;
+        if (app == nullptr || app->pid() != pid || app->uid() != uid) {
+          app = std::make_unique<services::AppProcess>(
+              driver_.get(), service_manager_.get(), pid, uid, entry.first);
+        }
+      });
+  snapshot::RestoreOrdered(
+      in, app_permissions_, [](snapshot::Deserializer& in, auto& entry) {
+        snapshot::RestoreOrdered(in, entry.second);
+      });
 }
 
 void AndroidSystem::HandleSoftReboot(const std::string& reason) {

@@ -168,49 +168,49 @@ CampaignResult CampaignRunner::Run() {
   CampaignResult result;
   CampaignStats& stats = result.stats;
 
-  std::vector<Suspect> suspects;
+  std::vector<Suspect>& suspects = result.suspects;
   std::set<std::uint64_t> suspect_fingerprints;
   std::size_t seeded_suspects = 0;
 
-  // --- Seed: ProtocolGraph chains as wired multi-call sequences -------------
-  // Chain seeds run *before* the analysis seeds: the confirm phase probes the
-  // first suspect carrying each method, and a chain's call embeds protocol
-  // knowledge (spoofed caller, wired token) that the homogeneous analysis
-  // seed for the same method lacks. enqueueToast is the concrete case — its
-  // analysis seed screens suspicious with a random package that the
-  // per-package cap then bounds during confirm, masking the spoofed variant.
-  if (options_.seed_from_protocol && mutator_->protocol_aware()) {
-    const std::size_t n_links =
-        std::min(mutator_->links().size(),
-                 static_cast<std::size_t>(std::max(0, options_.budget)));
-    std::vector<ShardExec> chain_execs = harness::RunOrdered<ShardExec>(
-        n_links, options_.jobs, [&](std::size_t i) {
-          Rng rng(MixSeed(options_.seed, 0x5052'4F54ull /* "PROT" */, i));
-          Sequence seq = mutator_->GenerateChain(
-              i, std::max(2, options_.seed_sequence_calls), rng);
-          auto system = ResetSystem(400'000 + i);
-          ExecOutcome outcome = executor_->Execute(*system, seq);
-          return ShardExec{std::move(seq), std::move(outcome.elements),
-                           oracle_.Screen(outcome.obs)};
-        });
-    for (ShardExec& exec : chain_execs) {
-      ++stats.protocol_seed_executions;
-      corpus_.Add(exec.seq, exec.elements);
-      if (exec.screen.suspicious() &&
-          suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
-        suspects.push_back({std::move(exec.seq), exec.screen.kind});
-      }
+  // One execution, on a freshly reset system. `shard` labels a failed reset.
+  const auto execute = [&](Sequence seq, std::size_t shard) {
+    auto system = ResetSystem(shard);
+    ExecOutcome outcome = executor_->Execute(*system, seq);
+    return Screened{std::move(seq), std::move(outcome.elements),
+                    oracle_.Screen(outcome.obs)};
+  };
+  // Results merge in submission order, so the corpus and the suspect list
+  // are identical for --jobs 1 and --jobs N. Seed suspects ride above the
+  // max_suspects cap.
+  const auto merge = [&](Screened& exec, bool capped) {
+    corpus_.Add(exec.seq, exec.elements);
+    if (exec.screen.suspicious() &&
+        (!capped || static_cast<int>(suspects.size() - seeded_suspects) <
+                        options_.max_suspects) &&
+        suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
+      suspects.push_back({std::move(exec.seq), exec.screen.kind});
     }
-    seeded_suspects = suspects.size();
-  }
+  };
 
-  // --- Seed: witness-bearing static candidates as initial sequences ---------
+  // --- Seed: ProtocolGraph chains, then witness-bearing static candidates ---
+  // Both run as one fan-out, one task per seed, and chain seeds merge first:
+  // the confirm phase probes the first suspect carrying each method, and a
+  // chain's call embeds protocol knowledge (spoofed caller, wired token)
+  // that the homogeneous analysis seed for the same method lacks.
+  // enqueueToast is the concrete case — its analysis seed screens
+  // suspicious with a random package that the per-package cap then bounds
+  // during confirm, masking the spoofed variant.
+  std::size_t n_links = 0;
+  if (options_.seed_from_protocol && mutator_->protocol_aware()) {
+    n_links = std::min(mutator_->links().size(),
+                       static_cast<std::size_t>(std::max(0, options_.budget)));
+  }
+  std::vector<const analysis::AnalyzedInterface*> seed_ifaces;
   if (options_.seed_from_analysis) {
     std::set<std::string> pool_ids;
     for (const model::JavaMethodModel* method : mutator_->pool()) {
       pool_ids.insert(method->id);
     }
-    std::vector<const analysis::AnalyzedInterface*> seed_ifaces;
     for (const std::size_t index : report_.Candidates()) {
       const analysis::AnalyzedInterface& iface = report_.interfaces[index];
       if (iface.witness.empty() || pool_ids.count(iface.id) == 0) continue;
@@ -218,34 +218,38 @@ CampaignResult CampaignRunner::Run() {
     }
     // Never seed past the screening budget: seed + random spend == budget.
     const std::size_t seed_cap = static_cast<std::size_t>(
-        std::max(0, options_.budget - stats.protocol_seed_executions));
+        std::max(0, options_.budget - static_cast<int>(n_links)));
     if (seed_ifaces.size() > seed_cap) seed_ifaces.resize(seed_cap);
-    std::vector<ShardExec> seed_execs = harness::RunOrdered<ShardExec>(
-        seed_ifaces.size(), options_.jobs, [&](std::size_t i) {
-          Rng rng(MixSeed(options_.seed, 0x5345'4544ull /* "SEED" */, i));
-          const model::JavaMethodModel* method =
-              model_.FindJavaMethod(seed_ifaces[i]->id);
-          Sequence seq;
-          for (int c = 0; c < std::max(1, options_.seed_sequence_calls); ++c) {
-            seq.calls.push_back(mutator_->MakeCall(*method, rng));
-          }
-          auto system = ResetSystem(300'000 + i);
-          ExecOutcome outcome = executor_->Execute(*system, seq);
-          return ShardExec{std::move(seq), std::move(outcome.elements),
-                           oracle_.Screen(outcome.obs)};
-        });
-    for (ShardExec& exec : seed_execs) {
-      ++stats.seed_executions;
-      corpus_.Add(exec.seq, exec.elements);
-      if (exec.screen.suspicious() &&
-          suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
-        suspects.push_back({std::move(exec.seq), exec.screen.kind});
-      }
-    }
-    seeded_suspects = suspects.size();
   }
+  std::vector<Screened> seed_execs = harness::RunOrdered<Screened>(
+      n_links + seed_ifaces.size(), options_.jobs, [&](std::size_t i) {
+        if (i < n_links) {
+          Rng rng(MixSeed(options_.seed, 0x5052'4F54ull /* "PROT" */, i));
+          return execute(mutator_->GenerateChain(
+                             i, std::max(2, options_.seed_sequence_calls), rng),
+                         400'000 + i);
+        }
+        const std::size_t s = i - n_links;
+        Rng rng(MixSeed(options_.seed, 0x5345'4544ull /* "SEED" */, s));
+        const model::JavaMethodModel* method =
+            model_.FindJavaMethod(seed_ifaces[s]->id);
+        Sequence seq;
+        for (int c = 0; c < std::max(1, options_.seed_sequence_calls); ++c) {
+          seq.calls.push_back(mutator_->MakeCall(*method, rng));
+        }
+        return execute(std::move(seq), 300'000 + s);
+      });
+  for (std::size_t i = 0; i < seed_execs.size(); ++i) {
+    if (i < n_links) {
+      ++stats.protocol_seed_executions;
+    } else {
+      ++stats.seed_executions;
+    }
+    merge(seed_execs[i], /*capped=*/false);
+  }
+  seeded_suspects = suspects.size();
 
-  // --- Screen: rounds x shards of randomized sequences ----------------------
+  // --- Screen: rounds of randomized sequences, one task per execution ------
   const int rounds = std::max(1, options_.rounds);
   // Seed executions come out of the screening budget: a seeded campaign and
   // an unseeded one spend the same number of executions.
@@ -253,50 +257,32 @@ CampaignResult CampaignRunner::Run() {
       std::max(0, options_.budget - stats.seed_executions -
                       stats.protocol_seed_executions);
   const int per_round = budget / rounds;
+  const int shard_execs = std::max(1, options_.shard_execs);
   for (int round = 0; round < rounds; ++round) {
     const int round_budget =
         per_round + (round == rounds - 1 ? budget - per_round * rounds : 0);
     if (round_budget <= 0) continue;
-    const int shard_execs = std::max(1, options_.shard_execs);
-    const std::size_t shards =
-        static_cast<std::size_t>((round_budget + shard_execs - 1) /
-                                 shard_execs);
-    // Shards mutate against the corpus as of the round boundary: a stable
-    // snapshot, so picks do not depend on intra-round completion order.
-    const std::vector<CorpusEntry> entries = corpus_.entries();
-    std::vector<std::vector<ShardExec>> reports =
-        harness::RunOrdered<std::vector<ShardExec>>(
-            shards, options_.jobs, [&](std::size_t shard) {
-              Rng rng(MixSeed(options_.seed, static_cast<std::uint64_t>(round),
-                              shard));
-              const int execs =
-                  std::min(shard_execs,
-                           round_budget - static_cast<int>(shard) * shard_execs);
-              std::vector<ShardExec> out;
-              out.reserve(static_cast<std::size_t>(execs));
-              for (int e = 0; e < execs; ++e) {
-                Sequence seq = PickSequence(rng, entries);
-                auto system =
-                    ResetSystem(static_cast<std::size_t>(round) * 1000 + shard);
-                ExecOutcome outcome = executor_->Execute(*system, seq);
-                out.push_back({std::move(seq), std::move(outcome.elements),
-                               oracle_.Screen(outcome.obs)});
-              }
-              return out;
-            });
-    // Merge in submission order: corpus contents and the suspect list are
-    // identical for --jobs 1 and --jobs N.
-    for (std::vector<ShardExec>& report : reports) {
-      for (ShardExec& exec : report) {
-        ++stats.screen_executions;
-        corpus_.Add(exec.seq, exec.elements);
-        if (exec.screen.suspicious() &&
-            static_cast<int>(suspects.size() - seeded_suspects) <
-                options_.max_suspects &&
-            suspect_fingerprints.insert(exec.seq.Fingerprint()).second) {
-          suspects.push_back({std::move(exec.seq), exec.screen.kind});
-        }
-      }
+    // The round's sequences are drawn before any of them runs, stream by
+    // stream, against the corpus as of the round boundary: the picks depend
+    // neither on --jobs nor on the order executions complete in.
+    const std::vector<CorpusEntry>& entries = corpus_.entries();
+    std::vector<Sequence> picks;
+    picks.reserve(static_cast<std::size_t>(round_budget));
+    for (int shard = 0; shard * shard_execs < round_budget; ++shard) {
+      Rng rng(MixSeed(options_.seed, static_cast<std::uint64_t>(round),
+                      static_cast<std::uint64_t>(shard)));
+      const int draws = std::min(shard_execs, round_budget - shard * shard_execs);
+      for (int d = 0; d < draws; ++d) picks.push_back(PickSequence(rng, entries));
+    }
+    std::vector<Screened> execs = harness::RunOrdered<Screened>(
+        picks.size(), options_.jobs, [&](std::size_t i) {
+          return execute(std::move(picks[i]),
+                         static_cast<std::size_t>(round) * 1000 +
+                             i / static_cast<std::size_t>(shard_execs));
+        });
+    for (Screened& exec : execs) {
+      ++stats.screen_executions;
+      merge(exec, /*capped=*/true);
     }
   }
   stats.suspects = static_cast<int>(suspects.size());

@@ -1,18 +1,20 @@
 // CampaignRunner — the coverage-guided fuzzing loop, composed from the three
 // prior subsystems: snapshot restore as the reset primitive (src/snapshot via
 // harness::BranchRunner), the EventBus as the coverage feed (src/obs), and
-// the work-stealing pool for shard fan-out (src/harness).
+// the work-stealing pool for the per-execution fan-out (src/harness).
 //
 // One campaign:
 //   1. Prepare: derive the code model + static analysis from a booted device,
 //      build the reset image (boot + warmup prefix, captured once), and the
 //      call pool of live IPC interfaces.
-//   2. Screen (rounds x shards): each shard owns an independent RNG stream
-//      seeded from (--seed, round, shard) and replays randomized/mutated
-//      sequences on freshly reset systems. Executions that reach new
-//      signature elements seed the corpus; executions the oracle screens as
-//      suspicious become suspects. Shard results merge in submission order,
-//      so the corpus and suspect list are identical for any --jobs.
+//   2. Screen (rounds): each round first draws its randomized/mutated
+//      sequences against the corpus as of the round boundary, shard_execs
+//      per RNG stream, each stream seeded from (--seed, round, shard). Every
+//      sequence then runs as its own pool task on a freshly reset system.
+//      Executions that reach new signature elements seed the corpus;
+//      executions the oracle screens as suspicious become suspects. Results
+//      merge in submission order, so the corpus and suspect list are
+//      identical for any --jobs.
 //   3. Confirm: every distinct interface appearing in a suspect gets one
 //      homogeneous probe (the suspect's exact call, repeated) judged at the
 //      shared exploitable rate — only these become findings, which is what
@@ -56,9 +58,12 @@ struct CampaignOptions {
   // rounds and shards. The round/shard split is a pure function of the
   // budget, so results do not depend on --jobs.
   int budget = 240;
-  int rounds = 3;       // corpus-feedback barriers
-  int shard_execs = 20; // executions per shard task
-  // Probability a shard mutates a corpus seed (vs generating fresh) once the
+  int rounds = 3;  // corpus-feedback barriers
+  // Sequences drawn per RNG stream. A round splits its share of the budget
+  // into streams of this many draws; each drawn sequence then executes as
+  // its own task, so this sets the draws, not the fan-out.
+  int shard_execs = 20;
+  // Probability a draw mutates a corpus seed (vs generating fresh) once the
   // corpus is non-empty.
   double mutate_probability = 0.75;
   int confirm_calls = 300;  // homogeneous confirmation probe length
@@ -123,8 +128,17 @@ struct CampaignStats {
   double execs_per_sec = 0.0;  // total executions over wall time
 };
 
+// A screened sequence the oracle flagged: a candidate for confirmation.
+struct Suspect {
+  Sequence seq;
+  ExhaustionKind kind = ExhaustionKind::kNone;
+};
+
 struct CampaignResult {
   std::vector<Finding> findings;  // sorted by id
+  // In merge order (seeds, then screening): the confirm phase probes each
+  // method through the first suspect carrying it.
+  std::vector<Suspect> suspects;
   CampaignStats stats;
 };
 
@@ -181,11 +195,8 @@ class CampaignRunner {
   sim::PooledSystem ResetSystem(std::size_t shard);
 
  private:
-  struct Suspect {
-    Sequence seq;
-    ExhaustionKind kind = ExhaustionKind::kNone;
-  };
-  struct ShardExec {
+  // One executed sequence: its coverage and the oracle's screen verdict.
+  struct Screened {
     Sequence seq;
     std::vector<std::uint64_t> elements;
     OracleVerdict screen;

@@ -70,8 +70,14 @@ class PackageManager {
 
   std::vector<std::string> InstalledPackages() const;
 
-  // Checkpointing: installed packages, uid routing, declared permissions.
-  // All containers are ordered, so iteration is already byte-stable.
+  // Checkpointing: installed packages with their grants, and declared
+  // permissions. All containers are ordered, so iteration is already
+  // byte-stable. RestoreState merges the image into the tables in key order
+  // (snapshot::RestoreOrdered): every package, grant set, grant and
+  // permission equal to the image's is kept, and only the difference is
+  // inserted or erased; names out of order or repeated fail the stream. The
+  // uid routing is then derived from the packages the same way, keeping
+  // every route the image also has.
   void SaveState(snapshot::Serializer& out) const {
     out.U64(packages_.size());
     for (const auto& [package, info] : packages_) {
@@ -86,33 +92,21 @@ class PackageManager {
       out.U8(static_cast<std::uint8_t>(level));
     }
   }
-  void RestoreState(snapshot::Deserializer& in) {
-    packages_.clear();
-    uid_to_package_.clear();
-    for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
-      std::string package = in.Str();
-      PackageInfo info;
-      info.uid = Uid{static_cast<std::int32_t>(in.I64())};
-      for (std::uint64_t p = 0, np = in.U64(); p < np && in.ok(); ++p) {
-        info.granted.insert(in.Str());
-      }
-      uid_to_package_[info.uid] = package;
-      packages_.emplace(std::move(package), std::move(info));
-    }
-    permissions_.clear();
-    for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
-      std::string perm = in.Str();
-      permissions_.emplace(std::move(perm),
-                           static_cast<ProtectionLevel>(in.U8()));
-    }
-  }
+  void RestoreState(snapshot::Deserializer& in);
 
  private:
   struct PackageInfo {
     Uid uid;
     std::set<std::string> granted;
   };
+  // Derives uid_to_package_ from packages_ as a restore into a fresh boot
+  // would: each uid routes to the last package, in name order, installed
+  // under it. Routes already equal are kept.
+  void RouteUids();
+
   std::map<std::string, PackageInfo> packages_;
+  // Each uid's package; a uid two packages share routes to the one
+  // installed last (after a restore, the later name).
   std::map<Uid, std::string> uid_to_package_;
   std::map<std::string, ProtectionLevel> permissions_;
 };

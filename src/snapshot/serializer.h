@@ -16,10 +16,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace jgre::snapshot {
@@ -227,6 +231,51 @@ void SaveUnorderedMap(Serializer& out, const Map& map, SaveEntryFn save_entry) {
   std::sort(keys.begin(), keys.end());
   out.U64(keys.size());
   for (const auto& key : keys) save_entry(out, key, map.at(key));
+}
+
+// Restores an ordered container keyed by std::string — a std::set, or a
+// std::map whose entries `restore_entry(in, entry)` read — from a count and
+// that many keys (each followed by its value), in the strictly increasing
+// order a std::set or std::map saves them. The restore walks the container
+// beside the stream and keeps every entry whose key the image has: it erases
+// only keys the image lacks and inserts only keys the container lacks
+// (value-initialised before `restore_entry` fills them). A key out of order
+// or repeated fails the stream, since a walk cannot merge it.
+template <typename Table, typename RestoreEntryFn = std::nullptr_t>
+void RestoreOrdered(Deserializer& in, Table& table,
+                    RestoreEntryFn restore_entry = nullptr) {
+  constexpr bool kIsMap = !std::is_same_v<typename Table::key_type,
+                                          typename Table::value_type>;
+  const auto key_of =
+      [](const typename Table::value_type& entry) -> const std::string& {
+    if constexpr (kIsMap) {
+      return entry.first;
+    } else {
+      return entry;
+    }
+  };
+  auto it = table.begin();
+  for (std::uint64_t i = 0, n = in.U64(); i < n && in.ok(); ++i) {
+    const std::string_view key = in.StrView();
+    if (!in.ok()) break;
+    if (i > 0 && key <= key_of(*std::prev(it))) {
+      in.Fail("checkpoint keys out of order or repeated");
+      break;
+    }
+    while (it != table.end() && key_of(*it) < key) it = table.erase(it);
+    if (it == table.end() || key_of(*it) != key) {
+      if constexpr (kIsMap) {
+        it = table.emplace_hint(it, std::piecewise_construct,
+                                std::forward_as_tuple(key),
+                                std::forward_as_tuple());
+      } else {
+        it = table.emplace_hint(it, key);
+      }
+    }
+    if constexpr (kIsMap) restore_entry(in, *it);
+    ++it;
+  }
+  if (in.ok()) table.erase(it, table.end());
 }
 
 }  // namespace jgre::snapshot

@@ -476,7 +476,10 @@ TEST(FuzzCampaignTest, InPlaceResetsMatchColdBootResets) {
 }
 
 // A small end-to-end campaign: deterministic across --jobs, and the
-// confirmed findings carry consistent metadata.
+// confirmed findings carry consistent metadata. Each round runs 12
+// executions, one pool task each, on 4 workers, so the corpus and the
+// suspect list come out entry for entry the same only if results merge in
+// submission order.
 TEST(FuzzCampaignTest, SmallCampaignIsDeterministicAcrossJobs) {
   fuzz::CampaignOptions options;
   options.seed = 42;
@@ -512,6 +515,24 @@ TEST(FuzzCampaignTest, SmallCampaignIsDeterministicAcrossJobs) {
   EXPECT_EQ(a.stats.minimize_executions, b.stats.minimize_executions);
   for (std::size_t i = 1; i < a.findings.size(); ++i) {
     EXPECT_LT(a.findings[i - 1].id, a.findings[i].id);  // sorted, unique
+  }
+
+  const auto fingerprints = [](const std::vector<fuzz::CorpusEntry>& entries) {
+    std::vector<std::uint64_t> out;
+    for (const fuzz::CorpusEntry& entry : entries) {
+      out.push_back(entry.seq.Fingerprint());
+    }
+    return out;
+  };
+  ASSERT_GT(serial.corpus().size(), 1u);
+  EXPECT_EQ(fingerprints(serial.corpus().entries()),
+            fingerprints(parallel.corpus().entries()));
+  ASSERT_GT(a.suspects.size(), 1u);
+  ASSERT_EQ(a.suspects.size(), b.suspects.size());
+  for (std::size_t i = 0; i < a.suspects.size(); ++i) {
+    EXPECT_EQ(a.suspects[i].seq.Fingerprint(), b.suspects[i].seq.Fingerprint())
+        << "suspect " << i;
+    EXPECT_EQ(a.suspects[i].kind, b.suspects[i].kind) << "suspect " << i;
   }
 }
 

@@ -804,6 +804,101 @@ TEST(SystemSnapshotTest, InPlaceRestoreOverAReshapedSystemMatchesAFreshRestore) 
   EXPECT_EQ(reused_final, fresh_final);
 }
 
+// An in-place restore keeps what equals the image and replaces the rest:
+// over a system that installed a package, uninstalled one the image holds,
+// granted, revoked and defined permissions, relaunched an app under a new
+// pid, and holds, at the image's live post-boot node, a placeholder another
+// app owns (left there by restoring a capture taken after a different
+// warm-up), it re-captures byte-identical, routes every uid as the image
+// does, gives the app back its pid and the node a fresh placeholder for the
+// image's owner. A second restore keeps that placeholder.
+TEST(SystemSnapshotTest, InPlaceRestoreOverReshapedPackagesAndAppsIsExact) {
+  core::SystemConfig config;
+  config.seed = 42;
+  const std::string kImagePerm = "test.permission.IMAGE";
+  // One boot, three apps, and the first post-boot binder node minted by
+  // `minter`.
+  const auto warm = [&](const std::string& minter,
+                        snapshot::SystemSnapshot* image, NodeId* node) {
+    core::AndroidSystem system(config);
+    system.Boot();
+    system.package_manager().DefinePermission(
+        kImagePerm, services::ProtectionLevel::kNormal);
+    system.InstallApp("com.example.alpha", {kImagePerm});
+    system.InstallApp("com.example.beta");
+    system.InstallApp("com.example.gamma");
+    *node = system.FindApp(minter)->NewBinder("test.IShared")->node();
+    auto captured = snapshot::SystemSnapshot::Capture(system);
+    ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+    *image = std::move(captured).value();
+  };
+  snapshot::SystemSnapshot other, image;
+  NodeId other_node, node;
+  ASSERT_NO_FATAL_FAILURE(warm("com.example.alpha", &other, &other_node));
+  ASSERT_NO_FATAL_FAILURE(warm("com.example.beta", &image, &node));
+  ASSERT_EQ(other_node, node);
+
+  // The image's view of the apps, read from a fresh restore.
+  core::AndroidSystem fresh(config);
+  fresh.Boot();
+  ASSERT_TRUE(image.RestoreInto(&fresh).ok());
+  const Pid beta = fresh.FindApp("com.example.beta")->pid();
+  ASSERT_EQ(fresh.driver().NodeOwner(node), beta);
+
+  core::AndroidSystem system(config);
+  system.Boot();
+  ASSERT_TRUE(other.RestoreInto(&system).ok());
+  const Pid alpha = system.FindApp("com.example.alpha")->pid();
+  ASSERT_EQ(system.driver().NodeOwner(node), alpha);
+  const auto object_at = [&system](NodeId id, Pid owner) {
+    auto local = system.driver().MaterializeBinder(id, owner);
+    EXPECT_TRUE(local.ok()) << local.status().ToString();
+    return local.ok() ? std::dynamic_pointer_cast<binder::BBinder>(
+                            local.value().binder)
+                      : nullptr;
+  };
+  const std::shared_ptr<binder::BBinder> stale = object_at(node, alpha);
+  ASSERT_NE(stale, nullptr);
+
+  services::PackageManager& packages = system.package_manager();
+  const Uid extra = system.InstallApp("com.example.extra")->uid();
+  packages.UninstallPackage("com.example.gamma");
+  packages.RevokePermission("com.example.alpha", kImagePerm);
+  packages.GrantPermission("com.example.beta", kImagePerm);
+  packages.DefinePermission("test.permission.NEW",
+                            services::ProtectionLevel::kDangerous);
+  system.StopApp("com.example.beta");
+  ASSERT_NE(system.RelaunchApp("com.example.beta")->pid(), beta);
+
+  ASSERT_TRUE(image.RestoreInto(&system).ok());
+  auto recaptured = snapshot::SystemSnapshot::Capture(system);
+  ASSERT_TRUE(recaptured.ok()) << recaptured.status().ToString();
+  EXPECT_EQ(recaptured.value().payload(), image.payload());
+
+  EXPECT_EQ(system.FindApp("com.example.beta")->pid(), beta);
+  EXPECT_EQ(system.FindApp("com.example.extra"), nullptr);
+  for (const std::string& package : fresh.package_manager().InstalledPackages()) {
+    const Uid uid = fresh.package_manager().GetUidForPackage(package).value();
+    auto routed = packages.GetPackageForUid(uid);
+    ASSERT_TRUE(routed.ok()) << package;
+    EXPECT_EQ(routed.value(), package);
+  }
+  EXPECT_FALSE(packages.GetPackageForUid(extra).ok());
+  EXPECT_TRUE(packages.CheckPermission(
+      system.FindApp("com.example.alpha")->uid(), kImagePerm));
+  EXPECT_FALSE(packages.CheckPermission(
+      system.FindApp("com.example.beta")->uid(), kImagePerm));
+
+  const std::shared_ptr<binder::BBinder> placeholder = object_at(node, beta);
+  ASSERT_NE(placeholder, nullptr);
+  EXPECT_NE(placeholder, stale);
+  EXPECT_EQ(placeholder->owner_pid(), beta);
+  EXPECT_EQ(placeholder->InterfaceDescriptor(), "test.IShared");
+
+  ASSERT_TRUE(image.RestoreInto(&system).ok());
+  EXPECT_EQ(object_at(node, beta), placeholder);
+}
+
 // An in-place restore refuses what it cannot undo, with a Status: a soft
 // reboot (pending or done) re-registers every service at post-boot node ids,
 // and a killed boot-time app takes its binder objects with it.
@@ -975,7 +1070,9 @@ TEST(SystemSnapshotTest, OldHeapMarkerFailsRestoreAndLeavesADestroyableSystem) {
 // restored in place: each is patched into a whole-system image, which is
 // restored over a system that made calls since the capture. RestoreInto
 // returns the bound's Status, and the half-restored system is destroyed
-// cleanly (the ASan/UBSan tree checks the destruction).
+// cleanly (the ASan/UBSan tree checks the destruction). So do names the
+// restore merges in key order (packages, grants, permissions, apps, app
+// permission sets, services) put out of order or repeated.
 TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
   core::SystemConfig config;
@@ -983,6 +1080,16 @@ TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
   core::AndroidSystem source(config);
   source.Boot();
   EnqueueToasts(source.InstallApp("com.example.toaster"), 5);
+  // Names of equal length that sit next to each other in key order, so a
+  // patch can swap or repeat them in place.
+  const std::string kA1 = "com.example.a1", kA2 = "com.example.a2";
+  const std::string kP1 = "test.permission.P1", kP2 = "test.permission.P2";
+  source.package_manager().DefinePermission(
+      kP1, services::ProtectionLevel::kNormal);
+  source.package_manager().DefinePermission(
+      kP2, services::ProtectionLevel::kNormal);
+  source.InstallApp(kA1, {kP1, kP2});
+  source.InstallApp(kA2);
   auto captured = snapshot::SystemSnapshot::Capture(source);
   ASSERT_TRUE(captured.ok()) << captured.status().ToString();
   const snapshot::SystemSnapshot& image = captured.value();
@@ -992,7 +1099,8 @@ TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
   // the payload marker, the config fingerprint and the "SYS1" marker, and
   // opens with the kernel, the binder driver and the service manager.
   constexpr std::size_t kKernelStart = 4 + 8 + 4;
-  snapshot::Serializer kernel_head, kernel, driver, manager, heap, globals;
+  snapshot::Serializer kernel_head, kernel, driver, manager, packages, heap,
+      globals;
   kernel_head.Marker(0x4B524E31);
   source.clock().SaveState(kernel_head);
   source.kernel().rng().SaveState(kernel_head);
@@ -1000,6 +1108,7 @@ TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
   source.kernel().SaveState(kernel);
   source.driver().SaveState(driver);
   source.service_manager().SaveState(manager);
+  source.package_manager().SaveState(packages);
   const rt::Runtime& server = *source.system_runtime();
   server.heap().SaveState(heap);
   server.vm().globals().SaveState(globals);
@@ -1013,6 +1122,54 @@ TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
   ASSERT_EQ(offset_of(driver.buffer()), driver_start);
   const std::size_t manager_start = driver_start + driver.size();
   ASSERT_EQ(offset_of(manager.buffer()), manager_start);
+  // The package manager follows, then the services, then the apps and their
+  // permission sets close the payload.
+  const std::size_t packages_start = manager_start + manager.size();
+  ASSERT_EQ(offset_of(packages.buffer()), packages_start);
+  const std::size_t services_start = packages_start + packages.size();
+  // Where `name` lies, length-prefixed as the image stores it, from `from`.
+  const auto name_offsets = [&payload](const std::string& name,
+                                       std::size_t from) {
+    snapshot::Serializer key;
+    key.Str(name);
+    std::vector<std::size_t> offsets;
+    for (auto it = payload.begin() + static_cast<std::ptrdiff_t>(from);
+         (it = std::search(it, payload.end(), key.buffer().begin(),
+                           key.buffer().end())) != payload.end();
+         ++it) {
+      offsets.push_back(static_cast<std::size_t>(it - payload.begin()));
+    }
+    return offsets;
+  };
+  // a1 and a2 as package keys, then as app keys and app permission keys;
+  // P1 and P2 as a1's grants, as declared permissions, and in a1's app
+  // permission set.
+  const std::vector<std::size_t> a1_at = name_offsets(kA1, packages_start);
+  const std::vector<std::size_t> a2_at = name_offsets(kA2, packages_start);
+  const std::vector<std::size_t> p1_at = name_offsets(kP1, packages_start);
+  const std::vector<std::size_t> p2_at = name_offsets(kP2, packages_start);
+  ASSERT_EQ(a1_at.size(), 3u);
+  ASSERT_EQ(a2_at.size(), 3u);
+  ASSERT_EQ(p1_at.size(), 3u);
+  ASSERT_EQ(p2_at.size(), 3u);
+  ASSERT_LT(p2_at[1], services_start);
+  ASSERT_GT(a1_at[1], services_start);
+  // Two services next to each other in name order whose names have one
+  // length, where the services section lists them.
+  std::vector<std::string> service_names;
+  source.ForEachService([&](const std::string& name, services::SystemService*) {
+    service_names.push_back(name);
+  });
+  std::size_t twin = 0;
+  while (twin + 1 < service_names.size() &&
+         service_names[twin].size() != service_names[twin + 1].size()) {
+    ++twin;
+  }
+  ASSERT_LT(twin + 1, service_names.size());
+  const std::size_t service_at =
+      name_offsets(service_names[twin], services_start).at(0);
+  const std::size_t next_service_at =
+      name_offsets(service_names[twin + 1], services_start).at(0);
   const std::size_t heap_start = offset_of(heap.buffer());
   ASSERT_LT(heap_start, payload.size());
   const std::size_t globals_start = offset_of(globals.buffer());
@@ -1056,6 +1213,17 @@ TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
       PatchU64(bytes, offset, value);
     };
   };
+  // Writes `names` over the equal-length names at their offsets.
+  const auto names_at =
+      [](std::vector<std::pair<std::size_t, std::string>> names) -> Patch {
+    return [names](std::vector<std::uint8_t>* bytes) {
+      for (const auto& [offset, name] : names) {
+        std::copy(name.begin(), name.end(),
+                  bytes->begin() + static_cast<std::ptrdiff_t>(offset + 8));
+      }
+    };
+  };
+  constexpr const char* kUnordered = "out of order or repeated";
   struct InPlaceCase {
     const char* name;
     Patch patch;
@@ -1086,6 +1254,24 @@ TEST(SystemSnapshotTest, HostileImagesRestoredInPlaceFailWithAStatus) {
       {"IRT top index", u64_at(globals_start + 4 + 8 + 1, kHuge),
        "top index past its capacity"},
       {"runtime proxy node id", u64_at(proxy_node_at, kHuge), "truncated"},
+      {"package names out of order",
+       names_at({{a1_at[0], kA2}, {a2_at[0], kA1}}), kUnordered},
+      {"package name repeated", names_at({{a2_at[0], kA1}}), kUnordered},
+      {"grants out of order", names_at({{p1_at[0], kP2}, {p2_at[0], kP1}}),
+       kUnordered},
+      {"declared permission repeated", names_at({{p2_at[1], kP1}}),
+       kUnordered},
+      {"app names out of order",
+       names_at({{a1_at[1], kA2}, {a2_at[1], kA1}}), kUnordered},
+      {"app permission set repeated", names_at({{p2_at[2], kP1}}),
+       kUnordered},
+      {"service names out of order",
+       names_at({{service_at, service_names[twin + 1]},
+                 {next_service_at, service_names[twin]}}),
+       "where the booted system has"},
+      {"service name repeated",
+       names_at({{next_service_at, service_names[twin]}}),
+       "where the booted system has"},
   };
   const std::string path = "snapshot_test_hostile_in_place.ckpt";
   for (const InPlaceCase& c : cases) {
