@@ -501,12 +501,14 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
   // Record i restores over node i (a system is restored in place run after
   // run, and the image mostly holds the nodes the table already has); nodes
   // past the image's count belong to whatever ran since. The table keeps
-  // its storage unless that is more than twice the image's need. next_node_
-  // tracks nodes_, so FindNode stays in bounds even if the stream fails
-  // part-way.
+  // its storage unless that is more than twice the image's need, and grows
+  // to that need in one step rather than by repeated regrowth, each of
+  // which moves every node. next_node_ tracks nodes_, so FindNode stays in
+  // bounds even if the stream fails part-way.
   const std::size_t count = static_cast<std::size_t>(node_count);
   if (nodes_.size() > count) nodes_.resize(count);
   if (nodes_.capacity() > 2 * count) nodes_.shrink_to_fit();
+  nodes_.reserve(count);
   next_node_ = static_cast<std::int64_t>(nodes_.size()) + 1;
   for (std::size_t i = 0; i < count && in.ok(); ++i) {
     const NodeId id{in.I64()};
@@ -540,28 +542,20 @@ void BinderDriver::RestoreState(snapshot::Deserializer& in) {
     const bool dead = in.Bool();
     if (!in.ok()) return;
     const bool live = has_strong && !dead;
-    if (boot_node) {
+    if (boot_node && live && node.strong == nullptr) {
       // A boot-created node keeps its real object, which nothing recreates.
-      if (live && node.strong == nullptr) {
-        in.Fail(StrCat("boot-time binder ", descriptors_.Name(descriptor_id),
-                       " died since boot: restore into a fresh boot"));
-        return;
-      }
-    } else if (live) {
-      // A post-boot node gets a placeholder for its object; one it already
-      // holds for the same owner and descriptor is as good as a fresh one.
-      const std::string& descriptor = descriptors_.Name(descriptor_id);
-      if (!node.placeholder || node.strong == nullptr ||
-          node.strong->owner_pid() != owner ||
-          node.strong->InterfaceDescriptor() != descriptor) {
-        node.strong = std::make_shared<RestoredPlaceholderBinder>(descriptor);
-        node.strong->AttachNode(this, id, owner);
-        node.placeholder = true;
-      }
+      in.Fail(StrCat("boot-time binder ", descriptors_.Name(descriptor_id),
+                     " died since boot: restore into a fresh boot"));
+      return;
     }
     if (!live) {
       node.strong.reset();
-      node.placeholder = false;
+    } else if (!boot_node) {
+      // A post-boot node's object belongs to whatever ran since; the image's
+      // gets a fresh placeholder.
+      node.strong = std::make_shared<RestoredPlaceholderBinder>(
+          descriptors_.Name(descriptor_id));
+      node.strong->AttachNode(this, id, owner);
     }
     node.id = id;
     node.owner = owner;

@@ -197,11 +197,10 @@ class BinderDriver {
   // need). Boot-created nodes keep their real BBinder objects (a
   // deterministic boot recreates them bit-for-bit); one whose object died
   // since boot while the image has it live fails the stream. Live post-boot
-  // nodes get placeholder objects that refuse transactions — the checkpoint
-  // contract requires that no such node receives a transaction after restore
-  // (the harness checkpoints at a quiescent boundary where all dynamic
-  // clients have been stopped). A node that already holds a placeholder for
-  // the image's owner and descriptor keeps it; any other object is replaced.
+  // nodes get fresh placeholder objects that refuse transactions — the
+  // checkpoint contract requires that no such node receives a transaction
+  // after restore (the harness checkpoints at a quiescent boundary where all
+  // dynamic clients have been stopped).
   void SaveState(snapshot::Serializer& out) const;
   void RestoreState(snapshot::Deserializer& in);
 
@@ -218,8 +217,6 @@ class BinderDriver {
     std::vector<LinkId> death_links;
     bool pinned = false;              // servicemanager holds it forever
     bool dead = false;
-    // `strong` is a restore's placeholder, not an object a process made.
-    bool placeholder = false;
   };
 
   struct DeathLink {

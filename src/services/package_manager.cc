@@ -1,8 +1,5 @@
 #include "services/package_manager.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/strings.h"
 
 namespace jgre::services {
@@ -104,37 +101,14 @@ void PackageManager::RestoreState(snapshot::Deserializer& in) {
         entry.second.uid = Uid{static_cast<std::int32_t>(in.I64())};
         snapshot::RestoreOrdered(in, entry.second.granted);
       });
-  RouteUids();
+  uid_to_package_.clear();
+  for (const auto& [package, info] : packages_) {
+    uid_to_package_[info.uid] = package;
+  }
   snapshot::RestoreOrdered(
       in, permissions_, [](snapshot::Deserializer& in, auto& entry) {
         entry.second = static_cast<ProtectionLevel>(in.U8());
       });
-}
-
-void PackageManager::RouteUids() {
-  std::vector<std::pair<Uid, const std::string*>> routes;
-  routes.reserve(packages_.size());
-  for (const auto& [package, info] : packages_) {
-    routes.emplace_back(info.uid, &package);
-  }
-  // Stable: a shared uid's packages stay in name order, the last one wins.
-  std::stable_sort(routes.begin(), routes.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  auto it = uid_to_package_.begin();
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    const auto& [uid, package] = routes[i];
-    if (i + 1 < routes.size() && routes[i + 1].first == uid) continue;
-    while (it != uid_to_package_.end() && it->first < uid) {
-      it = uid_to_package_.erase(it);
-    }
-    if (it == uid_to_package_.end() || it->first != uid) {
-      it = uid_to_package_.emplace_hint(it, uid, *package);
-    } else if (it->second != *package) {
-      it->second = *package;
-    }
-    ++it;
-  }
-  uid_to_package_.erase(it, uid_to_package_.end());
 }
 
 std::vector<std::string> PackageManager::InstalledPackages() const {

@@ -76,8 +76,7 @@ class PackageManager {
   // (snapshot::RestoreOrdered): every package, grant set, grant and
   // permission equal to the image's is kept, and only the difference is
   // inserted or erased; names out of order or repeated fail the stream. The
-  // uid routing is then derived from the packages the same way, keeping
-  // every route the image also has.
+  // uid routing is then rebuilt from the restored packages.
   void SaveState(snapshot::Serializer& out) const {
     out.U64(packages_.size());
     for (const auto& [package, info] : packages_) {
@@ -99,11 +98,6 @@ class PackageManager {
     Uid uid;
     std::set<std::string> granted;
   };
-  // Derives uid_to_package_ from packages_ as a restore into a fresh boot
-  // would: each uid routes to the last package, in name order, installed
-  // under it. Routes already equal are kept.
-  void RouteUids();
-
   std::map<std::string, PackageInfo> packages_;
   // Each uid's package; a uid two packages share routes to the one
   // installed last (after a restore, the later name).
